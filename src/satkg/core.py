@@ -5,6 +5,21 @@ Properties relate instances to other instances (object properties) or to typed
 literals (data properties).  A store holds instances and assertions over one
 ontology; after population it is treated as frozen and is safe to read from
 many threads.
+
+The ontology computes its subsumption closure (each class's ancestors in
+breadth-first order, its reflexive ancestor set and its reflexive descendant
+set) on the first subsumption lookup and caches it.  Every mutator
+(``define_class``, ``add_parent``, ``define_alias``) drops the cache, so the
+next lookup rebuilds it; copies share it until one of them is mutated.
+
+The store keeps one index per access path, each maintained by ``add``:
+
+* ``_by_subject``: subject name -> its assertions;
+* ``_by_predicate``: canonical predicate name -> its assertions;
+* ``_by_object``: object instance name -> the object-property assertions
+  pointing at it (typing and literal-valued assertions are not included);
+* ``_by_class``: class name -> the instances directly typed with it;
+* ``_types``: instance name -> its directly asserted classes.
 """
 
 from __future__ import annotations
@@ -193,6 +208,43 @@ class Assertion:
         return f"({self.subject} {self.predicate} {self.object})"
 
 
+@dataclass(frozen=True)
+class _Closure:
+    """Subsumption closure of one class graph, keyed by canonical class name."""
+
+    #: strict superclasses, nearest first, each breadth-first level sorted
+    ancestors: dict[str, tuple[str, ...]]
+    #: the class and all its superclasses
+    up: dict[str, frozenset[str]]
+    #: the class and all its subclasses
+    down: dict[str, frozenset[str]]
+
+    @classmethod
+    def build(cls, classes: dict[str, ClassDef]) -> "_Closure":
+        ancestors: dict[str, tuple[str, ...]] = {}
+        for name in classes:
+            out: list[str] = []
+            seen = {name}
+            frontier = [name]
+            while frontier:
+                level: set[str] = set()
+                for n in frontier:
+                    level.update(p for p in classes[n].parents if p not in seen)
+                frontier = sorted(level)
+                seen.update(level)
+                out.extend(frontier)
+            ancestors[name] = tuple(out)
+        down: dict[str, set[str]] = {name: {name} for name in classes}
+        for name, ups in ancestors.items():
+            for a in ups:
+                down[a].add(name)
+        return cls(
+            ancestors,
+            {name: frozenset(ups).union((name,)) for name, ups in ancestors.items()},
+            {name: frozenset(subs) for name, subs in down.items()},
+        )
+
+
 class Ontology:
     """Named classes and properties with an acyclic subsumption graph."""
 
@@ -201,6 +253,7 @@ class Ontology:
         self.properties: dict[str, PropertyDef] = {}
         # alias name -> canonical name (classes or properties)
         self.aliases: dict[str, str] = {}
+        self._closure: Optional[_Closure] = None
 
     # -------------------------------------------------------------- schema
 
@@ -219,6 +272,7 @@ class Ontology:
                 raise UnknownParent(f"parent class {p!r} of {name!r} not defined")
         cdef = ClassDef(name, parent_set, definition)
         self.classes[name] = cdef
+        self._closure = None
         return cdef
 
     def add_parent(self, child: str, parent: str) -> None:
@@ -231,6 +285,7 @@ class Ontology:
             raise CycleDetected(f"edge {child!r} -> {parent!r} would create a subsumption cycle")
         old = self.classes[child]
         self.classes[child] = ClassDef(old.name, old.parents | {parent}, old.definition)
+        self._closure = None
 
     def define_object_property(
         self,
@@ -272,6 +327,7 @@ class Ontology:
         if target not in self.classes and target not in self.properties:
             raise UnknownTerm(f"alias target {target!r} not defined")
         self.aliases[alias] = target
+        self._closure = None
 
     def _check_new_property(self, name: str) -> None:
         TermId(name, TermKind.OBJECT_PROPERTY)  # charset check
@@ -305,53 +361,24 @@ class Ontology:
 
     # ---------------------------------------------------------- subsumption
 
+    def _subsumption(self) -> _Closure:
+        closure = self._closure
+        if closure is None:
+            closure = self._closure = _Closure.build(self.classes)
+        return closure
+
     def is_subclass_of(self, sub: str, sup: str) -> bool:
         """Reflexive-transitive subsumption over the class graph."""
         sub = self.cls(sub).name
-        sup = self.cls(sup).name
-        if sub == sup:
-            return True
-        seen = {sub}
-        frontier = [sub]
-        while frontier:
-            nxt = []
-            for name in frontier:
-                for parent in self.classes[name].parents:
-                    if parent == sup:
-                        return True
-                    if parent not in seen:
-                        seen.add(parent)
-                        nxt.append(parent)
-            frontier = nxt
-        return False
+        return self.cls(sup).name in self._subsumption().up[sub]
 
     def ancestors(self, name: str) -> list[str]:
         """Strict superclasses ordered nearest-first (breadth-first levels)."""
-        start = self.cls(name).name
-        out: list[str] = []
-        seen = {start}
-        frontier = [start]
-        while frontier:
-            level: set[str] = set()
-            for n in frontier:
-                level.update(p for p in self.classes[n].parents if p not in seen)
-            frontier = sorted(level)
-            seen.update(level)
-            out.extend(frontier)
-        return out
+        return list(self._subsumption().ancestors[self.cls(name).name])
 
-    def subclasses_of(self, name: str) -> set[str]:
+    def subclasses_of(self, name: str) -> frozenset[str]:
         """The class itself plus every strict descendant."""
-        root = self.cls(name).name
-        out = {root}
-        changed = True
-        while changed:
-            changed = False
-            for cdef in self.classes.values():
-                if cdef.name not in out and cdef.parents & out:
-                    out.add(cdef.name)
-                    changed = True
-        return out
+        return self._subsumption().down[self.cls(name).name]
 
     # -------------------------------------------------------------- misc
 
@@ -360,6 +387,7 @@ class Ontology:
         dup.classes = dict(self.classes)
         dup.properties = dict(self.properties)
         dup.aliases = dict(self.aliases)
+        dup._closure = self._closure
         return dup
 
     def __eq__(self, other: object) -> bool:
@@ -391,6 +419,8 @@ class InstanceStore:
         self._types: dict[str, list[str]] = {}
         self._by_predicate: dict[str, list[Assertion]] = {}
         self._by_subject: dict[str, list[Assertion]] = {}
+        self._by_object: dict[str, list[Assertion]] = {}
+        self._by_class: dict[str, list[TermId]] = {}
         #: Non-fatal messages produced while adding assertions (e.g. values
         #: sitting exactly on a warned numeric bound).
         self.warnings: list[str] = []
@@ -460,10 +490,12 @@ class InstanceStore:
         self._assertion_set.add(normalized)
         self._by_predicate.setdefault(predicate.name, []).append(normalized)
         self._by_subject.setdefault(subject.name, []).append(normalized)
-        if predicate.name == INSTANCE_OF.name:
-            types = self._types.setdefault(subject.name, [])
-            if normalized.object.name not in types:  # type: ignore[union-attr]
-                types.append(normalized.object.name)  # type: ignore[union-attr]
+        if predicate is INSTANCE_OF:
+            # obj is a canonical class id: one typing assertion per pair
+            self._types.setdefault(subject.name, []).append(obj.name)  # type: ignore[union-attr]
+            self._by_class.setdefault(obj.name, []).append(subject)  # type: ignore[union-attr]
+        elif isinstance(obj, TermId):
+            self._by_object.setdefault(obj.name, []).append(normalized)
         return True
 
     def assert_fact(
@@ -548,8 +580,24 @@ class InstanceStore:
     def assertions_with_predicate(self, name: str) -> list[Assertion]:
         return self._by_predicate.get(self.ontology.canonical_name(name), [])
 
+    def predicate_count(self, name: str) -> int:
+        """Number of assertions with the predicate, without reading them."""
+        return len(self._by_predicate.get(self.ontology.canonical_name(name), ()))
+
+    @property
+    def instance_count(self) -> int:
+        return len(self._instances)
+
     def assertions_about(self, subject: str) -> list[Assertion]:
         return self._by_subject.get(subject, [])
+
+    def assertions_with_object(self, name: str) -> list[Assertion]:
+        """Object-property assertions whose object is the named instance."""
+        return self._by_object.get(name, [])
+
+    def instances_of(self, cls: str) -> list[TermId]:
+        """Instances directly typed with the class (subclasses not included)."""
+        return self._by_class.get(self.ontology.canonical_name(cls), [])
 
     def types_of(self, name: str) -> list[str]:
         """Directly asserted classes of an instance."""
@@ -557,10 +605,10 @@ class InstanceStore:
 
     def all_types_of(self, name: str) -> set[str]:
         """Asserted classes closed under subsumption."""
+        up = self.ontology._subsumption().up
         out: set[str] = set()
         for t in self._types.get(name, ()):
-            out.add(t)
-            out.update(self.ontology.ancestors(t))
+            out |= up[t]
         return out
 
     def object_values(self, subject: str, predicate: str) -> list[Union[TermId, Literal]]:
@@ -581,6 +629,8 @@ class InstanceStore:
         dup._types = {k: list(v) for k, v in self._types.items()}
         dup._by_predicate = {k: list(v) for k, v in self._by_predicate.items()}
         dup._by_subject = {k: list(v) for k, v in self._by_subject.items()}
+        dup._by_object = {k: list(v) for k, v in self._by_object.items()}
+        dup._by_class = {k: list(v) for k, v in self._by_class.items()}
         dup.warnings = list(self.warnings)
         dup.rule_conflicts = list(self.rule_conflicts)
         return dup

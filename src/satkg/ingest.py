@@ -273,12 +273,19 @@ def instance_name(raw: str) -> str:
 
 
 def parse_number(text: str) -> Decimal:
-    """Parse a catalog numeric cell; thousands separators are tolerated."""
+    """Parse a catalog numeric cell; thousands separators are tolerated.
+
+    Non-finite values (NaN, sNaN, Infinity) are not numbers a catalog can
+    carry, and are rejected like any other unparsable cell.
+    """
     cleaned = text.strip().replace(",", "")
     try:
-        return Decimal(cleaned)
+        value = Decimal(cleaned)
     except InvalidOperation:
-        raise UnparsableNumber(f"not a number: {text!r}") from None
+        value = None
+    if value is None or not value.is_finite():
+        raise UnparsableNumber(f"not a number: {text!r}")
+    return value
 
 
 _YEARS_SUFFIX = re.compile(r"\s*(?:yrs?\.?|years?)\s*$", re.IGNORECASE)

@@ -11,7 +11,18 @@ Grammar::
 Typing patterns (`?x instance_of C`) match through the subsumption closure,
 so instances of subclasses answer superclass queries.  Negation blocks are
 evaluated as negation-as-failure and are only legal under closed-world
-semantics; an open-world store cannot prove non-existence.
+semantics; an open-world store cannot prove non-existence.  A variable that
+occurs twice in one pattern must take the same value in both places.
+
+Evaluation joins the patterns in a greedy order: next comes the pattern with
+the most bound positions (constants, or variables bound by the patterns
+already joined), then the one with the shorter candidate list as read through
+its constants, then the one written first.  Each match reads the narrowest
+store index its bound positions allow: the subject's assertions, else the
+object instance's, else the predicate's; a typing pattern with a class and a
+free subject reads the instances typed by the class or its subclasses.
+Filters run on the joined rows, negations after them.  The order changes only
+the work, never the answer.
 """
 
 from __future__ import annotations
@@ -414,31 +425,6 @@ def _sort_key(value: Union[TermId, Literal]) -> tuple[int, str]:
     return (1, lexical_form(value.value))
 
 
-def _typing_matches(store: InstanceStore, pattern: TriplePattern, binding: Binding) -> Iterator[Binding]:
-    subject = _resolve(pattern.subject, binding)
-    obj = _resolve(pattern.object, binding)
-    ont = store.ontology
-
-    if isinstance(obj, TermId) and obj.kind is TermKind.CLASS:
-        accepted = ont.subclasses_of(obj.name)
-        for term in store.instances:
-            if isinstance(subject, TermId) and subject.name != term.name:
-                continue
-            if isinstance(subject, Literal):
-                return
-            if set(store.types_of(term.name)) & accepted:
-                yield _extend(binding, pattern, term, obj)
-    elif isinstance(obj, Variable):
-        for term in store.instances:
-            if isinstance(subject, TermId) and subject.name != term.name:
-                continue
-            if isinstance(subject, Literal):
-                return
-            for t in sorted(store.all_types_of(term.name)):
-                yield _extend(binding, pattern, term, TermId(t, TermKind.CLASS))
-    # a literal in class position can never match
-
-
 def _resolve(term: Term, binding: Binding) -> Term:
     if isinstance(term, Variable):
         return binding.get(term.name, term)
@@ -450,7 +436,11 @@ def _extend(
     pattern: TriplePattern,
     subject_value: Union[TermId, Literal],
     object_value: Union[TermId, Literal],
-) -> Binding:
+) -> Optional[Binding]:
+    """The binding extended by one match; None when a variable repeated in
+    the pattern would take two different values."""
+    if pattern.subject == pattern.object and subject_value != object_value:
+        return None
     row = dict(binding)
     if isinstance(pattern.subject, Variable):
         row[pattern.subject.name] = subject_value
@@ -459,36 +449,116 @@ def _extend(
     return row
 
 
+def _is_instance(term: Term) -> bool:
+    return isinstance(term, TermId) and term.kind is TermKind.INSTANCE
+
+
+def _typing_matches(store: InstanceStore, pattern: TriplePattern, binding: Binding) -> Iterator[Binding]:
+    subject = _resolve(pattern.subject, binding)
+    obj = _resolve(pattern.object, binding)
+    if not (isinstance(subject, Variable) or _is_instance(subject)):
+        return
+    if isinstance(obj, Variable):
+        if isinstance(subject, Variable):
+            candidates = store.instances
+        elif store.has_instance(subject.name):
+            candidates = [subject]
+        else:
+            return
+        for term in candidates:
+            for t in sorted(store.all_types_of(term.name)):
+                row = _extend(binding, pattern, term, TermId(t, TermKind.CLASS))
+                if row is not None:
+                    yield row
+    elif isinstance(obj, TermId) and obj.kind is TermKind.CLASS:
+        ont = store.ontology
+        if isinstance(subject, Variable):
+            # the subject is unbound, so the object is not the same variable
+            seen: set[str] = set()
+            for cls in ont.subclasses_of(obj.name):
+                for term in store.instances_of(cls):
+                    if term.name not in seen:
+                        seen.add(term.name)
+                        yield {**binding, subject.name: term}
+        elif ont.cls(obj.name).name in store.all_types_of(subject.name):
+            yield dict(binding)
+    # an instance or literal in class position can never match
+
+
 def _pattern_matches(store: InstanceStore, pattern: TriplePattern, binding: Binding) -> Iterator[Binding]:
+    """Matches of one pattern under a binding, read from the narrowest index:
+    the subject's assertions, else the object instance's, else the predicate's."""
     if pattern.predicate.name == "instance_of":
         yield from _typing_matches(store, pattern, binding)
         return
     subject = _resolve(pattern.subject, binding)
     obj = _resolve(pattern.object, binding)
-    if isinstance(subject, Literal):
-        return  # a literal can never stand in instance position
-    for a in store.assertions_with_predicate(pattern.predicate.name):
-        if isinstance(subject, TermId) and a.subject.name != subject.name:
-            continue
-        if not _object_compatible(a.object, obj):
-            continue
-        yield _extend(binding, pattern, a.subject, a.object)
+    predicate = store.ontology.canonical_name(pattern.predicate.name)
+    if isinstance(subject, Variable):
+        if _is_instance(obj):
+            candidates = store.assertions_with_object(obj.name)
+        else:
+            candidates = store.assertions_with_predicate(predicate)
+    elif _is_instance(subject):
+        candidates = store.assertions_about(subject.name)
+    else:
+        return  # a class or literal can never stand in subject position
+    for a in candidates:
+        if a.predicate.name == predicate and _object_compatible(a.object, pattern.object, obj):
+            row = _extend(binding, pattern, a.subject, a.object)
+            if row is not None:
+                yield row
 
 
-def _object_compatible(stored: Union[TermId, Literal], wanted: Term) -> bool:
+def _object_compatible(stored: Union[TermId, Literal], written: Term, wanted: Term) -> bool:
+    """Whether a stored object matches a pattern object: ``written`` as in
+    the query, ``wanted`` under the current binding.  A query literal carries
+    no unit and matches a stored value in any unit; a bound term must be equal."""
     if isinstance(wanted, Variable):
         return True
-    if isinstance(wanted, TermId):
-        return isinstance(stored, TermId) and stored.name == wanted.name
-    if isinstance(stored, Literal):
-        if wanted.unit is None:
-            return stored.value == wanted.value
-        return stored.value == wanted.value and stored.unit == wanted.unit
-    return False
+    if isinstance(written, Literal) and written.unit is None:
+        return isinstance(stored, Literal) and stored.value == wanted.value  # type: ignore[union-attr]
+    return stored == wanted
+
+
+def _estimate(store: InstanceStore, pattern: TriplePattern, bound: set[str]) -> tuple[int, int]:
+    """Planner key: more bound positions first, then the shorter candidate
+    list as read through the pattern's constants."""
+
+    def is_bound(term: Term) -> bool:
+        return not isinstance(term, Variable) or term.name in bound
+
+    positions = is_bound(pattern.subject) + is_bound(pattern.object)
+    subject, obj = pattern.subject, pattern.object
+    if pattern.predicate.name == "instance_of":
+        if isinstance(subject, TermId):
+            size = 1
+        elif isinstance(obj, TermId):
+            size = sum(len(store.instances_of(c)) for c in store.ontology.subclasses_of(obj.name))
+        else:
+            size = store.instance_count
+    elif isinstance(subject, TermId):
+        size = len(store.assertions_about(subject.name))
+    elif _is_instance(obj):
+        size = len(store.assertions_with_object(obj.name))
+    else:
+        size = store.predicate_count(pattern.predicate.name)
+    return (-positions, size)
+
+
+def _passes(f: NumericFilter, row: Binding) -> bool:
+    value = row.get(f.variable)
+    return (
+        isinstance(value, Literal)
+        and isinstance(value.value, (Decimal, int))
+        and not isinstance(value.value, bool)
+        and f.accepts(value.value)
+    )
 
 
 def evaluate(ast: QueryAst, store: InstanceStore) -> BindingSet:
-    """Join patterns left to right, apply filters, then negation (closed world).
+    """Join the patterns in planner order, apply filters, then negation
+    (closed world only).
 
     Open-world queries may not use negation: the store cannot prove that a
     fact is absent from the world, only that it is absent from the store.
@@ -502,23 +572,16 @@ def evaluate(ast: QueryAst, store: InstanceStore) -> BindingSet:
         _check_terms(ast, store.ontology)
 
     rows: list[Binding] = [{}]
-    for pattern in ast.patterns:
+    bound: set[str] = set()
+    remaining = list(ast.patterns)
+    while remaining and rows:
+        pattern = min(remaining, key=lambda p: _estimate(store, p, bound))
+        remaining.remove(pattern)
         rows = [m for binding in rows for m in _pattern_matches(store, pattern, binding)]
-        if not rows:
-            break
+        bound |= pattern.variables()
 
     for f in ast.filters:
-        kept = []
-        for row in rows:
-            value = row.get(f.variable)
-            if (
-                isinstance(value, Literal)
-                and isinstance(value.value, (Decimal, int))
-                and not isinstance(value.value, bool)
-                and f.accepts(value.value)
-            ):
-                kept.append(row)
-        rows = kept
+        rows = [row for row in rows if _passes(f, row)]
 
     if ast.semantics is Semantics.CLOSED_WORLD:
         for negation in ast.negations:
@@ -528,16 +591,12 @@ def evaluate(ast: QueryAst, store: InstanceStore) -> BindingSet:
                 if next(_pattern_matches(store, negation, row), None) is None
             ]
 
-    projected: list[Binding] = []
-    seen = set()
+    projected: dict[tuple, Binding] = {}
     for row in rows:
-        slim = {v: row[v] for v in ast.select_vars}
-        key = tuple(_sort_key(slim[v]) for v in ast.select_vars)
-        if key not in seen:
-            seen.add(key)
-            projected.append(slim)
-    projected.sort(key=lambda r: tuple(_sort_key(r[v]) for v in ast.select_vars))
-    return BindingSet(list(ast.select_vars), projected)
+        key = tuple(_sort_key(row[v]) for v in ast.select_vars)
+        if key not in projected:
+            projected[key] = {v: row[v] for v in ast.select_vars}
+    return BindingSet(list(ast.select_vars), [projected[k] for k in sorted(projected)])
 
 
 def _check_terms(ast: QueryAst, ontology: Ontology) -> None:

@@ -122,12 +122,13 @@ def _reified_values(
 
 
 def _linking_satellites(store: InstanceStore, orbit: str) -> list[str]:
-    sats = []
-    for prop in ("has_Orbit", "has_Orbit_type"):
-        for a in store.assertions_with_predicate(prop):
-            if isinstance(a.object, TermId) and a.object.name == orbit:
-                sats.append(a.subject.name)
-    return sats
+    links = store.assertions_with_object(orbit)
+    return [
+        a.subject.name
+        for prop in ("has_Orbit", "has_Orbit_type")
+        for a in links
+        if a.predicate.name == prop
+    ]
 
 
 def _rule_values(

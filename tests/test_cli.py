@@ -42,6 +42,25 @@ def test_load_writes_store_and_report(tmp_path):
     assert import_turtle(store_path.read_bytes()).assertion_count == 228
 
 
+def test_load_reports_non_finite_cells(tmp_path):
+    header, first, *_rest = CSV.read_text(encoding="utf-8").splitlines()
+    columns = header.split(",")
+    cells = first.split(",")
+    cells[columns.index("Eccentricity")] = "NaN"
+    cells[columns.index("Perigee (km)")] = "sNaN"
+    bad = tmp_path / "nan.csv"
+    bad.write_text(header + "\n" + ",".join(cells) + "\n", encoding="utf-8")
+    report_path = tmp_path / "report.jsonl"
+    code, _out, err = run(
+        "load", "--mode", "reified", "--in", bad,
+        "--out", tmp_path / "x.ttl", "--report", report_path,
+    )
+    assert code == 0, err
+    findings = [json.loads(line) for line in report_path.read_text().splitlines()]
+    flagged = {f["field"] for f in findings if f.get("code") == "unparsable_number"}
+    assert flagged == {"Eccentricity", "Perigee (km)"}
+
+
 def test_load_is_deterministic(tmp_path):
     a, b = tmp_path / "a.ttl", tmp_path / "b.ttl"
     run("load", "--mode", "reified", "--in", CSV, "--out", a)

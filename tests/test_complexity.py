@@ -1,0 +1,87 @@
+"""Deterministic complexity check: store rows read per catalog row stay flat.
+
+Counts the rows returned by the two scanning reads of ``InstanceStore``
+(``instances`` and ``assertions_with_predicate``) while classifying,
+validating and answering one bound-subject join, on catalogs of 200 and 800
+rows.  A scan per orbit or per binding would make the count per row grow
+with the catalog; no timing is involved.
+"""
+
+import csv
+import io
+
+import pytest
+
+from satkg import (
+    InstanceStore,
+    ModelingMode,
+    build_ucsso,
+    classify_orbits,
+    evaluate,
+    ingest,
+    parse_csv,
+    parse_query,
+    validate,
+)
+
+from conftest import FIXTURES
+
+
+def repeated_catalog(rows: int) -> bytes:
+    """The fixture's rows repeated up to ``rows``, names made unique per copy."""
+    with open(FIXTURES / "ucs_sample.csv", newline="", encoding="utf-8") as f:
+        header, *sample = list(csv.reader(f))
+    name = header.index("Name of Satellite")
+    alternates = header.index("Alternate Names")
+    out = io.StringIO()
+    writer = csv.writer(out, lineterminator="\n")
+    writer.writerow(header)
+    for i in range(rows):
+        row = list(sample[i % len(sample)])
+        copy = i // len(sample)
+        row[name] = f"{row[name]}-c{copy}"
+        if row[alternates]:
+            row[alternates] = ", ".join(
+                f"{alt.strip()}-c{copy}" for alt in row[alternates].split(",")
+            )
+        writer.writerow(row)
+    return out.getvalue().encode("utf-8")
+
+
+def rows_read(monkeypatch, rows: int) -> int:
+    mode = ModelingMode.REIFIED
+    store, report = ingest(parse_csv(repeated_catalog(rows)), mode, build_ucsso(mode))
+    assert report.rows_ingested == rows
+
+    count = [0]
+    instances = InstanceStore.instances.fget
+    with_predicate = InstanceStore.assertions_with_predicate
+
+    def counted_instances(self):
+        out = instances(self)
+        count[0] += len(out)
+        return out
+
+    def counted_with_predicate(self, name):
+        out = with_predicate(self, name)
+        count[0] += len(out)
+        return out
+
+    with monkeypatch.context() as patch:
+        patch.setattr(InstanceStore, "instances", property(counted_instances))
+        patch.setattr(InstanceStore, "assertions_with_predicate", counted_with_predicate)
+        classified = classify_orbits(store, mode)
+        validate(classified)
+        join = parse_query(
+            "select ?e where { AAUSat-4-c0 has_Orbit ?o . ?o has_Orbital_Eccentricity ?p . "
+            "?p has_Orbital_Eccentricity_value ?e }",
+            classified.ontology,
+        )
+        assert len(evaluate(join, classified)) == 1
+    return count[0]
+
+
+@pytest.mark.parametrize("small, large", [(200, 800)])
+def test_rows_read_per_catalog_row_stay_flat(monkeypatch, small, large):
+    per_row = {rows: rows_read(monkeypatch, rows) / rows for rows in (small, large)}
+    assert per_row[large] <= 1.25 * per_row[small], per_row

@@ -110,6 +110,51 @@ def test_subclasses_of_includes_self():
     assert ont.subclasses_of("GEO_Orbit") == {"GEO_Orbit"}
 
 
+def test_cached_closure_follows_every_mutation():
+    from satkg import merge_ontologies
+
+    ont = small_taxonomy()
+    store = InstanceStore(ont)
+    store.add_instance("o1")
+    store.assert_fact("o1", "instance_of", "GEO_Orbit")
+    # fill the cache before each mutation
+    assert ont.subclasses_of("Orbit") == {"Orbit", "Nearly_Circular_Orbit", "GEO_Orbit"}
+    ont.define_class("Molniya_Orbit", ["Orbit"])
+    assert "Molniya_Orbit" in ont.subclasses_of("Orbit")
+    assert ont.ancestors("Molniya_Orbit") == ["Orbit"]
+
+    ont.define_class("Path")
+    assert not ont.is_subclass_of("GEO_Orbit", "Path")
+    assert "Path" not in store.all_types_of("o1")
+    ont.add_parent("Orbit", "Path")
+    assert ont.is_subclass_of("GEO_Orbit", "Path")
+    assert ont.ancestors("GEO_Orbit") == ["Nearly_Circular_Orbit", "Orbit", "Path"]
+    assert "Path" in store.all_types_of("o1")
+    assert "GEO_Orbit" in ont.subclasses_of("Path")
+    with pytest.raises(CycleDetected):
+        ont.add_parent("Path", "GEO_Orbit")
+    assert not ont.is_subclass_of("Path", "GEO_Orbit")
+
+    assert not ont.has_class("Route")
+    ont.define_alias("Route", "Path")
+    assert ont.subclasses_of("Route") == ont.subclasses_of("Path")
+    assert ont.is_subclass_of("GEO_Orbit", "Route")
+
+    # a copy shares the cache until one side changes
+    dup = ont.copy()
+    dup.define_class("Tundra_Orbit", ["Orbit"])
+    assert "Tundra_Orbit" in dup.subclasses_of("Path")
+    assert "Tundra_Orbit" not in ont.subclasses_of("Path")
+
+    extra = Ontology()
+    extra.define_class("Thing")
+    extra.define_class("Path", ["Thing"])
+    merged = merge_ontologies(ont, extra)
+    assert merged.is_subclass_of("GEO_Orbit", "Thing")
+    assert not ont.has_class("Thing")
+    assert ont.ancestors("GEO_Orbit") == ["Nearly_Circular_Orbit", "Orbit", "Path"]
+
+
 def test_alias_resolution():
     ont = small_taxonomy()
     ont.define_alias("Trajectory", "Orbit")

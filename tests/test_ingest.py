@@ -123,6 +123,12 @@ def test_number_parsing():
         parse_number("twelve")
 
 
+@pytest.mark.parametrize("text", ["NaN", "nan", "sNaN", "-NaN", "Infinity", "-Inf", " inf "])
+def test_non_finite_numbers_are_unparsable(text):
+    with pytest.raises(UnparsableNumber):
+        parse_number(text)
+
+
 def test_year_and_date_parsing():
     assert parse_years("15 yrs.") == Decimal("15")
     assert parse_years("10") == Decimal("10")

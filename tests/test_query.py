@@ -261,3 +261,37 @@ def test_csv_and_json_rendering():
 
 def test_variable_repr():
     assert str(Variable("?s")) == "?s"
+
+
+def test_repeated_variable_requires_equal_values():
+    store = InstanceStore(ONT)
+    for name in ("A", "B", "C"):
+        store.add_instance(name)
+    store.assert_fact("A", "has_Operator", "B")
+    ast = parse_query("select ?x where { ?x has_Operator ?x }", ONT)
+    assert evaluate(ast, store).rows == []
+    store.assert_fact("C", "has_Operator", "C")
+    assert [r["?x"].name for r in evaluate(ast, store).rows] == ["C"]
+
+
+def test_bound_literal_must_equal_unit_included():
+    store = InstanceStore(ONT)
+    for name in ("O1", "O2"):
+        store.add_instance(name)
+    store.assert_fact("O1", "has_Perigee_value", Decimal("500"))
+    store.assert_fact("O2", "has_Apogee_value", Decimal("500.0"))
+    store.assert_fact("O2", "has_Orbital_Inclination_value", Decimal("500"))
+    same_unit = parse_query(
+        "select ?o ?p where { ?o has_Perigee_value ?x . ?p has_Apogee_value ?x }", ONT
+    )
+    assert [(r["?o"].name, r["?p"].name) for r in evaluate(same_unit, store).rows] == [
+        ("O1", "O2")
+    ]
+    # km and degrees: equal numbers, different terms
+    other_unit = parse_query(
+        "select ?o where { ?o has_Perigee_value ?x . ?p has_Orbital_Inclination_value ?x }", ONT
+    )
+    assert evaluate(other_unit, store).rows == []
+    # a query literal carries no unit and matches either
+    constant = parse_query("select ?o where { ?o has_Orbital_Inclination_value 500 }", ONT)
+    assert [r["?o"].name for r in evaluate(constant, store).rows] == ["O2"]
