@@ -8,9 +8,10 @@ many threads.
 
 The ontology computes its subsumption closure (each class's ancestors in
 breadth-first order, its reflexive ancestor set and its reflexive descendant
-set) on the first subsumption lookup and caches it.  Every mutator
-(``define_class``, ``add_parent``, ``define_alias``) drops the cache, so the
-next lookup rebuilds it; copies share it until one of them is mutated.
+set) on the first subsumption lookup and caches it.  Every mutator of the
+class graph (``define_class``, ``add_parent``) drops the cache, so the next
+lookup rebuilds it; copies share it until one of them is mutated.  Aliases
+are resolved before the closure is read, so adding one never makes it stale.
 
 The store keeps one index per access path, each maintained by ``add``:
 
@@ -281,11 +282,26 @@ class Ontology:
             raise UnknownTerm(f"class {child!r} not defined")
         if parent not in self.classes:
             raise UnknownParent(f"parent class {parent!r} not defined")
-        if child == parent or self.is_subclass_of(parent, child):
+        if self._reaches(parent, child):
             raise CycleDetected(f"edge {child!r} -> {parent!r} would create a subsumption cycle")
         old = self.classes[child]
         self.classes[child] = ClassDef(old.name, old.parents | {parent}, old.definition)
         self._closure = None
+
+    def _reaches(self, start: str, target: str) -> bool:
+        """Whether ``target`` is ``start`` or one of its superclasses, by a
+        walk up from ``start`` alone (no closure build between mutations)."""
+        seen = {start}
+        frontier = [start]
+        while frontier:
+            name = frontier.pop()
+            if name == target:
+                return True
+            for p in self.classes[name].parents:
+                if p not in seen:
+                    seen.add(p)
+                    frontier.append(p)
+        return False
 
     def define_object_property(
         self,
@@ -327,7 +343,6 @@ class Ontology:
         if target not in self.classes and target not in self.properties:
             raise UnknownTerm(f"alias target {target!r} not defined")
         self.aliases[alias] = target
-        self._closure = None
 
     def _check_new_property(self, name: str) -> None:
         TermId(name, TermKind.OBJECT_PROPERTY)  # charset check
@@ -579,10 +594,6 @@ class InstanceStore:
 
     def assertions_with_predicate(self, name: str) -> list[Assertion]:
         return self._by_predicate.get(self.ontology.canonical_name(name), [])
-
-    def predicate_count(self, name: str) -> int:
-        """Number of assertions with the predicate, without reading them."""
-        return len(self._by_predicate.get(self.ontology.canonical_name(name), ()))
 
     @property
     def instance_count(self) -> int:

@@ -12,7 +12,11 @@ Typing patterns (`?x instance_of C`) match through the subsumption closure,
 so instances of subclasses answer superclass queries.  Negation blocks are
 evaluated as negation-as-failure and are only legal under closed-world
 semantics; an open-world store cannot prove non-existence.  A variable that
-occurs twice in one pattern must take the same value in both places.
+occurs twice in one pattern must take the same value in both places.  A
+bound variable joins only the same term: literals with the same value type,
+lexical form and unit, so ``1`` and ``1.0`` are different terms.  A literal
+constant written in the query carries no unit and matches any stored literal
+of equal value.
 
 Evaluation joins the patterns in a greedy order: next comes the pattern with
 the most bound positions (constants, or variables bound by the patterns
@@ -513,12 +517,26 @@ def _pattern_matches(store: InstanceStore, pattern: TriplePattern, binding: Bind
 def _object_compatible(stored: Union[TermId, Literal], written: Term, wanted: Term) -> bool:
     """Whether a stored object matches a pattern object: ``written`` as in
     the query, ``wanted`` under the current binding.  A query literal carries
-    no unit and matches a stored value in any unit; a bound term must be equal."""
+    no unit and matches a stored value in any unit; a bound variable joins
+    only the same term."""
     if isinstance(wanted, Variable):
         return True
     if isinstance(written, Literal) and written.unit is None:
         return isinstance(stored, Literal) and stored.value == wanted.value  # type: ignore[union-attr]
-    return stored == wanted
+    return _same_term(stored, wanted)
+
+
+def _same_term(a: Union[TermId, Literal], b: Term) -> bool:
+    """Term identity: literals are the same term only with the same value
+    type, lexical form and unit, so ``1`` and ``1.0`` never join and the join
+    order cannot change which of them a variable is bound to."""
+    if isinstance(a, Literal) and isinstance(b, Literal):
+        return (
+            type(a.value) is type(b.value)
+            and a.unit == b.unit
+            and lexical_form(a.value) == lexical_form(b.value)
+        )
+    return a == b
 
 
 def _estimate(store: InstanceStore, pattern: TriplePattern, bound: set[str]) -> tuple[int, int]:
@@ -542,7 +560,7 @@ def _estimate(store: InstanceStore, pattern: TriplePattern, bound: set[str]) -> 
     elif _is_instance(obj):
         size = len(store.assertions_with_object(obj.name))
     else:
-        size = store.predicate_count(pattern.predicate.name)
+        size = len(store.assertions_with_predicate(pattern.predicate.name))
     return (-positions, size)
 
 

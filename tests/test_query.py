@@ -274,18 +274,20 @@ def test_repeated_variable_requires_equal_values():
     assert [r["?x"].name for r in evaluate(ast, store).rows] == ["C"]
 
 
-def test_bound_literal_must_equal_unit_included():
+def test_bound_literal_joins_only_the_same_term():
     store = InstanceStore(ONT)
-    for name in ("O1", "O2"):
+    for name in ("O1", "O2", "O3"):
         store.add_instance(name)
     store.assert_fact("O1", "has_Perigee_value", Decimal("500"))
     store.assert_fact("O2", "has_Apogee_value", Decimal("500.0"))
+    store.assert_fact("O3", "has_Apogee_value", Decimal("500"))
     store.assert_fact("O2", "has_Orbital_Inclination_value", Decimal("500"))
+    # 500 and 500.0 are equal numbers but different terms
     same_unit = parse_query(
         "select ?o ?p where { ?o has_Perigee_value ?x . ?p has_Apogee_value ?x }", ONT
     )
     assert [(r["?o"].name, r["?p"].name) for r in evaluate(same_unit, store).rows] == [
-        ("O1", "O2")
+        ("O1", "O3")
     ]
     # km and degrees: equal numbers, different terms
     other_unit = parse_query(
@@ -295,3 +297,20 @@ def test_bound_literal_must_equal_unit_included():
     # a query literal carries no unit and matches either
     constant = parse_query("select ?o where { ?o has_Orbital_Inclination_value 500 }", ONT)
     assert [r["?o"].name for r in evaluate(constant, store).rows] == ["O2"]
+
+
+def test_join_order_never_changes_a_literal_binding():
+    store = InstanceStore(ONT)
+    for name in ("i0", "i1"):
+        store.add_instance(name)
+    store.assert_fact("i0", "has_Perigee_value", Decimal("1"))
+    store.assert_fact("i1", "has_Perigee_value", Decimal("1.0"))
+    both = parse_query("select ?o ?x where { ?o has_Perigee_value ?x . ?p has_Perigee_value ?x }", ONT)
+    assert [(r["?o"].name, str(r["?x"])) for r in evaluate(both, store).rows] == [
+        ("i0", "1 km"),
+        ("i1", "1.0 km"),
+    ]
+    # the planner runs the constant-subject pattern first; the answer is the
+    # one of the written order
+    pinned = parse_query("select ?x where { ?o has_Perigee_value ?x . i1 has_Perigee_value ?x }", ONT)
+    assert [str(r["?x"]) for r in evaluate(pinned, store).rows] == ["1.0 km"]

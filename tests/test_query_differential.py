@@ -8,7 +8,7 @@ the index-driven, reordering ``evaluate``.
 
 from decimal import Decimal
 
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from satkg import (
@@ -45,7 +45,7 @@ def reference_evaluate(ast: QueryAst, store: InstanceStore) -> set:
         if isinstance(term, Variable):
             if term.name not in row:
                 return {**row, term.name: value}
-            return row if row[term.name] == value else None
+            return row if term_key(row[term.name]) == term_key(value) else None
         if isinstance(term, Literal) and term.unit is None:  # query literals match any unit
             return row if isinstance(value, Literal) and value.value == term.value else None
         if term.kind is TermKind.CLASS:
@@ -70,6 +70,13 @@ def reference_evaluate(ast: QueryAst, store: InstanceStore) -> set:
     for negation in ast.negations:
         rows = [r for r in rows if next(matches(negation, r), None) is None]
     return {tuple(answer_key(r[v]) for v in ast.select_vars) for r in rows}
+
+
+def term_key(value) -> tuple:
+    """Term identity: a literal by value type, lexical form and unit."""
+    if isinstance(value, TermId):
+        return ("term", value.kind.value, value.name)
+    return ("literal", type(value.value).__name__, lexical_form(value.value), value.unit)
 
 
 def answer_key(value) -> tuple:
@@ -160,8 +167,26 @@ def queries(draw) -> QueryAst:
     return QueryAst(select, positive, filters, negations, semantics)
 
 
+def literal_join_store() -> InstanceStore:
+    store = InstanceStore(ONT)
+    for name in ("i0", "i1"):
+        store.add_instance(name)
+    store.assert_fact("i0", "v", Literal(Decimal("1")))
+    store.assert_fact("i1", "v", Literal(Decimal("1.0")))
+    return store
+
+
+def literal_join(subject) -> QueryAst:
+    """``?a v ?b . <subject> v ?b``: joins on a literal equal to 1."""
+    v = TermId("v", TermKind.OBJECT_PROPERTY)
+    a, b = VARIABLES[0], VARIABLES[1]
+    return QueryAst(["?a", "?b"], [TriplePattern(a, v, b), TriplePattern(subject, v, b)])
+
+
 @settings(max_examples=400, deadline=None)
 @given(stores(), queries())
+@example(literal_join_store(), literal_join(VARIABLES[2]))
+@example(literal_join_store(), literal_join(TermId("i1", TermKind.INSTANCE)))
 def test_evaluate_matches_nested_loop_reference(store, ast):
     rows = evaluate(ast, store).rows
     got = [tuple(answer_key(row[v]) for v in ast.select_vars) for row in rows]
