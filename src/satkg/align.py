@@ -29,25 +29,10 @@ from .schema import (
 def merge_ontologies(base: Ontology, extra: Ontology) -> Ontology:
     """Union of two ontologies; same-named classes merge by uniting parents."""
     merged = base.copy()
-    # Insert extra classes in dependency order so parents always exist.
-    pending = sorted(extra.classes)
-    while pending:
-        progressed = []
-        for name in pending:
-            parents = extra.classes[name].parents
-            if all(p in merged.classes or p not in extra.classes for p in parents):
-                progressed.append(name)
-        if not progressed:  # only reachable with a malformed extra ontology
-            raise DanglingMapping(f"cannot order classes {pending!r} for merge")
-        for name in progressed:
-            cdef = extra.classes[name]
-            if name in merged.classes:
-                for parent in sorted(cdef.parents):
-                    if parent not in merged.classes[name].parents:
-                        merged.add_parent(name, parent)
-            else:
-                merged.define_class(name, sorted(cdef.parents), cdef.definition)
-        pending = [n for n in pending if n not in progressed]
+    merged.add_classes(
+        {name: cdef.parents for name, cdef in sorted(extra.classes.items())},
+        {name: cdef.definition for name, cdef in extra.classes.items()},
+    )
     for name in sorted(extra.properties):
         if name not in merged.properties:
             merged.properties[name] = extra.properties[name]
@@ -102,8 +87,6 @@ def build_bridged_ontology(
         entries = build_mapping()
     merged = merge_ontologies(build_ucsso(mode), build_ssao_core())
     for entry in entries:
-        if entry.local.name == entry.reference.name:
-            continue
-        if entry.reference.name not in merged.classes[entry.local.name].parents:
+        if entry.local.name != entry.reference.name:
             merged.add_parent(entry.local.name, entry.reference.name)
     return merged

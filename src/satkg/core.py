@@ -6,14 +6,21 @@ literals (data properties).  A store holds instances and assertions over one
 ontology; after population it is treated as frozen and is safe to read from
 many threads.
 
+Class graphs are assembled through ``add_classes``, which defines the
+missing classes of a name -> parents map in any order and then adds each
+edge through ``add_parent``; ``add_parent`` rejects an edge that would close
+a cycle and does nothing for an edge that already exists.
+
 The ontology computes its subsumption closure (each class's ancestors in
 breadth-first order, its reflexive ancestor set and its reflexive descendant
-set) on the first subsumption lookup and caches it.  Every mutator of the
-class graph (``define_class``, ``add_parent``) drops the cache, so the next
-lookup rebuilds it; copies share it until one of them is mutated.  Aliases
-are resolved before the closure is read, so adding one never makes it stale.
+set) on the first subsumption lookup and caches it.  Every change to the
+class graph (``define_class``, a new ``add_parent`` edge) drops the cache, so
+the next lookup rebuilds it; copies share it until one of them is mutated.
+Aliases are resolved before the closure is read, so adding one never makes
+it stale.
 
-The store keeps one index per access path, each maintained by ``add``:
+The store keeps each assertion once in one insertion-ordered dict, plus one
+index per access path, each maintained by ``add``:
 
 * ``_by_subject``: subject name -> its assertions;
 * ``_by_predicate``: canonical predicate name -> its assertions;
@@ -28,7 +35,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from datetime import date
-from decimal import Decimal, InvalidOperation
+from decimal import Decimal
 from enum import Enum
 from typing import Iterable, Iterator, Optional, Union
 
@@ -36,6 +43,7 @@ from .errors import (
     CycleDetected,
     DuplicateTerm,
     FunctionalViolation,
+    InvalidTermName,
     RestrictionViolation,
     TypeMismatch,
     UnknownParent,
@@ -65,7 +73,7 @@ class TermId:
     def __post_init__(self) -> None:
         pattern = _INSTANCE_NAME if self.kind is TermKind.INSTANCE else _SCHEMA_NAME
         if not pattern.match(self.name):
-            raise ValueError(f"invalid term name {self.name!r} for kind {self.kind.value}")
+            raise InvalidTermName(f"invalid term name {self.name!r} for kind {self.kind.value}")
 
     def __str__(self) -> str:
         return self.name
@@ -276,12 +284,30 @@ class Ontology:
         self._closure = None
         return cdef
 
+    def add_classes(
+        self,
+        parents: dict[str, Iterable[str]],
+        definitions: Optional[dict[str, Optional[str]]] = None,
+    ) -> None:
+        """Define each class of ``parents`` not yet defined, then add its
+        edges; the map may list classes in any order."""
+        definitions = definitions or {}
+        for name in parents:
+            if name not in self.classes:
+                self.define_class(name, (), definitions.get(name))
+        for name, ups in parents.items():
+            for parent in sorted(ups):
+                self.add_parent(name, parent)
+
     def add_parent(self, child: str, parent: str) -> None:
-        """Add a subsumption edge, rejecting edges that would close a cycle."""
+        """Add a subsumption edge, rejecting edges that would close a cycle;
+        an edge that already exists is left as it is."""
         if child not in self.classes:
             raise UnknownTerm(f"class {child!r} not defined")
         if parent not in self.classes:
             raise UnknownParent(f"parent class {parent!r} not defined")
+        if parent in self.classes[child].parents:
+            return
         if self._reaches(parent, child):
             raise CycleDetected(f"edge {child!r} -> {parent!r} would create a subsumption cycle")
         old = self.classes[child]
@@ -429,8 +455,8 @@ class InstanceStore:
     def __init__(self, ontology: Ontology):
         self.ontology = ontology
         self._instances: dict[str, TermId] = {}
-        self._assertions: list[Assertion] = []
-        self._assertion_set: set[Assertion] = set()
+        #: every assertion once, in insertion order (the values are unused)
+        self._assertions: dict[Assertion, None] = {}
         self._types: dict[str, list[str]] = {}
         self._by_predicate: dict[str, list[Assertion]] = {}
         self._by_subject: dict[str, list[Assertion]] = {}
@@ -498,11 +524,10 @@ class InstanceStore:
                 obj = self._check_literal(pdef, subject, obj)
 
         normalized = Assertion(subject, predicate, obj)
-        if normalized in self._assertion_set:
+        if normalized in self._assertions:
             return False
         self._check_functional(normalized)
-        self._assertions.append(normalized)
-        self._assertion_set.add(normalized)
+        self._assertions[normalized] = None
         self._by_predicate.setdefault(predicate.name, []).append(normalized)
         self._by_subject.setdefault(subject.name, []).append(normalized)
         if predicate is INSTANCE_OF:
@@ -635,8 +660,7 @@ class InstanceStore:
     def copy(self) -> "InstanceStore":
         dup = InstanceStore(self.ontology)
         dup._instances = dict(self._instances)
-        dup._assertions = list(self._assertions)
-        dup._assertion_set = set(self._assertion_set)
+        dup._assertions = dict(self._assertions)
         dup._types = {k: list(v) for k, v in self._types.items()}
         dup._by_predicate = {k: list(v) for k, v in self._by_predicate.items()}
         dup._by_subject = {k: list(v) for k, v in self._by_subject.items()}
@@ -652,7 +676,7 @@ class InstanceStore:
         return (
             self.ontology == other.ontology
             and set(self._instances) == set(other._instances)
-            and self._assertion_set == other._assertion_set
+            and self._assertions.keys() == other._assertions.keys()
         )
 
     def __repr__(self) -> str:
@@ -674,8 +698,31 @@ def lexical_form(value: LiteralValue) -> str:
     return str(value)
 
 
-def parse_decimal(text: str) -> Decimal:
-    try:
-        return Decimal(text)
-    except InvalidOperation as exc:
-        raise ValueError(f"not a decimal: {text!r}") from exc
+_UNESCAPES = {"n": "\n", "r": "\r", "t": "\t", '"': '"', "\\": "\\"}
+
+
+def escape_string(text: str) -> str:
+    """Quoted-string body for Turtle and query text; see :func:`unescape_string`."""
+    return (
+        text.replace("\\", "\\\\")
+        .replace('"', '\\"')
+        .replace("\n", "\\n")
+        .replace("\r", "\\r")
+        .replace("\t", "\\t")
+    )
+
+
+def unescape_string(text: str) -> str:
+    """Inverse of :func:`escape_string`, read left to right; an unknown escape
+    such as ``\\q`` stands for the escaped character itself."""
+    out = []
+    i = 0
+    while i < len(text):
+        ch = text[i]
+        if ch == "\\" and i + 1 < len(text):
+            out.append(_UNESCAPES.get(text[i + 1], text[i + 1]))
+            i += 2
+        else:
+            out.append(ch)
+            i += 1
+    return "".join(out)

@@ -37,6 +37,10 @@ class FunctionalViolation(SatkgError):
     pass
 
 
+class InvalidTermName(SatkgError, ValueError):
+    pass
+
+
 # ---------------------------------------------------------------- ingestion
 
 class MalformedCsv(SatkgError):

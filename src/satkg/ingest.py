@@ -228,7 +228,8 @@ def parse_csv(data: Union[bytes, str, io.IOBase]) -> list[RawRecord]:
 
     The first row is the header; its names are matched case-insensitively
     after whitespace normalization.  Unknown columns are preserved under
-    their own (trimmed) header name.
+    their own (trimmed) header name.  Two header cells naming the same
+    column are an error; blank header cells are allowed.
     """
     if isinstance(data, io.IOBase):
         data = data.read()
@@ -245,7 +246,10 @@ def parse_csv(data: Union[bytes, str, io.IOBase]) -> list[RawRecord]:
     columns: list[str] = []
     for name in header:
         trimmed = re.sub(r"\s+", " ", name).strip()
-        columns.append(_CANONICAL.get(trimmed.lower(), trimmed))
+        column = _CANONICAL.get(trimmed.lower(), trimmed)
+        if column and column in columns:
+            raise MalformedCsv(f"header names column {column!r} twice", header_row_number)
+        columns.append(column)
 
     records = []
     for row_number, cells in rows[1:]:

@@ -8,6 +8,10 @@ Grammar::
     filter  := var ("<" | "<=" | "=" | ">=" | ">") number
     term    := "?"ident | ident | number | quoted-string
 
+Quoted strings take the escapes of the Turtle fragment (``\\"``, ``\\\\``,
+``\\n``, ``\\r``, ``\\t``), read left to right; any other escaped character
+stands for itself, so ``\\q`` reads as ``q``.
+
 Typing patterns (`?x instance_of C`) match through the subsumption closure,
 so instances of subclasses answer superclass queries.  Negation blocks are
 evaluated as negation-as-failure and are only legal under closed-world
@@ -46,7 +50,9 @@ from .core import (
     Ontology,
     TermId,
     TermKind,
+    escape_string,
     lexical_form,
+    unescape_string,
 )
 from .errors import (
     NegationUnderOpenWorld,
@@ -270,7 +276,7 @@ class _Parser:
             if position == "subject":
                 raise self.error("subject must not be a literal")
             self.advance()
-            return Literal(_unescape(tok.text[1:-1]))
+            return Literal(unescape_string(tok.text[1:-1]))
         if tok.kind == "ident":
             self.advance()
             if position == "object" and predicate is not None and predicate.name == "instance_of":
@@ -294,26 +300,6 @@ class _Parser:
             raise self.error("filter expects a numeric bound")
         self.advance()
         return NumericFilter(tok.text, op.text, Decimal(num.text))
-
-
-def _unescape(text: str) -> str:
-    return (
-        text.replace("\\n", "\n")
-        .replace("\\r", "\r")
-        .replace("\\t", "\t")
-        .replace('\\"', '"')
-        .replace("\\\\", "\\")
-    )
-
-
-def _escape(text: str) -> str:
-    return (
-        text.replace("\\", "\\\\")
-        .replace('"', '\\"')
-        .replace("\n", "\\n")
-        .replace("\r", "\\r")
-        .replace("\t", "\\t")
-    )
 
 
 def parse_query(
@@ -353,13 +339,11 @@ def _check_safety(ast: QueryAst) -> None:
 # ------------------------------------------------------------------ printer
 
 def _format_term(term: Term) -> str:
-    if isinstance(term, Variable):
-        return term.name
-    if isinstance(term, TermId):
+    if isinstance(term, (Variable, TermId)):
         return term.name
     value = term.value
     if isinstance(value, str):
-        return f'"{_escape(value)}"'
+        return f'"{escape_string(value)}"'
     return lexical_form(value)
 
 
@@ -423,10 +407,8 @@ def _render(value: Union[TermId, Literal]) -> str:
     return lexical_form(value.value)
 
 
-def _sort_key(value: Union[TermId, Literal]) -> tuple[int, str]:
-    if isinstance(value, TermId):
-        return (0, value.name)
-    return (1, lexical_form(value.value))
+def _sort_key(value: Union[TermId, Literal]) -> tuple[bool, str]:
+    return (isinstance(value, Literal), _render(value))
 
 
 def _resolve(term: Term, binding: Binding) -> Term:

@@ -22,7 +22,6 @@ from .core import (
     TermId,
     TermKind,
     class_term,
-    instance_term,
 )
 from .errors import ModeMismatch, UnknownTerm
 from .schema import ModelingMode
@@ -72,7 +71,10 @@ ORBIT_CLASSIFICATION_RULES: tuple[ClassificationRule, ...] = (
 @dataclass(frozen=True)
 class Violation:
     subject: TermId
-    code: str  # domain | range | restriction | functional | rule_conflict | completeness
+    #: domain | range | rule_conflict | completeness; out-of-range values and
+    #: second functional values never reach a store (``InstanceStore.add``
+    #: rejects them), so validation has no code for them
+    code: str
     detail: str
     severity: str = "error"
 
@@ -106,18 +108,22 @@ def _literal_values(store: InstanceStore, subject: str, value_property: str) -> 
 
 
 def _reified_values(
-    store: InstanceStore, subject: str, rule: ClassificationRule
+    store: InstanceStore,
+    subject: str,
+    object_property: str,
+    parameter_class: str,
+    value_property: str,
 ) -> list[Decimal]:
     """Two-hop access: object link to a typed parameter instance, then value."""
-    if not store.ontology.has_property(rule.object_property):
+    if not store.ontology.has_property(object_property):
         return []
     out: list[Decimal] = []
-    for obj in store.object_values(subject, rule.object_property):
+    for obj in store.object_values(subject, object_property):
         if not isinstance(obj, TermId) or obj.kind is not TermKind.INSTANCE:
             continue
-        if rule.parameter_class not in store.all_types_of(obj.name):
+        if parameter_class not in store.all_types_of(obj.name):
             continue
-        out.extend(_literal_values(store, obj.name, rule.value_property))
+        out.extend(_literal_values(store, obj.name, value_property))
     return out
 
 
@@ -141,7 +147,11 @@ def _rule_values(
         if mode is ModelingMode.DIRECT:
             out.extend(_literal_values(store, subject, rule.value_property))
         else:
-            out.extend(_reified_values(store, subject, rule))
+            out.extend(
+                _reified_values(
+                    store, subject, rule.object_property, rule.parameter_class, rule.value_property
+                )
+            )
     return out
 
 
@@ -150,14 +160,10 @@ def parameter_values(store: InstanceStore, instance: str, param_class: str) -> l
     and the two-hop pattern, on the instance and on linking satellites."""
     value_property = f"has_{param_class}_value"
     object_property = f"has_{param_class}"
-    subjects = [instance] + _linking_satellites(store, instance)
     out: list[Decimal] = []
-    for subject in subjects:
+    for subject in [instance] + _linking_satellites(store, instance):
         out.extend(_literal_values(store, subject, value_property))
-        if store.ontology.has_property(object_property):
-            for obj in store.object_values(subject, object_property):
-                if isinstance(obj, TermId) and param_class in store.all_types_of(obj.name):
-                    out.extend(_literal_values(store, obj.name, value_property))
+        out.extend(_reified_values(store, subject, object_property, param_class, value_property))
     return out
 
 
@@ -292,12 +298,13 @@ def validate(store: InstanceStore) -> list[Violation]:
 
     Domain and range classes are read disjunctively: an assertion conforms
     when the realized typing meets any declared class.  Untyped subjects or
-    objects are not flagged, since nothing proves them ill-typed.
+    objects are not flagged, since nothing proves them ill-typed.  Numeric
+    restrictions and functional properties need no check here: the store
+    rejects an assertion that breaks either when it is added.
     """
     out: list[Violation] = []
     ont = store.ontology
 
-    seen_functional: dict[tuple[str, str], int] = {}
     for a in store.assertions():
         if a.predicate.name == "instance_of":
             continue
@@ -320,35 +327,6 @@ def validate(store: InstanceStore) -> list[Violation]:
                         f"object {a.object.name!r} of {pdef.name!r} is not typed within its range",
                     )
                 )
-        else:
-            assert isinstance(a.object, Literal)
-            spec = pdef.datatype
-            if (
-                spec is not None
-                and spec.restriction is not None
-                and isinstance(a.object.value, (Decimal, int))
-                and not spec.restriction.allows(a.object.value)
-            ):
-                out.append(
-                    Violation(
-                        a.subject,
-                        "restriction",
-                        f"{pdef.name} = {a.object.value} on {a.subject.name!r} is out of range",
-                    )
-                )
-        if pdef.functional:
-            key = (a.subject.name, pdef.name)
-            seen_functional[key] = seen_functional.get(key, 0) + 1
-
-    for (subject, prop), count in seen_functional.items():
-        if count > 1:
-            out.append(
-                Violation(
-                    instance_term(subject),
-                    "functional",
-                    f"{prop!r} is functional but {subject!r} carries {count} values",
-                )
-            )
 
     # Completeness: every orbit should expose the core parameter set.
     if ont.has_class("Orbit"):

@@ -19,8 +19,8 @@ from dataclasses import dataclass
 from decimal import Decimal
 from enum import Enum
 
-from .core import DatatypeSpec, NumericRestriction, Ontology, TermId, TermKind
-from .errors import OverlayError
+from .core import DatatypeSpec, NumericRestriction, Ontology, TermId, TermKind, class_term
+from .errors import InvalidTermName, OverlayError
 
 
 class ModelingMode(Enum):
@@ -326,14 +326,16 @@ def parse_overlay(text: str) -> list[tuple[str, str]]:
         parts = line.split()
         if len(parts) != 4 or parts[0] != "class" or parts[2] != "<":
             raise OverlayError(f"line {lineno}: expected 'class <Name> < <Parent>', got {raw!r}")
-        out.append((parts[1], parts[3]))
+        try:
+            out.append((class_term(parts[1]).name, class_term(parts[3]).name))
+        except InvalidTermName as exc:
+            raise OverlayError(f"line {lineno}: {exc}") from None
     return out
 
 
 def apply_overlay(ont: Ontology, entries: list[tuple[str, str]]) -> None:
     """Add overlay classes to an ontology in place."""
+    parents: dict[str, list[str]] = {}
     for child, parent in entries:
-        if child in ont.classes:
-            ont.add_parent(child, parent)
-        else:
-            ont.define_class(child, [parent])
+        parents.setdefault(child, []).append(parent)
+    ont.add_classes(parents)

@@ -21,7 +21,6 @@ from typing import Optional, Union
 from urllib.parse import quote, unquote
 
 from .core import (
-    Assertion,
     DatatypeSpec,
     InstanceStore,
     Literal,
@@ -29,8 +28,10 @@ from .core import (
     Ontology,
     TermId,
     TermKind,
+    escape_string,
     instance_term,
     lexical_form,
+    unescape_string,
 )
 from .errors import TurtleParseError, UnsupportedConstruct
 
@@ -60,16 +61,6 @@ _BASE_OF_XSD = {v.split(":")[1]: k for k, v in _XSD_OF_BASE.items()}
 _SAFE_LOCAL = re.compile(r"[A-Za-z0-9_][A-Za-z0-9_\-]*\Z")
 
 
-def _escape_string(text: str) -> str:
-    return (
-        text.replace("\\", "\\\\")
-        .replace('"', '\\"')
-        .replace("\n", "\\n")
-        .replace("\r", "\\r")
-        .replace("\t", "\\t")
-    )
-
-
 def _instance_ref(name: str, ns: Namespaces) -> str:
     if _SAFE_LOCAL.match(name):
         return f"i:{name}"
@@ -79,10 +70,10 @@ def _instance_ref(name: str, ns: Namespaces) -> str:
 def _literal_ref(literal: Literal) -> str:
     value = literal.value
     if isinstance(value, str):
-        return f'"{_escape_string(value)}"'
+        return f'"{escape_string(value)}"'
     if isinstance(value, Decimal):
         return f'"{lexical_form(value)}"^^xsd:decimal'
-    if isinstance(value, bool):  # not produced, guarded for clarity
+    if isinstance(value, bool):  # the facet flags of a numeric restriction
         return "true" if value else "false"
     if isinstance(value, int):
         return f'"{value}"^^xsd:integer'
@@ -97,14 +88,6 @@ def _object_ref(obj: Union[TermId, Literal], ns: Namespaces) -> str:
     if obj.kind is TermKind.INSTANCE:
         return _instance_ref(obj.name, ns)
     return f"t:{obj.name}"
-
-
-def _decimal_facet(value: Decimal) -> str:
-    return f'"{lexical_form(value)}"^^xsd:decimal'
-
-
-def _bool_facet(value: bool) -> str:
-    return "true" if value else "false"
 
 
 def export_turtle(store: InstanceStore, namespaces: Namespaces = Namespaces()) -> str:
@@ -129,7 +112,7 @@ def export_turtle(store: InstanceStore, namespaces: Namespaces = Namespaces()) -
             parents = ", ".join(f"t:{p}" for p in sorted(cdef.parents))
             parts.append(f"    rdfs:subClassOf {parents}")
         if cdef.definition is not None:
-            parts.append(f'    rdfs:comment "{_escape_string(cdef.definition)}"')
+            parts.append(f'    rdfs:comment "{escape_string(cdef.definition)}"')
         lines.append(" ;\n".join(parts) + " .")
 
     for alias in sorted(ont.aliases):
@@ -158,22 +141,18 @@ def export_turtle(store: InstanceStore, namespaces: Namespaces = Namespaces()) -
             assert spec is not None
             parts.append(f"    rdfs:range {_XSD_OF_BASE[spec.base]}")
             if spec.unit is not None:
-                parts.append(f'    v:unitLabel "{_escape_string(spec.unit)}"')
+                parts.append(f'    v:unitLabel "{escape_string(spec.unit)}"')
             if spec.restriction is not None:
                 r = spec.restriction
                 if r.lower is not None:
-                    parts.append(f"    v:minValue {_decimal_facet(r.lower)}")
-                    parts.append(f"    v:minInclusive {_bool_facet(r.lower_inclusive)}")
+                    parts.append(f"    v:minValue {_literal_ref(Literal(r.lower))}")
+                    parts.append(f"    v:minInclusive {_literal_ref(Literal(r.lower_inclusive))}")
                 if r.upper is not None:
-                    parts.append(f"    v:maxValue {_decimal_facet(r.upper)}")
-                    parts.append(f"    v:maxInclusive {_bool_facet(r.upper_inclusive)}")
+                    parts.append(f"    v:maxValue {_literal_ref(Literal(r.upper))}")
+                    parts.append(f"    v:maxInclusive {_literal_ref(Literal(r.upper_inclusive))}")
                 if r.warn_at_upper:
                     parts.append("    v:warnAtUpper true")
         lines.append(" ;\n".join(parts) + " .")
-
-    by_subject: dict[str, list[Assertion]] = {}
-    for a in store.assertions():
-        by_subject.setdefault(a.subject.name, []).append(a)
 
     for name in sorted(n.name for n in store.instances):
         lines.append("")
@@ -181,7 +160,7 @@ def export_turtle(store: InstanceStore, namespaces: Namespaces = Namespaces()) -
         type_refs = ", ".join(["owl:NamedIndividual"] + [f"t:{t}" for t in types])
         parts = [f"{_instance_ref(name, ns)} a {type_refs}"]
         grouped: dict[str, list[str]] = {}
-        for a in by_subject.get(name, ()):
+        for a in store.assertions_about(name):
             if a.predicate.name == "instance_of":
                 continue
             grouped.setdefault(a.predicate.name, []).append(_object_ref(a.object, ns))
@@ -251,7 +230,7 @@ def _tokenize_turtle(text: str) -> list[_Tok]:
             m = _STRING_RE.match(text, i)
             if m is None:
                 raise TurtleParseError("unterminated string", line)
-            value = _unescape_string(m.group(1))
+            value = unescape_string(m.group(1))
             i = m.end()
             datatype = None
             if text.startswith("^^", i):
@@ -281,21 +260,6 @@ def _tokenize_turtle(text: str) -> list[_Tok]:
         raise TurtleParseError(f"unexpected character {ch!r}", line)
     tokens.append(_Tok("eof", "", line=line))
     return tokens
-
-
-def _unescape_string(text: str) -> str:
-    out = []
-    i = 0
-    while i < len(text):
-        ch = text[i]
-        if ch == "\\" and i + 1 < len(text):
-            nxt = text[i + 1]
-            out.append({"n": "\n", "r": "\r", "t": "\t", '"': '"', "\\": "\\"}.get(nxt, nxt))
-            i += 2
-        else:
-            out.append(ch)
-            i += 1
-    return "".join(out)
 
 
 @dataclass(frozen=True)
@@ -458,9 +422,6 @@ def import_turtle(data: Union[bytes, str]) -> InstanceStore:
     typings: list[tuple[str, str]] = []
     assertions: list[tuple[str, str, _Node]] = []
 
-    def facet(prop: str) -> dict[str, object]:
-        return facets.setdefault(prop, {})
-
     for s, p, o in triples:
         if s.space == "terms":
             if p.space == "rdf" and p.name == "type":
@@ -494,10 +455,10 @@ def import_turtle(data: Union[bytes, str]) -> InstanceStore:
                     units[s.name] = str(o.literal.value)
                 elif p.name in ("minValue", "maxValue"):
                     assert o.literal is not None
-                    facet(s.name)[p.name] = o.literal.value
+                    facets.setdefault(s.name, {})[p.name] = o.literal.value
                 elif p.name in ("minInclusive", "maxInclusive", "warnAtUpper"):
                     assert o.literal is not None
-                    facet(s.name)[p.name] = bool(o.literal.value)
+                    facets.setdefault(s.name, {})[p.name] = bool(o.literal.value)
                 else:
                     raise UnsupportedConstruct(f"vocabulary term v:{p.name}")
             else:
@@ -518,23 +479,7 @@ def import_turtle(data: Union[bytes, str]) -> InstanceStore:
             raise UnsupportedConstruct(f"subject outside the fragment: {s.space}:{s.name}")
 
     ont = Ontology()
-    remaining = dict(parents)
-    pending = sorted(classes)
-    defined: set[str] = set()
-    while pending:
-        progressed = []
-        for name in pending:
-            needs = remaining.get(name, set())
-            if needs <= defined:
-                progressed.append(name)
-        if not progressed:
-            raise TurtleParseError(
-                "subclass graph references undeclared classes or contains a cycle"
-            )
-        for name in progressed:
-            ont.define_class(name, sorted(remaining.get(name, set())), comments.get(name))
-            defined.add(name)
-        pending = [n for n in pending if n not in defined]
+    ont.add_classes({name: parents.get(name, ()) for name in sorted(classes)}, comments)
 
     for name in sorted(object_props):
         ont.define_object_property(
@@ -569,9 +514,8 @@ def import_turtle(data: Union[bytes, str]) -> InstanceStore:
     store = InstanceStore(ont)
     for name in individuals:
         store.add_instance(name)
-    for name, _cls in typings:
-        store.add_instance(name)
     for subject, cls_name in typings:
+        store.add_instance(subject)
         store.assert_fact(subject, "instance_of", cls_name)
     for subject, predicate, obj in assertions:
         store.add_instance(subject)

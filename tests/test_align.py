@@ -85,3 +85,11 @@ def test_bridged_ontology_subsumes_local_terms():
     assert bridged.is_subclass_of("Orbit", "Orbital_Path")
     assert bridged.is_subclass_of("Orbital_Eccentricity", "Orbital_Element")
     assert bridged.is_subclass_of("Launch_Vehicle", "Space_Artifact")
+
+
+@pytest.mark.parametrize(
+    "ont",
+    [build_ucsso(ModelingMode.DIRECT), build_ucsso(ModelingMode.REIFIED), build_ssao_core()],
+)
+def test_merging_an_ontology_with_itself_changes_nothing(ont):
+    assert merge_ontologies(ont, ont) == ont

@@ -203,3 +203,40 @@ def test_load_with_overlay_and_ssao_schema(tmp_path):
     assert not any(
         o.get("code") == "unknown_orbit_class" for o in report_lines
     )
+
+
+TTL_PREFIXES = (
+    "@prefix t: <https://satkg.example/terms#> .\n"
+    "@prefix i: <https://satkg.example/inst#> .\n"
+    "@prefix owl: <http://www.w3.org/2002/07/owl#> .\n"
+    "@prefix rdfs: <http://www.w3.org/2000/01/rdf-schema#> .\n"
+)
+
+
+@pytest.mark.parametrize(
+    "command, text",
+    [
+        ("overlay", "class a-b < Orbit\n"),
+        ("stats", TTL_PREFIXES + "t:a-b a owl:Class .\n"),
+        ("stats", TTL_PREFIXES + "<https://satkg.example/inst#a%20b> a owl:NamedIndividual .\n"),
+        ("stats", TTL_PREFIXES + "t:A a owl:Class ; rdfs:subClassOf t:B .\n"
+                                 "t:B a owl:Class ; rdfs:subClassOf t:A .\n"),
+        ("stats", TTL_PREFIXES + "t:A a owl:Class ; rdfs:subClassOf t:Undeclared .\n"),
+        ("csv", "Name of Satellite,name of satellite\nSat-1,Sat-2\n"),
+    ],
+    ids=["overlay-name", "class-name", "instance-iri", "cycle", "undeclared-parent",
+         "duplicate-header"],
+)
+def test_bad_input_exits_1_with_an_error_line(tmp_path, command, text):
+    path = tmp_path / "input"
+    path.write_text(text, encoding="utf-8")
+    out = tmp_path / "out.ttl"
+    if command == "overlay":
+        argv = ("load", "--overlay", path, "--in", CSV, "--out", out)
+    elif command == "csv":
+        argv = ("load", "--in", path, "--out", out)
+    else:
+        argv = ("stats", "--store", path)
+    code, _out, err = run(*argv)
+    assert code == 1
+    assert err.startswith("error: ") and err.count("\n") == 1

@@ -20,7 +20,9 @@ from satkg.errors import (
     CycleDetected,
     DuplicateTerm,
     FunctionalViolation,
+    InvalidTermName,
     RestrictionViolation,
+    SatkgError,
     TypeMismatch,
     UnknownParent,
     UnknownTerm,
@@ -314,3 +316,46 @@ def test_store_equality_ignores_assertion_order():
     b.assert_fact("AAUSat-4", "instance_of", "Artificial_Satellite")
     b.assert_fact("AAUSat-4", "has_NORAD_number", "41460")
     assert a == b
+
+
+# -------------------------------------------------------------- add_classes
+
+def test_add_classes_takes_classes_in_any_order():
+    ont = Ontology()
+    ont.add_classes(
+        {"GEO_Orbit": ["Nearly_Circular_Orbit"], "Nearly_Circular_Orbit": ["Orbit"], "Orbit": []},
+        {"Orbit": "closed path"},
+    )
+    expected = small_taxonomy()
+    assert ont.classes["Orbit"].definition == "closed path"
+    assert {n: c.parents for n, c in ont.classes.items()} == {
+        n: c.parents for n, c in expected.classes.items()
+    }
+    assert ont.ancestors("GEO_Orbit") == ["Nearly_Circular_Orbit", "Orbit"]
+
+
+def test_add_classes_rejects_cycles_and_unknown_parents():
+    with pytest.raises(CycleDetected):
+        Ontology().add_classes({"A": ["B"], "B": ["A"]})
+    with pytest.raises(UnknownParent):
+        Ontology().add_classes({"A": ["Missing"]})
+
+
+def test_re_adding_an_edge_keeps_the_cached_closure():
+    ont = small_taxonomy()
+    assert ont.is_subclass_of("GEO_Orbit", "Orbit")
+    closure = ont._closure
+    assert closure is not None
+    ont.add_parent("GEO_Orbit", "Nearly_Circular_Orbit")
+    ont.add_classes({"Nearly_Circular_Orbit": ["Orbit"], "Orbit": []})
+    assert ont._closure is closure
+    ont.define_class("Path")
+    ont.add_parent("Orbit", "Path")
+    assert ont._closure is None
+    assert ont.is_subclass_of("GEO_Orbit", "Path")
+
+
+def test_invalid_term_name_is_a_satkg_error():
+    with pytest.raises(InvalidTermName) as err:
+        TermId("a-b", TermKind.CLASS)
+    assert isinstance(err.value, SatkgError) and isinstance(err.value, ValueError)

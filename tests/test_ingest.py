@@ -439,3 +439,15 @@ def test_report_jsonl_shape(fixture_records):
     assert objects[-1]["rows_ingested"] == 10
     kinds = {o["kind"] for o in objects[:-1]}
     assert kinds == {"violation", "warning"}
+
+
+def test_duplicate_header_names_the_column():
+    text = "Name of Satellite,name of satellite\nSat-1,Sat-2\n"
+    with pytest.raises(MalformedCsv, match="'Name of Satellite'") as err:
+        parse_csv(text)
+    assert err.value.row == 1
+
+
+def test_blank_header_cells_are_allowed():
+    [record] = parse_csv("Name of Satellite,,\nSat-1,x,y\n")
+    assert record.cells["Name of Satellite"] == "Sat-1"

@@ -1,12 +1,16 @@
 from decimal import Decimal
 
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from satkg import (
     InstanceStore,
     Literal,
     ModelingMode,
+    QueryAst,
     Semantics,
+    TriplePattern,
     Variable,
     build_ucsso,
     classify_orbits,
@@ -314,3 +318,27 @@ def test_join_order_never_changes_a_literal_binding():
     # one of the written order
     pinned = parse_query("select ?x where { ?o has_Perigee_value ?x . i1 has_Perigee_value ?x }", ONT)
     assert [str(r["?x"]) for r in evaluate(pinned, store).rows] == ["1.0 km"]
+
+
+# ------------------------------------------------------------ string codec
+
+def test_escaped_backslash_constant_matches_the_stored_text():
+    store = InstanceStore(ONT)
+    store.add_instance("Alpha")
+    store.assert_fact("Alpha", "has_Satellite_Comment", "a\\nb")  # a, backslash, n, b
+    ast = parse_query('select ?s where { ?s has_Satellite_Comment "a\\\\nb" }', ONT)
+    assert ast.patterns[0].object == Literal("a\\nb")
+    assert [r["?s"].name for r in evaluate(ast, store).rows] == ["Alpha"]
+
+
+def test_unknown_escape_reads_as_the_escaped_character():
+    ast = parse_query('select ?s where { ?s has_Satellite_Comment "\\q" }', ONT)
+    assert ast.patterns[0].object == Literal("q")
+
+
+@example("a\\nb")
+@given(st.text())
+def test_printer_round_trip_keeps_any_string_constant(text):
+    pattern = TriplePattern(Variable("?s"), ONT.prop("has_Satellite_Comment").id, Literal(text))
+    again = parse_query(format_query(QueryAst(["?s"], [pattern])), ONT)
+    assert again.patterns == [pattern]

@@ -167,3 +167,8 @@ def test_overlay_grows_a_taxonomy():
 def test_overlay_rejects_malformed_lines():
     with pytest.raises(OverlayError):
         parse_overlay("class Drift_Orbit Orbit\n")
+
+
+def test_overlay_rejects_invalid_class_names_with_the_line():
+    with pytest.raises(OverlayError, match="line 2: .*'a-b'"):
+        parse_overlay("class Drift_Orbit < Orbit\nclass a-b < Orbit\n")

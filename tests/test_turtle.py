@@ -12,7 +12,7 @@ from satkg import (
     export_turtle,
     import_turtle,
 )
-from satkg.errors import TurtleParseError, UnsupportedConstruct
+from satkg.errors import CycleDetected, TurtleParseError, UnknownParent, UnsupportedConstruct
 from satkg.ingest import ingest, parse_csv
 
 from conftest import FIXTURES
@@ -172,3 +172,37 @@ def test_class_definitions_round_trip():
     store = InstanceStore(ont)
     again = import_turtle(export_turtle(store))
     assert again.ontology.classes["Orbit"].definition == 'Path of a body, "closed" here'
+
+
+def test_class_blocks_in_reverse_order_import_equal(reified_store):
+    text = export_turtle(reified_store)
+    blocks = text.split("\n\n")
+    at = [i for i, block in enumerate(blocks) if " a owl:Class" in block]
+    reordered = list(blocks)
+    for i, j in zip(at, reversed(at)):
+        reordered[i] = blocks[j]
+    reversed_text = "\n\n".join(reordered)
+    assert reversed_text != text
+    assert import_turtle(reversed_text) == reified_store
+
+
+SCHEMA_PREFIXES = (
+    "@prefix t: <https://satkg.example/terms#> .\n"
+    "@prefix owl: <http://www.w3.org/2002/07/owl#> .\n"
+    "@prefix rdfs: <http://www.w3.org/2000/01/rdf-schema#> .\n"
+)
+
+
+@pytest.mark.parametrize(
+    "body, error",
+    [
+        ("t:A a owl:Class ; rdfs:subClassOf t:B .\nt:B a owl:Class ; rdfs:subClassOf t:A .\n",
+         CycleDetected),
+        ("t:A a owl:Class ; rdfs:subClassOf t:A .\n", CycleDetected),
+        ("t:A a owl:Class ; rdfs:subClassOf t:Undeclared .\n", UnknownParent),
+    ],
+    ids=["two-cycle", "self-loop", "undeclared-parent"],
+)
+def test_bad_subclass_graph_is_a_satkg_error(body, error):
+    with pytest.raises(error):
+        import_turtle(SCHEMA_PREFIXES + body)
