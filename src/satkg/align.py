@@ -16,7 +16,7 @@ from __future__ import annotations
 from typing import Optional
 
 from .core import InstanceStore, Ontology
-from .errors import DanglingMapping
+from .errors import DanglingMapping, DuplicateTerm
 from .schema import (
     MappingEntry,
     ModelingMode,
@@ -27,18 +27,22 @@ from .schema import (
 
 
 def merge_ontologies(base: Ontology, extra: Ontology) -> Ontology:
-    """Union of two ontologies; same-named classes merge by uniting parents."""
+    """Union of two ontologies; same-named classes merge by uniting parents,
+    and a same-named property or alias keeps the base's.  A property or alias
+    of ``extra`` naming another kind of term, or an alias with another target,
+    raises DuplicateTerm instead of shadowing it."""
     merged = base.copy()
     merged.add_classes(
         {name: cdef.parents for name, cdef in sorted(extra.classes.items())},
         {name: cdef.definition for name, cdef in extra.classes.items()},
     )
     for name in sorted(extra.properties):
-        if name not in merged.properties:
-            merged.properties[name] = extra.properties[name]
+        if name in merged.classes or name in merged.aliases:
+            raise DuplicateTerm(f"property {name!r} names another term of the base ontology")
+        merged.properties.setdefault(name, extra.properties[name])
     for alias, target in sorted(extra.aliases.items()):
-        if alias not in merged.aliases:
-            merged.aliases[alias] = target
+        if merged.aliases.get(alias) != target:
+            merged.define_alias(alias, target)
     return merged
 
 

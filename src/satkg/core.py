@@ -43,6 +43,7 @@ from .errors import (
     CycleDetected,
     DuplicateTerm,
     FunctionalViolation,
+    InvalidDatatype,
     InvalidTermName,
     RestrictionViolation,
     TypeMismatch,
@@ -117,7 +118,7 @@ class NumericRestriction:
 
     def __post_init__(self) -> None:
         if self.lower is not None and self.upper is not None and self.lower > self.upper:
-            raise ValueError("lower bound exceeds upper bound")
+            raise InvalidDatatype("lower bound exceeds upper bound")
 
     def allows(self, value: Union[Decimal, int]) -> bool:
         if self.lower is not None:
@@ -149,9 +150,9 @@ class DatatypeSpec:
 
     def __post_init__(self) -> None:
         if self.base not in _DATATYPE_BASES:
-            raise ValueError(f"unknown datatype base {self.base!r}")
+            raise InvalidDatatype(f"unknown datatype base {self.base!r}")
         if self.restriction is not None and self.base not in _NUMERIC_BASES:
-            raise ValueError("numeric restriction on a non-numeric datatype")
+            raise InvalidDatatype("numeric restriction on a non-numeric datatype")
 
     def coerce(self, value: LiteralValue) -> LiteralValue:
         """Return ``value`` adjusted to this datatype, or raise TypeMismatch."""
@@ -255,7 +256,8 @@ class _Closure:
 
 
 class Ontology:
-    """Named classes and properties with an acyclic subsumption graph."""
+    """Classes, properties and aliases, each under its own name, with an
+    acyclic subsumption graph."""
 
     def __init__(self) -> None:
         self.classes: dict[str, ClassDef] = {}
@@ -273,8 +275,8 @@ class Ontology:
         definition: Optional[str] = None,
     ) -> ClassDef:
         TermId(name, TermKind.CLASS)  # charset check
-        if name in self.classes or name in self.aliases:
-            raise DuplicateTerm(f"class {name!r} already defined")
+        if name in self.classes or name in self.properties or name in self.aliases:
+            raise DuplicateTerm(f"class {name!r} names an existing term")
         parent_set = frozenset(parents)
         for p in parent_set:
             if p not in self.classes:
@@ -372,8 +374,8 @@ class Ontology:
 
     def _check_new_property(self, name: str) -> None:
         TermId(name, TermKind.OBJECT_PROPERTY)  # charset check
-        if name in self.properties or name in self.aliases:
-            raise DuplicateTerm(f"property {name!r} already defined")
+        if name in self.properties or name in self.classes or name in self.aliases:
+            raise DuplicateTerm(f"property {name!r} names an existing term")
 
     # -------------------------------------------------------------- lookup
 

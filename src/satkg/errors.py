@@ -41,6 +41,10 @@ class InvalidTermName(SatkgError, ValueError):
     pass
 
 
+class InvalidDatatype(SatkgError, ValueError):
+    pass
+
+
 # ---------------------------------------------------------------- ingestion
 
 class MalformedCsv(SatkgError):

@@ -4,8 +4,16 @@ The fragment covers exactly what :func:`export_turtle` emits: prefix
 declarations, class/property declarations with subsumption, domain/range and
 datatype facets, alias links, and instance assertions.  Multiple
 ``rdfs:domain`` (or ``rdfs:range``) triples on one property are read
-disjunctively, matching the in-memory model.  Blank nodes, collections and
-other constructs outside the fragment are rejected.
+disjunctively, matching the in-memory model.
+
+The reader is one token regex, a statement loop splitting at ``.``, ``;``
+and ``,``, and one table, ``_DECLARATIONS``: per declaration of a ``t:``
+term (class, object or data property, either maybe functional, or none for
+an alias), the predicates it may carry and the shape of their objects.
+Anything else raises a ``SatkgError`` naming the term or the line, never
+dropped: blank nodes, collections, long strings, ``@base``, IRIs outside the
+declared namespaces, predicates or object shapes the table does not allow,
+and IRIs holding whitespace (RDF 1.1 Turtle's IRIREF; no IRI spans lines).
 
 Output is deterministic: terms appear in lexicographic order, so identical
 stores serialize byte-for-byte identically.
@@ -17,7 +25,7 @@ import re
 from dataclasses import dataclass
 from datetime import date, datetime
 from decimal import Decimal
-from typing import Optional, Union
+from typing import Any, Iterator, Optional, Union
 from urllib.parse import quote, unquote
 
 from .core import (
@@ -29,11 +37,10 @@ from .core import (
     TermId,
     TermKind,
     escape_string,
-    instance_term,
     lexical_form,
     unescape_string,
 )
-from .errors import TurtleParseError, UnsupportedConstruct
+from .errors import InvalidDatatype, TurtleParseError, UnsupportedConstruct
 
 RDF_NS = "http://www.w3.org/1999/02/22-rdf-syntax-ns#"
 RDFS_NS = "http://www.w3.org/2000/01/rdf-schema#"
@@ -56,7 +63,6 @@ _XSD_OF_BASE = {
     "string": "xsd:string",
     "date": "xsd:date",
 }
-_BASE_OF_XSD = {v.split(":")[1]: k for k, v in _XSD_OF_BASE.items()}
 
 _SAFE_LOCAL = re.compile(r"[A-Za-z0-9_][A-Za-z0-9_\-]*\Z")
 
@@ -174,359 +180,270 @@ def export_turtle(store: InstanceStore, namespaces: Namespaces = Namespaces()) -
 
 # ------------------------------------------------------------------ reading
 
-@dataclass(frozen=True)
-class _Tok:
-    kind: str  # iri | pname | string | keyword | punct | eof
-    text: str
-    datatype: Optional[str] = None
-    line: int = 0
+_TOKEN_RE = re.compile(
+    r"""
+    (?P<space>[ \t\r\n]+|\#[^\n]*)
+  | (?P<outside>[\[\]()]|_:|"{3})
+  | (?P<iri><[^\x00-\x20<>"{}|^`\\]*>)
+  | (?P<string>"(?P<body>(?:[^"\\\n]|\\.)*)"
+        (?:\^\^(?P<datatype>[A-Za-z][A-Za-z0-9_\-]*:[A-Za-z0-9_][A-Za-z0-9_\-]*))?)
+  | (?P<pname>(?:[A-Za-z][A-Za-z0-9_\-]*)?:(?:[A-Za-z0-9_][A-Za-z0-9_\-]*)?)
+  | (?P<word>@?[A-Za-z]+)
+  | (?P<punct>[.;,])
+  | (?P<bad>.)
+    """,
+    re.VERBOSE,
+)
+
+_STANDARD = {RDF_NS: "rdf", RDFS_NS: "rdfs", OWL_NS: "owl", XSD_NS: "xsd"}
+
+_Node = Union[str, Literal]
 
 
-_PNAME_RE = re.compile(r"([A-Za-z][A-Za-z0-9_\-]*)?:([A-Za-z0-9_][A-Za-z0-9_\-]*)?")
-_KEYWORD_RE = re.compile(r"[A-Za-z@][A-Za-z0-9_@]*")
-_STRING_RE = re.compile(r'"((?:[^"\\\n]|\\.)*)"')
+def _decimal(text: str) -> Decimal:
+    value = Decimal(text)
+    if not value.is_finite():
+        raise ValueError(text)
+    return value
 
 
-def _tokenize_turtle(text: str) -> list[_Tok]:
-    tokens: list[_Tok] = []
+_READ_LITERAL = {"decimal": _decimal, "integer": int, "string": str,
+                 "date": lambda text: datetime.strptime(text, "%Y-%m-%d").date()}
+
+_BAD_START = {'"': "unterminated string",
+              "<": "unterminated IRI, or one holding whitespace or <>\"{}|^`\\"}
+
+
+def _triples(text: str) -> Iterator[tuple[str, str, _Node]]:
+    """Yield each triple as (subject, predicate, object): a resource as
+    ``"label:name"`` under the labels t, i, v, rdf, rdfs, owl and xsd, whatever
+    prefix the text used, and a literal as a :class:`Literal`."""
+    declared: dict[str, str] = {}  # prefix label -> namespace IRI
+    spaces = dict(_STANDARD)  # namespace IRI -> label, the project ones first
+    run: list[tuple[str, re.Match, int]] = []  # tokens since the last punctuation
+    subject: Optional[_Node] = None
+    predicate: Optional[_Node] = None
     line = 1
-    i = 0
-    n = len(text)
-    while i < n:
-        ch = text[i]
-        if ch == "\n":
-            line += 1
-            i += 1
-            continue
-        if ch in " \t\r":
-            i += 1
-            continue
-        if ch == "#":
-            while i < n and text[i] != "\n":
-                i += 1
-            continue
-        if ch in "[](),;":
-            if ch in "[]()":
-                raise UnsupportedConstruct(
-                    f"line {line}: blank nodes and collections are outside the fragment"
-                )
-            tokens.append(_Tok("punct", ch, line=line))
-            i += 1
-            continue
-        if ch == ".":
-            tokens.append(_Tok("punct", ".", line=line))
-            i += 1
-            continue
-        if ch == "<":
-            end = text.find(">", i)
-            if end < 0:
-                raise TurtleParseError("unterminated IRI", line)
-            tokens.append(_Tok("iri", text[i + 1 : end], line=line))
-            i = end + 1
-            continue
-        if ch == '"':
-            if text.startswith('"""', i):
-                raise UnsupportedConstruct(f"line {line}: long strings are outside the fragment")
-            m = _STRING_RE.match(text, i)
-            if m is None:
-                raise TurtleParseError("unterminated string", line)
-            value = unescape_string(m.group(1))
-            i = m.end()
-            datatype = None
-            if text.startswith("^^", i):
-                i += 2
-                dm = _PNAME_RE.match(text, i)
-                if dm is None or dm.group(1) is None:
-                    raise TurtleParseError("expected a datatype after ^^", line)
-                datatype = dm.group()
-                i = dm.end()
-            tokens.append(_Tok("string", value, datatype, line))
-            continue
-        if ch == "_" and text.startswith("_:", i):
-            raise UnsupportedConstruct(f"line {line}: blank node labels are outside the fragment")
-        m = _PNAME_RE.match(text, i)
-        if m is not None and ":" in m.group():
-            tokens.append(_Tok("pname", m.group(), line=line))
-            i = m.end()
-            continue
-        m = _KEYWORD_RE.match(text, i)
-        if m is not None:
-            word = m.group()
-            if word == "@base":
-                raise UnsupportedConstruct(f"line {line}: @base is outside the fragment")
-            tokens.append(_Tok("keyword", word, line=line))
-            i = m.end()
-            continue
-        raise TurtleParseError(f"unexpected character {ch!r}", line)
-    tokens.append(_Tok("eof", "", line=line))
-    return tokens
 
-
-@dataclass(frozen=True)
-class _Node:
-    """A resolved subject/predicate/object: a namespaced name or a literal."""
-
-    space: str  # terms | inst | vocab | rdf | rdfs | owl | xsd | literal
-    name: str
-    literal: Optional[Literal] = None
-
-
-class _TurtleReader:
-    def __init__(self, text: str):
-        self.tokens = _tokenize_turtle(text)
-        self.pos = 0
-        self.prefixes: dict[str, str] = {}
-
-    @property
-    def current(self) -> _Tok:
-        return self.tokens[self.pos]
-
-    def advance(self) -> _Tok:
-        tok = self.current
-        if tok.kind != "eof":
-            self.pos += 1
-        return tok
-
-    def expect_punct(self, text: str) -> None:
-        tok = self.current
-        if tok.kind != "punct" or tok.text != text:
-            raise TurtleParseError(f"expected {text!r}", tok.line)
-        self.advance()
-
-    def triples(self) -> list[tuple[_Node, _Node, _Node]]:
-        out: list[tuple[_Node, _Node, _Node]] = []
-        while self.current.kind != "eof":
-            if self.current.kind == "keyword" and self.current.text == "@prefix":
-                self._read_prefix()
-                continue
-            subject = self._read_resource()
-            while True:
-                predicate = self._read_predicate()
-                while True:
-                    obj = self._read_object()
-                    out.append((subject, predicate, obj))
-                    if self.current.kind == "punct" and self.current.text == ",":
-                        self.advance()
-                        continue
-                    break
-                if self.current.kind == "punct" and self.current.text == ";":
-                    self.advance()
-                    continue
-                break
-            self.expect_punct(".")
-        return out
-
-    def _read_prefix(self) -> None:
-        self.advance()  # @prefix
-        tok = self.advance()
-        if tok.kind != "pname" or not tok.text.endswith(":"):
-            raise TurtleParseError("expected a prefix label", tok.line)
-        label = tok.text[:-1]
-        iri = self.advance()
-        if iri.kind != "iri":
-            raise TurtleParseError("expected an IRI in @prefix", iri.line)
-        self.prefixes[label] = iri.text
-        self.expect_punct(".")
-
-    def _resolve_iri(self, iri: str, line: int) -> _Node:
-        spaces = {
-            self.prefixes.get("t", ""): "terms",
-            self.prefixes.get("i", ""): "inst",
-            self.prefixes.get("v", ""): "vocab",
-            RDF_NS: "rdf",
-            RDFS_NS: "rdfs",
-            OWL_NS: "owl",
-            XSD_NS: "xsd",
-        }
-        for base, space in spaces.items():
-            if base and iri.startswith(base):
-                local = iri[len(base) :]
-                if space == "inst":
-                    local = unquote(local)
-                return _Node(space, local)
-        raise UnsupportedConstruct(f"line {line}: IRI outside the fragment: <{iri}>")
-
-    def _resolve_pname(self, pname: str, line: int) -> _Node:
-        label, _, local = pname.partition(":")
-        known = {"t": "terms", "i": "inst", "v": "vocab", "rdf": "rdf",
-                 "rdfs": "rdfs", "owl": "owl", "xsd": "xsd"}
-        if label not in self.prefixes or label not in known:
+    def pname(text: str, line: int) -> str:
+        label, _, name = text.partition(":")
+        space = spaces.get(declared.get(label, ""))
+        if space is None:
             raise TurtleParseError(f"unknown prefix {label!r}", line)
-        return _Node(known[label], local)
+        return text if space == label else f"{space}:{name}"
 
-    def _read_resource(self) -> _Node:
-        tok = self.advance()
-        if tok.kind == "iri":
-            return self._resolve_iri(tok.text, tok.line)
-        if tok.kind == "pname":
-            return self._resolve_pname(tok.text, tok.line)
-        raise TurtleParseError(f"expected a resource, found {tok.text!r}", tok.line)
+    def node(kind: str, m: re.Match, line: int) -> _Node:
+        text = m.group()
+        if kind == "pname":
+            return pname(text, line)
+        if kind == "iri":
+            for base, label in spaces.items():
+                if text.startswith(base, 1):
+                    name = text[len(base) + 1 : -1]
+                    return f"{label}:{unquote(name) if label == 'i' else name}"
+            raise UnsupportedConstruct(f"line {line}: IRI outside the fragment: {text}")
+        if kind == "string":
+            body = unescape_string(m.group("body"))
+            if m.group("datatype") is None:
+                return Literal(body)
+            datatype = pname(m.group("datatype"), line)
+            read = _READ_LITERAL.get(datatype[4:]) if datatype.startswith("xsd:") else None
+            if read is None:
+                raise UnsupportedConstruct(f"line {line}: datatype {datatype}")
+            try:
+                return Literal(read(body))
+            except (ValueError, ArithmeticError):
+                raise TurtleParseError(f"bad {datatype} literal {body!r}", line) from None
+        if text in ("true", "false"):
+            return Literal(text == "true")  # type: ignore[arg-type]
+        if text == "a":
+            return "rdf:type"
+        raise TurtleParseError(f"unexpected {text!r}", line)
 
-    def _read_predicate(self) -> _Node:
-        tok = self.current
-        if tok.kind == "keyword" and tok.text == "a":
-            self.advance()
-            return _Node("rdf", "type")
-        return self._read_resource()
+    for m in _TOKEN_RE.finditer(text):
+        kind = m.lastgroup or ""
+        if kind == "space":
+            line += m.group().count("\n")
+        elif kind == "outside":
+            raise UnsupportedConstruct(f"line {line}: {m.group()!r} is outside the fragment")
+        elif kind == "bad":
+            problem = _BAD_START.get(m.group(), f"unexpected character {m.group()!r}")
+            raise TurtleParseError(problem, line)
+        elif kind != "punct":
+            run.append((kind, m, line))
+        elif subject is None and run and run[0][1].group().startswith("@"):
+            directive = [tok[1].group() for tok in run]
+            if directive[0] != "@prefix":
+                raise UnsupportedConstruct(f"line {line}: {directive[0]} is outside the fragment")
+            if ([tok[0] for tok in run] != ["word", "pname", "iri"] or m.group() != "."
+                    or not directive[1].endswith(":")):
+                raise TurtleParseError("expected '@prefix label: <IRI> .'", line)
+            declared[directive[1][:-1]] = directive[2][1:-1]
+            spaces = {declared[label]: label for label in ("t", "i", "v") if label in declared}
+            spaces.update((iri, label) for iri, label in _STANDARD.items() if iri not in spaces)
+            run = []
+        else:
+            roles = ("subject", "predicate", "object")[2 - (subject is None) - (predicate is None):]
+            if len(run) != len(roles):
+                raise TurtleParseError(f"expected {' '.join(roles)} before {m.group()!r}", line)
+            nodes = [node(*tok) for tok in run]
+            if subject is None:
+                subject = nodes.pop(0)
+            if predicate is None:
+                predicate = nodes.pop(0)
+            if not isinstance(subject, str) or not isinstance(predicate, str):
+                raise TurtleParseError("a literal as subject or predicate", line)
+            yield subject, predicate, nodes[0]
+            if m.group() == ".":
+                subject = predicate = None
+            elif m.group() == ";":
+                predicate = None
+            run = []
+    if run or subject is not None:
+        raise TurtleParseError("expected '.' at the end of the input", line)
 
-    def _read_object(self) -> _Node:
-        tok = self.current
-        if tok.kind == "string":
-            self.advance()
-            return _Node("literal", "", self._make_literal(tok))
-        if tok.kind == "keyword" and tok.text in ("true", "false"):
-            self.advance()
-            return _Node("literal", "", Literal(tok.text == "true"))  # type: ignore[arg-type]
-        return self._read_resource()
 
-    def _make_literal(self, tok: _Tok) -> Literal:
-        if tok.datatype is None:
-            return Literal(tok.text)
-        dt = self._resolve_pname(tok.datatype, tok.line)
-        if dt.space != "xsd" or dt.name not in _BASE_OF_XSD:
-            raise UnsupportedConstruct(f"line {tok.line}: datatype {tok.datatype!r}")
-        base = _BASE_OF_XSD[dt.name]
+_OBJECT_PROPERTY = {"rdfs:domain": "term", "rdfs:range": "term"}
+_DATA_PROPERTY = {
+    "rdfs:domain": "term", "rdfs:range": "xsd", "v:unitLabel": "string",
+    "v:minValue": "number", "v:maxValue": "number",
+    "v:minInclusive": "boolean", "v:maxInclusive": "boolean", "v:warnAtUpper": "boolean",
+}
+_FACETS = ("v:minValue", "v:maxValue", "v:minInclusive", "v:maxInclusive", "v:warnAtUpper")
+
+#: The rdf:type objects a t: subject may have -> the predicates it may carry,
+#: each with the shape of its objects (see ``_shape``).  A predicate may
+#: repeat with several t: terms, but with one xsd: name or literal only.  A
+#: subject without rdf:type is an alias.
+_DECLARATIONS: dict[frozenset, dict[str, str]] = {
+    frozenset({"owl:Class"}): {"rdfs:subClassOf": "term", "rdfs:comment": "string"},
+    frozenset({"owl:ObjectProperty"}): _OBJECT_PROPERTY,
+    frozenset({"owl:ObjectProperty", "owl:FunctionalProperty"}): _OBJECT_PROPERTY,
+    frozenset({"owl:DatatypeProperty"}): _DATA_PROPERTY,
+    frozenset({"owl:DatatypeProperty", "owl:FunctionalProperty"}): _DATA_PROPERTY,
+    frozenset(): {"v:aliasFor": "term"},
+}
+
+_LITERAL_SHAPES = {bool: "boolean", str: "string", Decimal: "number", int: "number"}
+
+
+def _shape(o: _Node) -> str:
+    if isinstance(o, Literal):
+        return _LITERAL_SHAPES.get(type(o.value), "date")
+    if o.startswith("t:"):
+        return "term"
+    return "xsd" if o in _XSD_OF_BASE.values() else o
+
+
+def _declaration(name: str, groups: dict[str, list[_Node]]) -> tuple[frozenset, dict[str, Any]]:
+    """Check one t: subject's predicate -> objects groups against
+    ``_DECLARATIONS``; return its declarations and, per other predicate, the
+    local names of its t: terms or the one xsd: base or literal value."""
+    declared = frozenset(groups.pop("rdf:type", ()))
+    allowed = _DECLARATIONS.get(declared)
+    if allowed is None:
+        kinds = " and ".join(sorted(map(str, declared)))
+        raise UnsupportedConstruct(f"t:{name}: declared {kinds}")
+    values: dict[str, Any] = {}
+    for predicate, objects in groups.items():
+        shape = allowed.get(predicate)
+        if shape is None:
+            kinds = " and ".join(sorted(declared)) or "an undeclared term"
+            raise UnsupportedConstruct(f"t:{name}: {predicate} on {kinds}")
+        for o in objects:
+            if _shape(o) != shape:
+                found = o if isinstance(o, str) else _literal_ref(o)
+                raise TurtleParseError(f"t:{name}: {predicate} needs a {shape}, not {found}")
+        if shape != "term" and len(objects) > 1:
+            raise TurtleParseError(f"t:{name}: {predicate} takes one value, not {len(objects)}")
+        names = [o.value if isinstance(o, Literal) else o.partition(":")[2] for o in objects]
+        values[predicate] = names if shape == "term" else names[0]
+    return declared, values
+
+
+def _ontology(terms: dict[str, dict[str, list[_Node]]]) -> Ontology:
+    parents: dict[str, list[str]] = {}
+    comments: dict[str, Optional[str]] = {}
+    aliases: dict[str, list[str]] = {}
+    properties: list[tuple[str, frozenset, dict[str, Any]]] = []
+    for name in sorted(terms):
+        declared, values = _declaration(name, terms[name])
+        if "owl:Class" in declared:
+            parents[name] = values.get("rdfs:subClassOf", [])
+            comments[name] = values.get("rdfs:comment")
+        elif declared:
+            properties.append((name, declared, values))
+        else:
+            aliases[name] = values["v:aliasFor"]
+
+    ont = Ontology()
+    ont.add_classes(parents, comments)
+    for name, declared, values in properties:
+        domain = values.get("rdfs:domain", ())
+        functional = "owl:FunctionalProperty" in declared
+        if "owl:ObjectProperty" in declared:
+            ont.define_object_property(name, domain, values.get("rdfs:range", ()), functional)
+            continue
+        if "rdfs:range" not in values:
+            raise TurtleParseError(f"t:{name}: data property lacks an xsd range")
         try:
-            if base == "decimal":
-                return Literal(Decimal(tok.text))
-            if base == "integer":
-                return Literal(int(tok.text))
-            if base == "date":
-                return Literal(datetime.strptime(tok.text, "%Y-%m-%d").date())
-        except (ValueError, ArithmeticError):
-            raise TurtleParseError(
-                f"bad {base} literal {tok.text!r}", tok.line
-            ) from None
-        return Literal(tok.text)
+            restriction = None
+            if any(facet in values for facet in _FACETS):
+                restriction = NumericRestriction(
+                    values.get("v:minValue"),
+                    values.get("v:maxValue"),
+                    values.get("v:minInclusive", True),
+                    values.get("v:maxInclusive", True),
+                    values.get("v:warnAtUpper", False),
+                )
+            spec = DatatypeSpec(values["rdfs:range"], values.get("v:unitLabel"), restriction)
+        except InvalidDatatype as exc:
+            raise InvalidDatatype(f"t:{name}: {exc}") from None
+        ont.define_data_property(name, domain, spec, functional)
+    for alias, targets in aliases.items():
+        for target in targets:  # a second target collides with the first
+            ont.define_alias(alias, target)
+    return ont
 
 
 def import_turtle(data: Union[bytes, str]) -> InstanceStore:
     """Rebuild a store from the fragment; inverse of :func:`export_turtle`."""
     text = data.decode("utf-8") if isinstance(data, bytes) else data
-    reader = _TurtleReader(text)
-    triples = reader.triples()
-
-    classes: set[str] = set()
-    parents: dict[str, set[str]] = {}
-    comments: dict[str, str] = {}
-    aliases: dict[str, str] = {}
-    object_props: set[str] = set()
-    data_props: set[str] = set()
-    functional: set[str] = set()
-    domains: dict[str, set[str]] = {}
-    range_classes: dict[str, set[str]] = {}
-    datatype_base: dict[str, str] = {}
-    units: dict[str, str] = {}
-    facets: dict[str, dict[str, object]] = {}
+    terms: dict[str, dict[str, list[_Node]]] = {}  # t: subject -> predicate -> objects
     individuals: list[str] = []
     typings: list[tuple[str, str]] = []
-    assertions: list[tuple[str, str, _Node]] = []
-
-    for s, p, o in triples:
-        if s.space == "terms":
-            if p.space == "rdf" and p.name == "type":
-                if o.space == "owl" and o.name == "Class":
-                    classes.add(s.name)
-                elif o.space == "owl" and o.name == "ObjectProperty":
-                    object_props.add(s.name)
-                elif o.space == "owl" and o.name == "DatatypeProperty":
-                    data_props.add(s.name)
-                elif o.space == "owl" and o.name == "FunctionalProperty":
-                    functional.add(s.name)
-                else:
-                    raise UnsupportedConstruct(f"declaration {o.space}:{o.name} on t:{s.name}")
-            elif p.space == "rdfs" and p.name == "subClassOf":
-                parents.setdefault(s.name, set()).add(o.name)
-            elif p.space == "rdfs" and p.name == "comment":
-                assert o.literal is not None
-                comments[s.name] = str(o.literal.value)
-            elif p.space == "rdfs" and p.name == "domain":
-                domains.setdefault(s.name, set()).add(o.name)
-            elif p.space == "rdfs" and p.name == "range":
-                if o.space == "xsd":
-                    datatype_base[s.name] = _BASE_OF_XSD.get(o.name, "")
-                else:
-                    range_classes.setdefault(s.name, set()).add(o.name)
-            elif p.space == "vocab":
-                if p.name == "aliasFor":
-                    aliases[s.name] = o.name
-                elif p.name == "unitLabel":
-                    assert o.literal is not None
-                    units[s.name] = str(o.literal.value)
-                elif p.name in ("minValue", "maxValue"):
-                    assert o.literal is not None
-                    facets.setdefault(s.name, {})[p.name] = o.literal.value
-                elif p.name in ("minInclusive", "maxInclusive", "warnAtUpper"):
-                    assert o.literal is not None
-                    facets.setdefault(s.name, {})[p.name] = bool(o.literal.value)
-                else:
-                    raise UnsupportedConstruct(f"vocabulary term v:{p.name}")
-            else:
-                raise UnsupportedConstruct(f"predicate {p.space}:{p.name} on t:{s.name}")
-        elif s.space == "inst":
-            if p.space == "rdf" and p.name == "type":
-                if o.space == "owl" and o.name == "NamedIndividual":
-                    individuals.append(s.name)
-                elif o.space == "terms":
-                    typings.append((s.name, o.name))
-                else:
-                    raise UnsupportedConstruct(f"typing {o.space}:{o.name} on instance {s.name}")
-            elif p.space == "terms":
-                assertions.append((s.name, p.name, o))
-            else:
-                raise UnsupportedConstruct(f"predicate {p.space}:{p.name} on instance {s.name}")
+    facts: list[tuple[str, str, _Node]] = []
+    for s, p, o in _triples(text):
+        label, _, name = s.partition(":")
+        if label == "t":
+            terms.setdefault(name, {}).setdefault(p, []).append(o)
+        elif label != "i":
+            raise UnsupportedConstruct(f"subject outside the fragment: {s}")
+        elif p != "rdf:type":
+            if not p.startswith("t:"):
+                raise UnsupportedConstruct(f"predicate {p} on instance {name}")
+            facts.append((name, p[2:], o))
+        elif o == "owl:NamedIndividual":
+            individuals.append(name)
+        elif isinstance(o, str) and o.startswith("t:"):
+            typings.append((name, o[2:]))
         else:
-            raise UnsupportedConstruct(f"subject outside the fragment: {s.space}:{s.name}")
+            raise UnsupportedConstruct(f"typing {o} on instance {name}")
 
-    ont = Ontology()
-    ont.add_classes({name: parents.get(name, ()) for name in sorted(classes)}, comments)
-
-    for name in sorted(object_props):
-        ont.define_object_property(
-            name,
-            sorted(domains.get(name, set())),
-            sorted(range_classes.get(name, set())),
-            functional=name in functional,
-        )
-    for name in sorted(data_props):
-        base = datatype_base.get(name)
-        if not base:
-            raise TurtleParseError(f"data property {name!r} lacks an xsd range")
-        restriction = None
-        f = facets.get(name)
-        if f:
-            restriction = NumericRestriction(
-                lower=f.get("minValue"),  # type: ignore[arg-type]
-                upper=f.get("maxValue"),  # type: ignore[arg-type]
-                lower_inclusive=bool(f.get("minInclusive", True)),
-                upper_inclusive=bool(f.get("maxInclusive", True)),
-                warn_at_upper=bool(f.get("warnAtUpper", False)),
-            )
-        ont.define_data_property(
-            name,
-            sorted(domains.get(name, set())),
-            DatatypeSpec(base, units.get(name), restriction),
-            functional=name in functional,
-        )
-    for alias in sorted(aliases):
-        ont.define_alias(alias, aliases[alias])
-
-    store = InstanceStore(ont)
+    # All typings before all other assertions, each in file order, as the
+    # store's assertion order (and so the order of validate reports) expects.
+    store = InstanceStore(_ontology(terms))
     for name in individuals:
         store.add_instance(name)
-    for subject, cls_name in typings:
-        store.add_instance(subject)
-        store.assert_fact(subject, "instance_of", cls_name)
-    for subject, predicate, obj in assertions:
-        store.add_instance(subject)
-        if obj.space == "inst":
-            store.add_instance(obj.name)
-            store.assert_fact(subject, predicate, instance_term(obj.name))
-        elif obj.space == "literal":
-            assert obj.literal is not None
-            store.assert_fact(subject, predicate, obj.literal)
+    for name, cls_name in typings:
+        store.add_instance(name)
+        store.assert_fact(name, "instance_of", cls_name)
+    for name, predicate, obj in facts:
+        store.add_instance(name)
+        if isinstance(obj, Literal):
+            store.assert_fact(name, predicate, obj)
+        elif obj.startswith("i:"):
+            store.assert_fact(name, predicate, store.add_instance(obj[2:]))
         else:
-            raise UnsupportedConstruct(
-                f"object {obj.space}:{obj.name} of t:{predicate} on instance {subject}"
-            )
+            raise UnsupportedConstruct(f"object {obj} of t:{predicate} on instance {name}")
     return store

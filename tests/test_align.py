@@ -9,10 +9,11 @@ from satkg import (
     build_ucsso,
     evaluate,
     merge_ontologies,
+    Ontology,
     parse_query,
 )
 from satkg.core import TermId, TermKind
-from satkg.errors import DanglingMapping
+from satkg.errors import DanglingMapping, DuplicateTerm
 from satkg.schema import MappingEntry, MappingKind
 
 
@@ -93,3 +94,34 @@ def test_bridged_ontology_subsumes_local_terms():
 )
 def test_merging_an_ontology_with_itself_changes_nothing(ont):
     assert merge_ontologies(ont, ont) == ont
+
+
+def _ontology_with(alias, target):
+    extra = Ontology()
+    extra.define_class("Path")
+    extra.define_object_property("has_Path", ["Path"], ["Path"])
+    extra.define_alias(alias, target)
+    return extra
+
+
+@pytest.mark.parametrize(
+    "extra",
+    [
+        _ontology_with("Orbit", "Path"),  # alias named like a base class
+        _ontology_with("has_Orbit", "has_Path"),  # ... like a base property
+        _ontology_with("Function", "Path"),  # base alias with another target
+    ],
+    ids=["alias-over-class", "alias-over-property", "alias-retargeted"],
+)
+def test_merge_rejects_an_alias_shadowing_a_base_term(extra):
+    with pytest.raises(DuplicateTerm):
+        merge_ontologies(build_ucsso(ModelingMode.DIRECT), extra)
+
+
+@pytest.mark.parametrize("name", ["has_Function", "Orbit"])
+def test_merge_rejects_a_property_named_like_a_base_alias_or_class(name):
+    extra = Ontology()
+    extra.define_class("Path")
+    extra.define_object_property(name, ["Path"], ["Path"])
+    with pytest.raises(DuplicateTerm):
+        merge_ontologies(build_ucsso(ModelingMode.DIRECT), extra)

@@ -223,9 +223,14 @@ TTL_PREFIXES = (
                                  "t:B a owl:Class ; rdfs:subClassOf t:A .\n"),
         ("stats", TTL_PREFIXES + "t:A a owl:Class ; rdfs:subClassOf t:Undeclared .\n"),
         ("csv", "Name of Satellite,name of satellite\nSat-1,Sat-2\n"),
+        ("stats", TTL_PREFIXES + "t:A a owl:Class ; rdfs:comment t:B .\n"),
+        ("stats", TTL_PREFIXES + "@prefix v: <https://satkg.example/vocab#> .\n"
+                                 "@prefix xsd: <http://www.w3.org/2001/XMLSchema#> .\n"
+                                 "t:p a owl:DatatypeProperty ; rdfs:range xsd:decimal ;\n"
+                                 '    v:minValue "5"^^xsd:decimal ; v:maxValue "1"^^xsd:decimal .\n'),
     ],
     ids=["overlay-name", "class-name", "instance-iri", "cycle", "undeclared-parent",
-         "duplicate-header"],
+         "duplicate-header", "comment-not-a-string", "min-above-max"],
 )
 def test_bad_input_exits_1_with_an_error_line(tmp_path, command, text):
     path = tmp_path / "input"

@@ -71,6 +71,16 @@ def test_define_class_requires_existing_parents():
         ont.define_class("Orbit")
 
 
+def test_a_class_and_a_property_may_not_share_a_name():
+    ont = Ontology()
+    ont.define_class("Orbit")
+    ont.define_object_property("has_Orbit", [], [])
+    with pytest.raises(DuplicateTerm):
+        ont.define_object_property("Orbit", [], [])
+    with pytest.raises(DuplicateTerm):
+        ont.define_class("has_Orbit")
+
+
 def test_two_cycle_is_rejected():
     ont = Ontology()
     ont.define_class("B")

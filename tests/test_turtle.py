@@ -1,18 +1,35 @@
 import random
+import re
+from decimal import Decimal
+from itertools import zip_longest
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from satkg import (
+    DatatypeSpec,
     InstanceStore,
+    Literal,
     ModelingMode,
     Namespaces,
+    NumericRestriction,
     Ontology,
     build_ucsso,
     export_dot,
     export_turtle,
     import_turtle,
 )
-from satkg.errors import CycleDetected, TurtleParseError, UnknownParent, UnsupportedConstruct
+from satkg.errors import (
+    CycleDetected,
+    FunctionalViolation,
+    InvalidDatatype,
+    RestrictionViolation,
+    SatkgError,
+    TurtleParseError,
+    UnknownParent,
+    UnsupportedConstruct,
+)
 from satkg.ingest import ingest, parse_csv
 
 from conftest import FIXTURES
@@ -206,3 +223,181 @@ SCHEMA_PREFIXES = (
 def test_bad_subclass_graph_is_a_satkg_error(body, error):
     with pytest.raises(error):
         import_turtle(SCHEMA_PREFIXES + body)
+
+
+# ------------------------------------------------- round trip, hand-built
+
+_SCHEMA_NAME = st.from_regex(r"[A-Za-z0-9_]{1,6}", fullmatch=True)
+_TEXT = st.text(st.sampled_from('\\"\n\t') | st.characters(exclude_categories=("Cs",)),
+                max_size=10)
+_DECIMALS = st.builds(lambda m, e: Decimal(m).scaleb(e),
+                      st.integers(-10**4, 10**4), st.integers(-6, 6))  # 5E+2 and the like
+_VALUES = {
+    "decimal": _DECIMALS,
+    "integer": st.integers(-10**6, 10**6),
+    "string": _TEXT,
+    "date": st.dates(),
+}
+_INSTANCE_NAME = st.sampled_from(["Sat/42", "100%", "a#b", "名前", "Beidou-3_M1_(C19)"]) | st.text(
+    st.characters(exclude_categories=("Cs", "Cc", "Z")), min_size=1, max_size=8
+).filter(lambda name: re.fullmatch(r"\S+", name) is not None)
+
+
+@st.composite
+def _restrictions(draw, base):
+    if base not in ("decimal", "integer"):
+        return None
+    lower, upper = draw(st.none() | _VALUES[base]), draw(st.none() | _VALUES[base])
+    if lower is not None and upper is not None and lower > upper:
+        lower, upper = upper, lower
+    warn = draw(st.booleans())
+    if lower is None and upper is None and not warn:
+        return None  # an empty restriction exports as no restriction at all
+    return NumericRestriction(
+        lower,
+        upper,
+        lower_inclusive=lower is None or draw(st.booleans()),
+        upper_inclusive=upper is None or draw(st.booleans()),
+        warn_at_upper=warn,
+    )
+
+
+@st.composite
+def _stores(draw):
+    names = draw(st.lists(_SCHEMA_NAME, min_size=1, max_size=14, unique=True))
+    n_classes = draw(st.integers(1, len(names)))
+    classes, rest = names[:n_classes], names[n_classes:]
+    n_properties = draw(st.integers(0, len(rest)))
+    ont = Ontology()
+    for i, name in enumerate(classes):
+        parents = draw(st.sets(st.sampled_from(classes[:i]), max_size=3)) if i else ()
+        ont.define_class(name, parents, draw(st.none() | _TEXT))
+    some_classes = st.sets(st.sampled_from(classes), max_size=3)
+    for name in rest[:n_properties]:
+        functional = draw(st.booleans())
+        if draw(st.booleans()):
+            ont.define_object_property(name, draw(some_classes), draw(some_classes), functional)
+        else:
+            base = draw(st.sampled_from(sorted(_VALUES)))
+            spec = DatatypeSpec(base, draw(st.none() | _TEXT), draw(_restrictions(base)))
+            ont.define_data_property(name, draw(some_classes), spec, functional)
+    for alias in rest[n_properties:]:
+        ont.define_alias(alias, draw(st.sampled_from(classes + rest[:n_properties])))
+
+    store = InstanceStore(ont)
+    instances = draw(st.lists(_INSTANCE_NAME, max_size=6, unique=True))
+    for name in instances:
+        store.add_instance(name)
+        for cls in draw(st.sets(st.sampled_from(classes), max_size=2)):
+            store.assert_fact(name, "instance_of", cls)
+    predicates = list(ont.properties) + [a for a, t in ont.aliases.items() if t in ont.properties]
+    for _ in range(draw(st.integers(0, 10)) if instances and predicates else 0):
+        predicate = draw(st.sampled_from(predicates))
+        pdef = ont.prop(predicate)
+        if pdef.datatype is None:
+            obj = store.instance(draw(st.sampled_from(instances)))
+        else:
+            obj = Literal(draw(_VALUES[pdef.datatype.base]))
+        try:
+            store.assert_fact(draw(st.sampled_from(instances)), predicate, obj)
+        except (RestrictionViolation, FunctionalViolation):
+            pass
+    return store
+
+
+@settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(_stores())
+def test_hand_built_stores_round_trip(store):
+    text = export_turtle(store)
+    again = import_turtle(text)
+    assert again == store
+    assert export_turtle(again) == text
+
+
+# ------------------------------------------------------------ bad input
+
+VOCAB_PREFIXES = SCHEMA_PREFIXES + (
+    "@prefix v: <https://satkg.example/vocab#> .\n"
+    "@prefix xsd: <http://www.w3.org/2001/XMLSchema#> .\n"
+)
+DECIMAL_PROPERTY = "t:p a owl:DatatypeProperty ; rdfs:range xsd:decimal ;\n    "
+
+
+@pytest.mark.parametrize(
+    "body, error",
+    [
+        ("t:A a owl:Class ; rdfs:comment t:B .\n", TurtleParseError),
+        ('t:A a owl:Class ; rdfs:comment "one", "two" .\n', TurtleParseError),
+        (DECIMAL_PROPERTY + "v:unitLabel t:km .\n", TurtleParseError),
+        (DECIMAL_PROPERTY + 'v:minValue "5"^^xsd:decimal ; v:maxValue "1"^^xsd:decimal .\n',
+         InvalidDatatype),
+        ('t:p a owl:DatatypeProperty ; rdfs:range xsd:string ; v:maxValue "1"^^xsd:decimal .\n',
+         InvalidDatatype),
+        (DECIMAL_PROPERTY + 'v:minValue "x" .\n', TurtleParseError),
+        (DECIMAL_PROPERTY + 'v:minValue "NaN"^^xsd:decimal .\n', TurtleParseError),
+        ("t:p a owl:DatatypeProperty .\n", TurtleParseError),
+        # each of these was dropped without a word
+        ('t:Orbit a owl:Class .\nt:X rdfs:subClassOf t:Orbit ; rdfs:comment "lost" .\n',
+         UnsupportedConstruct),
+        ('t:A a owl:Class .\nt:p a owl:ObjectProperty ; rdfs:domain t:A ; rdfs:comment "x" .\n',
+         UnsupportedConstruct),
+        ('t:p a owl:ObjectProperty ; v:unitLabel "km" .\n', UnsupportedConstruct),
+        ('t:p a owl:ObjectProperty ; v:minValue "1"^^xsd:decimal .\n', UnsupportedConstruct),
+        ("t:p a owl:ObjectProperty ; rdfs:range xsd:decimal .\n", TurtleParseError),
+        ("t:p a owl:FunctionalProperty .\n", UnsupportedConstruct),
+    ],
+    ids=[
+        "comment-not-a-string", "two-comments", "unit-not-a-string", "min-above-max",
+        "facet-on-string", "min-not-a-number", "min-nan", "no-xsd-range", "undeclared-subject",
+        "comment-on-property", "unit-on-object-property", "facet-on-object-property",
+        "xsd-range-on-object-property", "functional-alone",
+    ],
+)
+def test_bad_declaration_raises_naming_the_term(body, error):
+    with pytest.raises(error) as err:
+        import_turtle(VOCAB_PREFIXES + body)
+    assert re.match(r"(t:\w+|line \d+):", str(err.value)), str(err.value)
+
+
+def test_iri_may_not_span_lines():
+    # An IRI holding a newline used to be read, with the newline uncounted,
+    # so the unterminated string below was reported one line early.
+    text = (
+        SCHEMA_PREFIXES
+        + "t:A a owl:Class .\n"
+        + "<https://satkg.example/terms#B\n> a owl:Class .\n"
+        + 't:C a owl:Class ; rdfs:comment "unterminated .\n'
+    )
+    with pytest.raises(TurtleParseError) as err:
+        import_turtle(text)
+    assert err.value.line == 5
+    with pytest.raises(TurtleParseError):
+        import_turtle(SCHEMA_PREFIXES + "<https://satkg.example/terms#B C> a owl:Class .\n")
+
+
+_GOLDEN_PARTS = re.split(r"(\s+)", (FIXTURES / "one_satellite.ttl").read_text(encoding="utf-8"))
+
+
+@st.composite
+def _mangled_exports(draw):
+    """The golden export with one whitespace-separated token deleted,
+    duplicated or swapped with another."""
+    words, gaps = _GOLDEN_PARTS[0::2], _GOLDEN_PARTS[1::2]
+    i, j = draw(st.integers(0, len(words) - 1)), draw(st.integers(0, len(words) - 1))
+    edit = draw(st.sampled_from(["delete", "duplicate", "swap"]))
+    if edit == "delete":
+        words[i] = ""
+    elif edit == "duplicate":
+        words[i] = f"{words[i]} {words[i]}"
+    else:
+        words[i], words[j] = words[j], words[i]
+    return "".join(w + g for w, g in zip_longest(words, gaps, fillvalue=""))
+
+
+@settings(max_examples=300, deadline=None)
+@given(_mangled_exports() | st.text())
+def test_any_text_imports_or_raises_a_satkg_error(text):
+    try:
+        import_turtle(text)
+    except SatkgError:
+        pass
