@@ -106,6 +106,23 @@ class Literal:
         return str(self.value)
 
 
+#: The largest power of ten, either way, a decimal literal may reach; it
+#: bounds the positional text ``lexical_form`` writes for a value.
+MAX_DECIMAL_EXPONENT = 100
+
+
+def bounded_decimal(value: Union[str, int, Decimal]) -> Decimal:
+    """``Decimal(value)`` when finite with an adjusted exponent (the power of
+    ten of its leading digit) within +/-100, else ValueError."""
+    try:
+        number = Decimal(value)
+    except ArithmeticError:
+        number = None
+    if number is None or not number.is_finite() or abs(number.adjusted()) > MAX_DECIMAL_EXPONENT:
+        raise ValueError(f"not a finite decimal within 1E+/-{MAX_DECIMAL_EXPONENT}: {value!r}")
+    return number
+
+
 @dataclass(frozen=True)
 class NumericRestriction:
     lower: Optional[Decimal] = None
@@ -117,6 +134,12 @@ class NumericRestriction:
     warn_at_upper: bool = False
 
     def __post_init__(self) -> None:
+        for bound in (self.lower, self.upper):
+            if bound is not None:
+                try:
+                    bounded_decimal(bound)
+                except ValueError as exc:
+                    raise InvalidDatatype(f"restriction bound: {exc}") from None
         if self.lower is not None and self.upper is not None and self.lower > self.upper:
             raise InvalidDatatype("lower bound exceeds upper bound")
 
@@ -159,12 +182,11 @@ class DatatypeSpec:
         if isinstance(value, bool):
             raise TypeMismatch(f"boolean literal not valid for {self.base} datatype")
         if self.base == "decimal":
-            if isinstance(value, Decimal):
-                return value
-            if isinstance(value, int):
-                return Decimal(value)
-            if isinstance(value, float):
-                return Decimal(str(value))
+            if isinstance(value, (Decimal, int, float)):
+                try:
+                    return bounded_decimal(str(value) if isinstance(value, float) else value)
+                except ValueError as exc:
+                    raise TypeMismatch(str(exc)) from None
         elif self.base == "integer":
             if isinstance(value, int):
                 return value
@@ -580,12 +602,9 @@ class InstanceStore:
         spec = pdef.datatype
         assert spec is not None
         value = spec.coerce(literal.value)
-        unit = literal.unit
-        if unit is None:
-            unit = spec.unit
-        elif spec.unit is not None and unit != spec.unit:
+        if literal.unit not in (None, spec.unit):
             raise TypeMismatch(
-                f"unit {unit!r} does not match declared unit {spec.unit!r} of {pdef.name!r}"
+                f"unit {literal.unit!r} does not match declared unit {spec.unit!r} of {pdef.name!r}"
             )
         if spec.restriction is not None:
             if not spec.restriction.allows(value):  # type: ignore[arg-type]
@@ -596,7 +615,7 @@ class InstanceStore:
                 self.warnings.append(
                     f"{subject.name}: {pdef.name} = {value} sits on the permitted boundary"
                 )
-        return Literal(value, unit)
+        return Literal(value, spec.unit)
 
     def _check_functional(self, assertion: Assertion) -> None:
         if assertion.predicate.name == INSTANCE_OF.name:

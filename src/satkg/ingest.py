@@ -1,9 +1,18 @@
 """UCS-format catalog ingestion: CSV parsing and row-to-assertion resolution.
 
-The CSV reader is a strict RFC-4180 state machine so that quoting errors and
-ragged rows can be reported with their row number.  Resolution turns each row
-into typed assertions according to the catalog's field conventions; empty
-cells assert nothing (open-world discipline).
+The CSV reader is strict RFC 4180: one field regex (a quoted field with ``""``
+escapes, or an unquoted run) and one line-break regex, so that quoting errors
+and ragged rows are reported with their row number.  Row numbers count line
+breaks outside quotes, blank lines included; blank lines yield no row.
+
+Resolution turns each row into typed assertions by the catalog's field
+conventions; empty and sentinel cells assert nothing (open-world discipline).
+Two tables hold the plain column mappings: ``_ENTITY_COLUMNS`` (the classes
+and satellite links of each entity named in a column, and its country column)
+and ``_SATELLITE_COLUMNS`` (the satellite's own literal and entity columns,
+each literal with its property and cell reader).  Columns whose class or
+relation depends on other cells (names, registry, users, purpose, orbit and
+its parameters) stay code.
 """
 
 from __future__ import annotations
@@ -13,8 +22,8 @@ import json
 import re
 from dataclasses import dataclass, field
 from datetime import date, datetime
-from decimal import Decimal, InvalidOperation
-from typing import Iterator, NamedTuple, Optional, Union
+from decimal import Decimal
+from typing import Callable, Iterator, NamedTuple, Optional, Union
 
 from .core import (
     INSTANCE_OF,
@@ -24,6 +33,7 @@ from .core import (
     Ontology,
     TermId,
     TermKind,
+    bounded_decimal,
     class_term,
     instance_term,
 )
@@ -89,9 +99,7 @@ class RawRecord:
     def get(self, column: str) -> Optional[str]:
         """Trimmed cell value, or None for blanks and sentinel strings."""
         value = self.cells.get(column, "").strip()
-        if value.lower() in SENTINELS:
-            return None
-        return value
+        return None if value.lower() in SENTINELS else value
 
 
 class IngestViolation(NamedTuple):
@@ -117,109 +125,49 @@ class IngestReport:
 
     def to_jsonl(self) -> str:
         """Line-delimited JSON: one object per finding plus a summary object."""
-        lines = []
-        for v in self.violations:
-            lines.append(
-                json.dumps(
-                    {
-                        "kind": "violation",
-                        "row": v.row_number,
-                        "field": v.fieldname,
-                        "code": v.code,
-                        "message": v.message,
-                    },
-                    ensure_ascii=False,
-                )
-            )
-        for w in self.warnings:
-            lines.append(
-                json.dumps(
-                    {
-                        "kind": "warning",
-                        "row": w.row_number,
-                        "field": w.fieldname,
-                        "message": w.message,
-                    },
-                    ensure_ascii=False,
-                )
-            )
-        lines.append(
-            json.dumps(
-                {
-                    "kind": "summary",
-                    "rows_read": self.rows_read,
-                    "rows_ingested": self.rows_ingested,
-                    "assertions_created": self.assertions_created,
-                    "violations": len(self.violations),
-                    "warnings": len(self.warnings),
-                }
-            )
-        )
-        return "\n".join(lines) + "\n"
+        objects = [{"kind": "violation", "row": row, "field": fieldname, "code": code,
+                    "message": message} for row, fieldname, code, message in self.violations]
+        objects += [{"kind": "warning", "row": row, "field": fieldname, "message": message}
+                    for row, fieldname, message in self.warnings]
+        objects.append({"kind": "summary", "rows_read": self.rows_read,
+                        "rows_ingested": self.rows_ingested,
+                        "assertions_created": self.assertions_created,
+                        "violations": len(self.violations), "warnings": len(self.warnings)})
+        return "".join(json.dumps(o, ensure_ascii=False) + "\n" for o in objects)
 
 
 # ------------------------------------------------------------------ CSV
 
+#: One field: quoted (``""`` escapes a quote; the closing quote is not
+#: followed by another) or an unquoted run up to a comma, quote or break.
+_FIELD_RE = re.compile(r'"([^"]*(?:""[^"]*)*)"(?!")|([^,"\r\n]*)')
+_BREAK_RE = re.compile(r"\r\n?|\n")
+
+
 def _read_rows(text: str) -> Iterator[tuple[int, list[str]]]:
-    """RFC-4180 state machine yielding (row_number, fields)."""
-    fields: list[str] = []
-    buf: list[str] = []
-    row_number = 1
-    in_quotes = False
-    after_quoted = False  # just closed a quoted field; only , CR LF may follow
-    started = False  # current record has content
-    i = 0
-    n = len(text)
-    while i < n:
-        ch = text[i]
-        if in_quotes:
-            if ch == '"':
-                if i + 1 < n and text[i + 1] == '"':
-                    buf.append('"')
-                    i += 2
-                    continue
-                in_quotes = False
-                after_quoted = True
+    """RFC-4180 rows as (row_number, fields); blank lines are skipped."""
+    row_number, pos, end = 1, 0, len(text)
+    while pos < end:
+        brk = _BREAK_RE.match(text, pos)
+        if brk:
+            row_number, pos = row_number + 1, brk.end()
+            continue
+        fields: list[str] = []
+        while True:
+            m = _FIELD_RE.match(text, pos)
+            quoted, plain = m.groups()
+            fields.append(plain if quoted is None else quoted.replace('""', '"'))
+            pos = m.end()
+            follow = text[pos : pos + 1]
+            if follow == ",":
+                pos += 1
+            elif follow == '"':  # an unquoted run stopped at a quote
+                problem = "quote opened in the middle of a field" if plain else "unbalanced quote"
+                raise MalformedCsv(problem, row_number)
+            elif follow not in ("", "\r", "\n"):
+                raise MalformedCsv("unexpected text after closing quote", row_number)
             else:
-                buf.append(ch)
-            i += 1
-            continue
-        if ch == '"':
-            if buf or after_quoted:
-                raise MalformedCsv("quote opened in the middle of a field", row_number)
-            in_quotes = True
-            started = True
-            i += 1
-            continue
-        if ch == ",":
-            fields.append("".join(buf))
-            buf.clear()
-            after_quoted = False
-            started = True
-            i += 1
-            continue
-        if ch in "\r\n":
-            if ch == "\r" and i + 1 < n and text[i + 1] == "\n":
-                i += 1
-            if started or fields:
-                fields.append("".join(buf))
-                yield row_number, fields
-                fields = []
-                buf.clear()
-            row_number += 1
-            after_quoted = False
-            started = False
-            i += 1
-            continue
-        if after_quoted:
-            raise MalformedCsv("unexpected text after closing quote", row_number)
-        buf.append(ch)
-        started = True
-        i += 1
-    if in_quotes:
-        raise MalformedCsv("unbalanced quote", row_number)
-    if started or fields:
-        fields.append("".join(buf))
+                break
         yield row_number, fields
 
 
@@ -254,9 +202,7 @@ def parse_csv(data: Union[bytes, str, io.IOBase]) -> list[RawRecord]:
     records = []
     for row_number, cells in rows[1:]:
         if len(cells) != len(columns):
-            raise MalformedCsv(
-                f"expected {len(columns)} fields, found {len(cells)}", row_number
-            )
+            raise MalformedCsv(f"expected {len(columns)} fields, found {len(cells)}", row_number)
         records.append(RawRecord(row_number, dict(zip(columns, cells))))
     return records
 
@@ -279,17 +225,14 @@ def instance_name(raw: str) -> str:
 def parse_number(text: str) -> Decimal:
     """Parse a catalog numeric cell; thousands separators are tolerated.
 
-    Non-finite values (NaN, sNaN, Infinity) are not numbers a catalog can
-    carry, and are rejected like any other unparsable cell.
+    Non-finite values (NaN, sNaN, Infinity) and magnitudes beyond 1E+/-100
+    are not numbers a catalog carries; they are rejected like any other
+    unparsable cell.
     """
-    cleaned = text.strip().replace(",", "")
     try:
-        value = Decimal(cleaned)
-    except InvalidOperation:
-        value = None
-    if value is None or not value.is_finite():
-        raise UnparsableNumber(f"not a number: {text!r}")
-    return value
+        return bounded_decimal(text.strip().replace(",", ""))
+    except ValueError:
+        raise UnparsableNumber(f"not a number: {text!r}") from None
 
 
 _YEARS_SUFFIX = re.compile(r"\s*(?:yrs?\.?|years?)\s*$", re.IGNORECASE)
@@ -328,26 +271,45 @@ _PARAMETER_COLUMNS: tuple[tuple[str, str], ...] = (
     ("Period (minutes)", "Orbital_Period"),
 )
 
-_MASS_POWER_COLUMNS: tuple[tuple[str, str], ...] = (
-    ("Launch Mass (kg.)", "has_Launch_Mass"),
-    ("Dry Mass (kg.)", "has_Dry_Mass"),
-    ("Power (watts)", "has_Power_value"),
+#: Entity columns: column -> (classes of each entity, links from the
+#: satellite, separator between entities or None, country column or None).
+#: Operator/Owner does not tell the two roles apart, so each entity it lists
+#: is typed and linked as both.
+_ENTITY_COLUMNS: dict[str, tuple[tuple[str, ...], tuple[str, ...], Optional[str], Optional[str]]] = {
+    "Operator/Owner": (("Operator", "Owner"), ("has_Operator", "has_Owner"), "/",
+                       "Country of Operator/Owner"),
+    "Contractor": (("Contractor",), ("has_Contractor",), None, "Country of Contractor"),
+    "Launch Site": (("Launch_Site",), ("has_Launch_Site",), None, None),
+    "Launch Vehicle": (("Launch_Vehicle",), ("has_Launch_Vehicle",), None, None),
+}
+
+#: The satellite's own columns after the orbit, in resolution order: column,
+#: property and cell reader of a literal, or column, None, None for a column
+#: of ``_ENTITY_COLUMNS``.
+_SATELLITE_COLUMNS: tuple[tuple[str, Optional[str], Optional[Callable[[str], object]]], ...] = (
+    ("Launch Mass (kg.)", "has_Launch_Mass", parse_number),
+    ("Dry Mass (kg.)", "has_Dry_Mass", parse_number),
+    ("Power (watts)", "has_Power_value", parse_number),
+    ("Date of Launch", "has_Date_of_Launch", parse_launch_date),
+    ("Expected Lifetime", "has_Expected_Lifetime", parse_years),
+    ("Contractor", None, None),
+    ("Launch Site", None, None),
+    ("Launch Vehicle", None, None),
+    ("COSPAR Number", "has_COSPAR_number", str),
+    ("NORAD Number", "has_NORAD_number", str),
+    ("Comments", "has_Satellite_Comment", str),
 )
 
-
-class _RowContext:
-    """Assertion accumulator for one row, tagging each assertion's field."""
-
-    def __init__(self) -> None:
-        self.resolved: list[tuple[str, Assertion]] = []
-
-    def emit(self, fieldname: str, subject: TermId, predicate: str, obj) -> None:
-        kind = TermKind.DATA_PROPERTY if isinstance(obj, Literal) else TermKind.OBJECT_PROPERTY
-        if predicate == "instance_of":
-            pred = INSTANCE_OF
-        else:
-            pred = TermId(predicate, kind)
-        self.resolved.append((fieldname, Assertion(subject, pred, obj)))
+#: Violation code of each failure a row can meet; any other is "error".
+_CODES: dict[type, str] = {
+    UnparsableNumber: "unparsable_number",
+    UnparsableDate: "unparsable_date",
+    UnknownOrbitClass: "unknown_orbit_class",
+    RestrictionViolation: "restriction",
+    TypeMismatch: "type",
+    FunctionalViolation: "functional",
+    UnknownTerm: "unknown_term",
+}
 
 
 def _match_taxonomy_class(ont: Ontology, raw: str, suffix: str, root: str) -> Optional[str]:
@@ -379,9 +341,7 @@ def _resolve_orbit_class(ont: Ontology, orbit_class: str, orbit_type: Optional[s
     refined = _match_taxonomy_class(ont, orbit_type, "_Orbit", "Orbit")
     if refined is None:
         return base, f"unrecognized orbit type {orbit_type!r}; kept {base}"
-    if ont.is_subclass_of(refined, base) or ont.is_subclass_of(base, refined):
-        return (refined if ont.is_subclass_of(refined, base) else base), None
-    return refined, None
+    return (base if ont.is_subclass_of(base, refined) else refined), None
 
 
 def resolve_record(
@@ -417,84 +377,85 @@ def resolve_record_fields(
     if satellite_name is None:
         satellite_name = instance_name(name_cell)
     sat = instance_term(satellite_name)
-    ctx = _RowContext()
+    resolved: list[tuple[str, Assertion]] = []
 
-    def fail(fieldname: str, exc: SatkgError, code: str) -> None:
+    def emit(fieldname: str, subject: TermId, predicate: str, obj) -> None:
+        """Record one assertion; the object of ``instance_of`` is a class name."""
+        if predicate == "instance_of":
+            pred, obj = INSTANCE_OF, class_term(obj)
+        else:
+            kind = TermKind.DATA_PROPERTY if isinstance(obj, Literal) else TermKind.OBJECT_PROPERTY
+            pred = TermId(predicate, kind)
+        resolved.append((fieldname, Assertion(subject, pred, obj)))
+
+    def fail(fieldname: str, exc: SatkgError) -> None:
         if issues is None:
             raise exc
-        issues.append(IngestViolation(record.row_number, fieldname, code, str(exc)))
+        issues.append(IngestViolation(record.row_number, fieldname, _CODES[type(exc)], str(exc)))
 
     def warn(fieldname: str, message: str) -> None:
         if notes is not None:
             notes.append(IngestWarning(record.row_number, fieldname, message))
 
+    def link_entities(column: str, cell: str) -> None:
+        classes, links, separator, country_column = _ENTITY_COLUMNS[column]
+        countries = _split(record.get(country_column) or "", "/") if country_column else []
+        for entity_name in _split(cell, separator) if separator else [cell]:
+            entity = instance_term(instance_name(entity_name))
+            for cls in classes:
+                emit(column, entity, "instance_of", cls)
+            for link in links:
+                emit(column, sat, link, entity)
+            for country in countries:
+                c_inst = instance_term(instance_name(country))
+                emit(country_column, c_inst, "instance_of", "Country")
+                emit(country_column, entity, "has_Country_of_Origin", c_inst)
+
     # (a) satellite typed by catalog membership and, when the purpose maps to
     # a function subclass, by that subclass as well
-    ctx.emit("Name of Satellite", sat, "instance_of", class_term("Artificial_Satellite"))
+    emit("Name of Satellite", sat, "instance_of", "Artificial_Satellite")
     purpose_cell = record.get("Purpose")
     purpose_class = None
     if purpose_cell is not None:
         purpose_class = _match_taxonomy_class(ont, purpose_cell, "_Purpose", "Purpose")
         if purpose_class is None:
             warn("Purpose", f"unrecognized purpose {purpose_cell!r}; kept generic Purpose")
-        else:
-            fn_class = FUNCTION_SATELLITE_CLASSES.get(purpose_class)
-            if fn_class is not None:
-                ctx.emit("Purpose", sat, "instance_of", class_term(fn_class))
+        elif purpose_class in FUNCTION_SATELLITE_CLASSES:
+            emit("Purpose", sat, "instance_of", FUNCTION_SATELLITE_CLASSES[purpose_class])
 
     # (a/b) identifier instances for the primary and alternate names
     name_inst = instance_term(f"{satellite_name}_Name")
-    ctx.emit("Name of Satellite", name_inst, "instance_of", class_term("Satellite_Name"))
-    ctx.emit("Name of Satellite", sat, "has_Identifier", name_inst)
-    ctx.emit("Name of Satellite", name_inst, "has_Identifier_value", Literal(name_cell))
-    alt_cell = record.get("Alternate Names")
-    if alt_cell is not None:
-        for alt in _split(alt_cell, ","):
-            alt_inst = instance_term(f"{instance_name(alt)}_Name")
-            ctx.emit("Alternate Names", alt_inst, "instance_of", class_term("Alternate_Satellite_Name"))
-            ctx.emit("Alternate Names", sat, "has_Identifier", alt_inst)
-            ctx.emit("Alternate Names", alt_inst, "has_Identifier_value", Literal(alt))
+    emit("Name of Satellite", name_inst, "instance_of", "Satellite_Name")
+    emit("Name of Satellite", sat, "has_Identifier", name_inst)
+    emit("Name of Satellite", name_inst, "has_Identifier_value", Literal(name_cell))
+    for alt in _split(record.get("Alternate Names") or "", ","):
+        alt_inst = instance_term(f"{instance_name(alt)}_Name")
+        emit("Alternate Names", alt_inst, "instance_of", "Alternate_Satellite_Name")
+        emit("Alternate Names", sat, "has_Identifier", alt_inst)
+        emit("Alternate Names", alt_inst, "has_Identifier_value", Literal(alt))
 
     # (c) UN registry: countries and organizations split by gazetteer lookup
     registry = record.get("Country/Org of UN Registry")
     if registry is not None:
         entity = instance_term(instance_name(registry))
-        if is_country(registry):
-            ctx.emit("Country/Org of UN Registry", entity, "instance_of", class_term("Country"))
-            relation = "is_registered_Country_in_UN_Register_of_Space_Objects_for"
-        else:
-            ctx.emit("Country/Org of UN Registry", entity, "instance_of", class_term("Organization"))
-            relation = "is_registered_Organization_in_UN_Register_of_Space_Objects_for"
-        ctx.emit("Country/Org of UN Registry", entity, relation, sat)
+        kind = "Country" if is_country(registry) else "Organization"
+        emit("Country/Org of UN Registry", entity, "instance_of", kind)
+        emit("Country/Org of UN Registry", entity,
+             f"is_registered_{kind}_in_UN_Register_of_Space_Objects_for", sat)
 
-    # (d) operators/owners; the column does not distinguish the two roles,
-    # so every listed entity is typed and linked as both
-    opown_cell = record.get("Operator/Owner")
-    country_cell = record.get("Country of Operator/Owner")
-    countries = _split(country_cell, "/") if country_cell is not None else []
-    if opown_cell is not None:
-        for entity_name in _split(opown_cell, "/"):
-            entity = instance_term(instance_name(entity_name))
-            ctx.emit("Operator/Owner", entity, "instance_of", class_term("Operator"))
-            ctx.emit("Operator/Owner", entity, "instance_of", class_term("Owner"))
-            ctx.emit("Operator/Owner", sat, "has_Operator", entity)
-            ctx.emit("Operator/Owner", sat, "has_Owner", entity)
-            for country in countries:
-                c_inst = instance_term(instance_name(country))
-                ctx.emit("Country of Operator/Owner", c_inst, "instance_of", class_term("Country"))
-                ctx.emit("Country of Operator/Owner", entity, "has_Country_of_Origin", c_inst)
+    # (d) operators/owners
+    if (opown_cell := record.get("Operator/Owner")) is not None:
+        link_entities("Operator/Owner", opown_cell)
 
     # (e) users
-    users_cell = record.get("Users")
-    if users_cell is not None:
-        for user in _split(users_cell, "/"):
-            user_class = _match_taxonomy_class(ont, user, "_User", "User")
-            if user_class is None:
-                user_class = "User"
-                warn("Users", f"unrecognized user sector {user!r}; typed as User")
-            user_inst = instance_term(f"{satellite_name}_{user_class}")
-            ctx.emit("Users", user_inst, "instance_of", class_term(user_class))
-            ctx.emit("Users", sat, "has_User", user_inst)
+    for user in _split(record.get("Users") or "", "/"):
+        user_class = _match_taxonomy_class(ont, user, "_User", "User")
+        if user_class is None:
+            user_class = "User"
+            warn("Users", f"unrecognized user sector {user!r}; typed as User")
+        user_inst = instance_term(f"{satellite_name}_{user_class}")
+        emit("Users", user_inst, "instance_of", user_class)
+        emit("Users", sat, "has_User", user_inst)
 
     # (f) purpose instance; the detailed purpose takes precedence when it
     # names a more specific class
@@ -504,14 +465,12 @@ def resolve_record_fields(
         detailed_class = _match_taxonomy_class(ont, detailed_cell, "_Purpose", "Purpose")
         if detailed_class is None:
             warn("Detailed Purpose", f"unrecognized detailed purpose {detailed_cell!r}")
-    final_purpose = detailed_class or purpose_class
-    if final_purpose is None and purpose_cell is not None:
-        final_purpose = "Purpose"
+    final_purpose = detailed_class or purpose_class or ("Purpose" if purpose_cell else None)
     if final_purpose is not None:
         fieldname = "Detailed Purpose" if detailed_class else "Purpose"
         p_inst = instance_term(f"{satellite_name}_Purpose")
-        ctx.emit(fieldname, p_inst, "instance_of", class_term(final_purpose))
-        ctx.emit(fieldname, sat, "has_Purpose", p_inst)
+        emit(fieldname, p_inst, "instance_of", final_purpose)
+        emit(fieldname, sat, "has_Purpose", p_inst)
 
     # (g) orbit: class and type cells merge onto one subtree class
     orbit_inst: Optional[TermId] = None
@@ -522,13 +481,13 @@ def resolve_record_fields(
                 ont, orbit_class_cell, record.get("Type of Orbit")
             )
         except UnknownOrbitClass as exc:
-            fail("Class of Orbit", exc, "unknown_orbit_class")
+            fail("Class of Orbit", exc)
         else:
             if merge_warning:
                 warn("Type of Orbit", merge_warning)
             orbit_inst = instance_term(f"{satellite_name}_Orbit")
-            ctx.emit("Class of Orbit", orbit_inst, "instance_of", class_term(orbit_class))
-            ctx.emit("Class of Orbit", sat, "has_Orbit", orbit_inst)
+            emit("Class of Orbit", orbit_inst, "instance_of", orbit_class)
+            emit("Class of Orbit", sat, "has_Orbit", orbit_inst)
 
     # (h) numeric orbital parameters
     owner = orbit_inst if orbit_inst is not None else sat
@@ -540,88 +499,35 @@ def resolve_record_fields(
         try:
             value = parse_number(cell)
         except UnparsableNumber as exc:
-            fail(column, exc, "unparsable_number")
+            fail(column, exc)
             continue
         parsed_params[param_class] = value
         literal = Literal(value)
         if mode is ModelingMode.REIFIED:
             param_inst = instance_term(f"{owner.name}_{param_class}")
-            ctx.emit(column, param_inst, "instance_of", class_term(param_class))
-            ctx.emit(column, owner, f"has_{param_class}", param_inst)
-            ctx.emit(column, param_inst, f"has_{param_class}_value", literal)
+            emit(column, param_inst, "instance_of", param_class)
+            emit(column, owner, f"has_{param_class}", param_inst)
+            emit(column, param_inst, f"has_{param_class}_value", literal)
         else:
-            ctx.emit(column, owner, f"has_{param_class}_value", literal)
-    perigee = parsed_params.get("Perigee")
-    apogee = parsed_params.get("Apogee")
+            emit(column, owner, f"has_{param_class}_value", literal)
+    perigee, apogee = parsed_params.get("Perigee"), parsed_params.get("Apogee")
     if perigee is not None and apogee is not None and perigee > apogee:
         warn("Perigee (km)", f"perigee {perigee} exceeds apogee {apogee}")
 
-    # (h continued) masses and power
-    for column, prop in _MASS_POWER_COLUMNS:
+    # (i) the satellite's own columns: masses, power, launch data, entities,
+    # identifiers and comments
+    for column, prop, read in _SATELLITE_COLUMNS:
         cell = record.get(column)
         if cell is None:
             continue
+        if prop is None:
+            link_entities(column, cell)
+            continue
         try:
-            ctx.emit(column, sat, prop, Literal(parse_number(cell)))
-        except UnparsableNumber as exc:
-            fail(column, exc, "unparsable_number")
-
-    # (i) launch data, contractor, identifiers, comments
-    date_cell = record.get("Date of Launch")
-    if date_cell is not None:
-        try:
-            ctx.emit("Date of Launch", sat, "has_Date_of_Launch", Literal(parse_launch_date(date_cell)))
-        except UnparsableDate as exc:
-            fail("Date of Launch", exc, "unparsable_date")
-    lifetime_cell = record.get("Expected Lifetime")
-    if lifetime_cell is not None:
-        try:
-            ctx.emit("Expected Lifetime", sat, "has_Expected_Lifetime", Literal(parse_years(lifetime_cell)))
-        except UnparsableNumber as exc:
-            fail("Expected Lifetime", exc, "unparsable_number")
-
-    contractor_cell = record.get("Contractor")
-    if contractor_cell is not None:
-        contractor = instance_term(instance_name(contractor_cell))
-        ctx.emit("Contractor", contractor, "instance_of", class_term("Contractor"))
-        ctx.emit("Contractor", sat, "has_Contractor", contractor)
-        contractor_country = record.get("Country of Contractor")
-        if contractor_country is not None:
-            for country in _split(contractor_country, "/"):
-                c_inst = instance_term(instance_name(country))
-                ctx.emit("Country of Contractor", c_inst, "instance_of", class_term("Country"))
-                ctx.emit("Country of Contractor", contractor, "has_Country_of_Origin", c_inst)
-
-    site_cell = record.get("Launch Site")
-    if site_cell is not None:
-        site = instance_term(instance_name(site_cell))
-        ctx.emit("Launch Site", site, "instance_of", class_term("Launch_Site"))
-        ctx.emit("Launch Site", sat, "has_Launch_Site", site)
-    vehicle_cell = record.get("Launch Vehicle")
-    if vehicle_cell is not None:
-        vehicle = instance_term(instance_name(vehicle_cell))
-        ctx.emit("Launch Vehicle", vehicle, "instance_of", class_term("Launch_Vehicle"))
-        ctx.emit("Launch Vehicle", sat, "has_Launch_Vehicle", vehicle)
-
-    cospar = record.get("COSPAR Number")
-    if cospar is not None:
-        ctx.emit("COSPAR Number", sat, "has_COSPAR_number", Literal(cospar))
-    norad = record.get("NORAD Number")
-    if norad is not None:
-        ctx.emit("NORAD Number", sat, "has_NORAD_number", Literal(norad))
-    comments = record.get("Comments")
-    if comments is not None:
-        ctx.emit("Comments", sat, "has_Satellite_Comment", Literal(comments))
-
-    return ctx.resolved
-
-
-_ERROR_CODES: tuple[tuple[type, str], ...] = (
-    (RestrictionViolation, "restriction"),
-    (TypeMismatch, "type"),
-    (FunctionalViolation, "functional"),
-    (UnknownTerm, "unknown_term"),
-)
+            emit(column, sat, prop, Literal(read(cell)))
+        except (UnparsableNumber, UnparsableDate) as exc:
+            fail(column, exc)
+    return resolved
 
 
 def ingest(
@@ -644,24 +550,17 @@ def ingest(
     for record in records:
         name_cell = record.get("Name of Satellite")
         if name_cell is None:
-            report.violations.append(
-                IngestViolation(
-                    record.row_number, "Name of Satellite", "missing_name",
-                    "row skipped: Name of Satellite is empty",
-                )
-            )
+            report.violations.append(IngestViolation(
+                record.row_number, "Name of Satellite", "missing_name",
+                "row skipped: Name of Satellite is empty"))
             continue
         name = instance_name(name_cell)
         if name in satellite_names:
             name = f"{name}_row{record.row_number}"
         satellite_names.add(name)
 
-        pairs = resolve_record_fields(
-            record, mode, ont,
-            satellite_name=name,
-            issues=report.violations,
-            notes=report.warnings,
-        )
+        pairs = resolve_record_fields(record, mode, ont, satellite_name=name,
+                                      issues=report.violations, notes=report.warnings)
         report.rows_ingested += 1
         for fieldname, assertion in pairs:
             store.add_instance(assertion.subject.name)
@@ -672,14 +571,8 @@ def ingest(
                 if store.add(assertion):
                     report.assertions_created += 1
             except SatkgError as exc:
-                code = "error"
-                for exc_type, exc_code in _ERROR_CODES:
-                    if isinstance(exc, exc_type):
-                        code = exc_code
-                        break
-                report.violations.append(
-                    IngestViolation(record.row_number, fieldname, code, str(exc))
-                )
+                code = _CODES.get(type(exc), "error")
+                report.violations.append(IngestViolation(record.row_number, fieldname, code, str(exc)))
             for message in store.warnings[before_warnings:]:
                 report.warnings.append(IngestWarning(record.row_number, fieldname, message))
     return store, report

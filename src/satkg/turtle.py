@@ -36,6 +36,7 @@ from .core import (
     Ontology,
     TermId,
     TermKind,
+    bounded_decimal,
     escape_string,
     lexical_form,
     unescape_string,
@@ -152,12 +153,11 @@ def export_turtle(store: InstanceStore, namespaces: Namespaces = Namespaces()) -
                 r = spec.restriction
                 if r.lower is not None:
                     parts.append(f"    v:minValue {_literal_ref(Literal(r.lower))}")
-                    parts.append(f"    v:minInclusive {_literal_ref(Literal(r.lower_inclusive))}")
+                parts.append(f"    v:minInclusive {_literal_ref(Literal(r.lower_inclusive))}")
                 if r.upper is not None:
                     parts.append(f"    v:maxValue {_literal_ref(Literal(r.upper))}")
-                    parts.append(f"    v:maxInclusive {_literal_ref(Literal(r.upper_inclusive))}")
-                if r.warn_at_upper:
-                    parts.append("    v:warnAtUpper true")
+                parts.append(f"    v:maxInclusive {_literal_ref(Literal(r.upper_inclusive))}")
+                parts.append(f"    v:warnAtUpper {_literal_ref(Literal(r.warn_at_upper))}")
         lines.append(" ;\n".join(parts) + " .")
 
     for name in sorted(n.name for n in store.instances):
@@ -200,14 +200,7 @@ _STANDARD = {RDF_NS: "rdf", RDFS_NS: "rdfs", OWL_NS: "owl", XSD_NS: "xsd"}
 _Node = Union[str, Literal]
 
 
-def _decimal(text: str) -> Decimal:
-    value = Decimal(text)
-    if not value.is_finite():
-        raise ValueError(text)
-    return value
-
-
-_READ_LITERAL = {"decimal": _decimal, "integer": int, "string": str,
+_READ_LITERAL = {"decimal": bounded_decimal, "integer": int, "string": str,
                  "date": lambda text: datetime.strptime(text, "%Y-%m-%d").date()}
 
 _BAD_START = {'"': "unterminated string",

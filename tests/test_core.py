@@ -369,3 +369,43 @@ def test_invalid_term_name_is_a_satkg_error():
     with pytest.raises(InvalidTermName) as err:
         TermId("a-b", TermKind.CLASS)
     assert isinstance(err.value, SatkgError) and isinstance(err.value, ValueError)
+
+
+def test_a_literal_carries_only_its_propertys_unit():
+    store = make_store()
+    # a unit on a property that declares none was stored, then exported bare
+    with pytest.raises(TypeMismatch):
+        store.assert_fact("AAUSat-4", "has_Orbital_Eccentricity_value",
+                          Literal(Decimal("0.5"), unit="km"))
+    assert store.assert_fact("AAUSat-4", "has_Perigee_value", Literal(Decimal("450"), unit="km"))
+    assert next(store.assertions()).object == Literal(Decimal("450"), "km")
+
+
+@pytest.mark.parametrize(
+    "value", [Decimal("NaN"), Decimal("sNaN"), Decimal("-Infinity"), Decimal("1E+101"),
+              Decimal("-1E+101"), Decimal("1E-101"), Decimal("0E-101"), 10**101],
+    ids=["nan", "snan", "-inf", "1E+101", "-1E+101", "1E-101", "0E-101", "int-10**101"],
+)
+def test_a_store_holds_only_finite_decimals_within_the_exponent_bound(value):
+    store = make_store()
+    with pytest.raises(TypeMismatch):
+        store.assert_fact("AAUSat-4", "has_Perigee_value", value)
+    with pytest.raises(TypeMismatch):
+        DatatypeSpec("decimal").coerce(value)
+    assert store.assertion_count == 0
+
+
+def test_decimals_at_the_exponent_bound_are_stored():
+    store = make_store()
+    for value in (Decimal("9.9E+100"), Decimal("-1E+100"), Decimal("1E-100")):
+        assert store.assert_fact("AAUSat-4", "has_Perigee_value", value)
+
+
+@pytest.mark.parametrize("bound", [Decimal("NaN"), Decimal("sNaN"), Decimal("Infinity"),
+                                   Decimal("1E+101"), Decimal("1E-101")],
+                         ids=["nan", "snan", "inf", "1E+101", "1E-101"])
+def test_restriction_bounds_obey_the_exponent_bound(bound):
+    with pytest.raises(SatkgError):
+        NumericRestriction(lower=bound)
+    with pytest.raises(SatkgError):
+        NumericRestriction(upper=bound)

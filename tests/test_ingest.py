@@ -451,3 +451,23 @@ def test_duplicate_header_names_the_column():
 def test_blank_header_cells_are_allowed():
     [record] = parse_csv("Name of Satellite,,\nSat-1,x,y\n")
     assert record.cells["Name of Satellite"] == "Sat-1"
+
+
+@pytest.mark.parametrize("text", ["1E+100000", "1E+101", "-1e101", "1E-101"])
+def test_numbers_beyond_the_exponent_bound_are_unparsable(text):
+    with pytest.raises(UnparsableNumber):
+        parse_number(text)
+
+
+def test_exponent_bound_is_inclusive():
+    assert parse_number("1E+100") == Decimal("1E+100")
+    assert parse_number("1E-100") == Decimal("1E-100")
+
+
+def test_huge_exponent_cell_is_one_violation_and_no_literal():
+    row = AAUSAT_ROW.replace(",450,600,", ",1E+100000,600,")
+    store, report = ingest(parse_csv(HEADER + "\n" + row + "\n"), ModelingMode.DIRECT,
+                           build_ucsso(ModelingMode.DIRECT))
+    [violation] = report.violations
+    assert (violation.fieldname, violation.code) == ("Perigee (km)", "unparsable_number")
+    assert not list(store.assertions_with_predicate("has_Perigee_value"))

@@ -401,3 +401,42 @@ def test_any_text_imports_or_raises_a_satkg_error(text):
         import_turtle(text)
     except SatkgError:
         pass
+
+
+@pytest.mark.parametrize(
+    "restriction",
+    [
+        NumericRestriction(),
+        NumericRestriction(lower_inclusive=False),
+        NumericRestriction(upper_inclusive=False, warn_at_upper=True),
+        NumericRestriction(lower=Decimal(0)),
+        NumericRestriction(lower=Decimal(0), lower_inclusive=False),
+        NumericRestriction(upper=Decimal("1.5"), upper_inclusive=False),
+        NumericRestriction(lower=Decimal(-1), upper=Decimal(1), warn_at_upper=True),
+    ],
+    ids=["bare", "open-lower-flag", "flags-only", "lower-only", "open-lower",
+         "open-upper", "both-bounds"],
+)
+def test_every_numeric_restriction_round_trips(restriction):
+    ont = Ontology()
+    ont.define_class("A")
+    ont.define_data_property("p", ["A"], DatatypeSpec("decimal", None, restriction))
+    store = InstanceStore(ont)
+    back = import_turtle(export_turtle(store))
+    assert back.ontology.prop("p").datatype.restriction == restriction
+    assert back == store
+
+
+@pytest.mark.parametrize("lexical", ["1E+101", "-1E+101", "1E-101", "1E+100000"])
+def test_decimal_literal_beyond_the_exponent_bound_names_the_line(lexical):
+    body = DECIMAL_PROPERTY + f'v:minValue "{lexical}"^^xsd:decimal .\n'
+    with pytest.raises(TurtleParseError) as err:
+        import_turtle(VOCAB_PREFIXES + body)
+    assert err.value.line == VOCAB_PREFIXES.count("\n") + 2
+
+
+def test_decimal_literal_at_the_exponent_bound_imports():
+    body = DECIMAL_PROPERTY + 'v:minValue "-1E+100"^^xsd:decimal .\n'
+    restriction = import_turtle(VOCAB_PREFIXES + body).ontology.prop("p").datatype.restriction
+    assert restriction.lower == Decimal("-1E+100")
+
