@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from typing import Optional
 
-from .core import InstanceStore, Ontology
+from .core import INSTANCE_OF, Assertion, InstanceStore, Ontology, class_term
 from .errors import DanglingMapping, DuplicateTerm
 from .schema import (
     MappingEntry,
@@ -70,10 +70,13 @@ def apply_mapping(
     merged = merge_ontologies(store.ontology, reference)
     result = store.copy()
     result.ontology = merged
+    position = {term: i for i, term in enumerate(store.instances)}
     for entry in entries:
-        for term in store.instances:
-            if entry.local.name in store.all_types_of(term.name):
-                result.assert_fact(term.name, "instance_of", entry.reference.name)
+        subclasses = store.ontology.subclasses_of(entry.local.name)
+        typed = {term for cls in subclasses for term in store.instances_of(cls)}
+        reference_class = class_term(entry.reference.name)
+        for term in sorted(typed, key=position.__getitem__):
+            result.add(Assertion(term, INSTANCE_OF, reference_class))
     return result
 
 

@@ -6,6 +6,9 @@ literals (data properties).  A store holds instances and assertions over one
 ontology; after population it is treated as frozen and is safe to read from
 many threads.
 
+Terms are canonical: a class or property definition (``.id``) and a store's
+instance name (``add_instance``) each have one ``TermId``, hashed once.
+
 Class graphs are assembled through ``add_classes``, which defines the
 missing classes of a name -> parents map in any order and then adds each
 edge through ``add_parent``; ``add_parent`` rejects an edge that would close
@@ -33,7 +36,8 @@ index per access path, each maintained by ``add``:
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property
 from datetime import date
 from decimal import Decimal
 from enum import Enum
@@ -66,15 +70,23 @@ _SCHEMA_NAME = re.compile(r"[A-Za-z0-9_]+\Z")
 _INSTANCE_NAME = re.compile(r"\S+\Z")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class TermId:
     name: str
     kind: TermKind
+    _hash: int = field(init=False, repr=False, compare=False)  # hash((name, kind)), once
 
     def __post_init__(self) -> None:
         pattern = _INSTANCE_NAME if self.kind is TermKind.INSTANCE else _SCHEMA_NAME
         if not pattern.match(self.name):
             raise InvalidTermName(f"invalid term name {self.name!r} for kind {self.kind.value}")
+        object.__setattr__(self, "_hash", hash((self.name, self.kind)))
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __reduce__(self):  # rebuilt, not copied: the string hash differs between processes
+        return TermId, (self.name, self.kind)
 
     def __str__(self) -> str:
         return self.name
@@ -95,7 +107,7 @@ INSTANCE_OF = TermId("instance_of", TermKind.OBJECT_PROPERTY)
 LiteralValue = Union[Decimal, int, str, date]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Literal:
     value: LiteralValue
     unit: Optional[str] = None
@@ -109,6 +121,7 @@ class Literal:
 #: The largest power of ten, either way, a decimal literal may reach; it
 #: bounds the positional text ``lexical_form`` writes for a value.
 MAX_DECIMAL_EXPONENT = 100
+_INTEGER_LIMIT = 10 ** (MAX_DECIMAL_EXPONENT + 1)
 
 
 def bounded_decimal(value: Union[str, int, Decimal]) -> Decimal:
@@ -121,6 +134,15 @@ def bounded_decimal(value: Union[str, int, Decimal]) -> Decimal:
     if number is None or not number.is_finite() or abs(number.adjusted()) > MAX_DECIMAL_EXPONENT:
         raise ValueError(f"not a finite decimal within 1E+/-{MAX_DECIMAL_EXPONENT}: {value!r}")
     return number
+
+
+def bounded_integer(value: Union[str, int]) -> int:
+    """``int(value)`` when below 1E+101 in magnitude (at most 101 digits, the
+    bound ``bounded_decimal`` sets), else ValueError."""
+    number = int(value)
+    if -_INTEGER_LIMIT < number < _INTEGER_LIMIT:
+        return number
+    raise ValueError(f"integer of more than {MAX_DECIMAL_EXPONENT + 1} digits")
 
 
 @dataclass(frozen=True)
@@ -161,8 +183,15 @@ class NumericRestriction:
         )
 
 
-_DATATYPE_BASES = ("decimal", "integer", "string", "date")
 _NUMERIC_BASES = ("decimal", "integer")
+#: base -> the Python types it accepts and the check that adjusts a value
+_COERCIONS = {
+    "decimal": ((Decimal, int, float),
+                lambda v: bounded_decimal(str(v) if isinstance(v, float) else v)),
+    "integer": (int, bounded_integer),
+    "string": (str, lambda v: v),
+    "date": (date, lambda v: v),
+}
 
 
 @dataclass(frozen=True)
@@ -172,7 +201,7 @@ class DatatypeSpec:
     restriction: Optional[NumericRestriction] = None
 
     def __post_init__(self) -> None:
-        if self.base not in _DATATYPE_BASES:
+        if self.base not in _COERCIONS:
             raise InvalidDatatype(f"unknown datatype base {self.base!r}")
         if self.restriction is not None and self.base not in _NUMERIC_BASES:
             raise InvalidDatatype("numeric restriction on a non-numeric datatype")
@@ -181,22 +210,13 @@ class DatatypeSpec:
         """Return ``value`` adjusted to this datatype, or raise TypeMismatch."""
         if isinstance(value, bool):
             raise TypeMismatch(f"boolean literal not valid for {self.base} datatype")
-        if self.base == "decimal":
-            if isinstance(value, (Decimal, int, float)):
-                try:
-                    return bounded_decimal(str(value) if isinstance(value, float) else value)
-                except ValueError as exc:
-                    raise TypeMismatch(str(exc)) from None
-        elif self.base == "integer":
-            if isinstance(value, int):
-                return value
-        elif self.base == "string":
-            if isinstance(value, str):
-                return value
-        elif self.base == "date":
-            if isinstance(value, date):
-                return value
-        raise TypeMismatch(f"value {value!r} not valid for {self.base} datatype")
+        types, check = _COERCIONS[self.base]
+        if not isinstance(value, types):
+            raise TypeMismatch(f"value {value!r} not valid for {self.base} datatype")
+        try:
+            return check(value)
+        except ValueError as exc:
+            raise TypeMismatch(str(exc)) from None
 
 
 @dataclass(frozen=True)
@@ -205,7 +225,7 @@ class ClassDef:
     parents: frozenset[str] = frozenset()
     definition: Optional[str] = None
 
-    @property
+    @cached_property
     def id(self) -> TermId:
         return TermId(self.name, TermKind.CLASS)
 
@@ -225,12 +245,12 @@ class PropertyDef:
         if self.kind is TermKind.DATA_PROPERTY and self.datatype is None:
             raise ValueError("data property needs exactly one datatype")
 
-    @property
+    @cached_property
     def id(self) -> TermId:
         return TermId(self.name, self.kind)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Assertion:
     subject: TermId
     predicate: TermId
@@ -525,6 +545,7 @@ class InstanceStore:
 
         predicate = assertion.predicate
         obj = assertion.object
+        functional = False
         if predicate.name == INSTANCE_OF.name:
             predicate = INSTANCE_OF
             if not isinstance(obj, TermId) or obj.kind is not TermKind.CLASS:
@@ -532,7 +553,7 @@ class InstanceStore:
             obj = self.ontology.cls(obj.name).id
         else:
             pdef = self.ontology.prop(predicate.name)
-            predicate = pdef.id
+            predicate, functional = pdef.id, pdef.functional
             if pdef.kind is TermKind.OBJECT_PROPERTY:
                 if not isinstance(obj, TermId) or obj.kind is not TermKind.INSTANCE:
                     raise TypeMismatch(
@@ -550,10 +571,14 @@ class InstanceStore:
         normalized = Assertion(subject, predicate, obj)
         if normalized in self._assertions:
             return False
-        self._check_functional(normalized)
+        by_subject = self._by_subject.setdefault(subject.name, [])
+        if functional and any(a.predicate.name == predicate.name for a in by_subject):
+            raise FunctionalViolation(
+                f"{predicate.name!r} is functional; {subject.name!r} already has a value"
+            )
         self._assertions[normalized] = None
         self._by_predicate.setdefault(predicate.name, []).append(normalized)
-        self._by_subject.setdefault(subject.name, []).append(normalized)
+        by_subject.append(normalized)
         if predicate is INSTANCE_OF:
             # obj is a canonical class id: one typing assertion per pair
             self._types.setdefault(subject.name, []).append(obj.name)  # type: ignore[union-attr]
@@ -576,26 +601,16 @@ class InstanceStore:
         """
         sterm = self.instance(subject) if isinstance(subject, str) else subject
         pname = predicate if isinstance(predicate, str) else predicate.name
-        if pname == INSTANCE_OF.name:
-            pterm = INSTANCE_OF
-            oterm: Union[TermId, Literal]
-            if isinstance(obj, str):
-                oterm = class_term(obj)
-            elif isinstance(obj, TermId):
-                oterm = obj
-            else:
-                raise TypeMismatch("instance_of expects a class name")
+        pterm = INSTANCE_OF if pname == INSTANCE_OF.name else self.ontology.prop(pname).id
+        oterm: Union[TermId, Literal]
+        if isinstance(obj, (TermId, Literal)):
+            oterm = obj
+        elif pterm.kind is TermKind.DATA_PROPERTY:
+            oterm = Literal(obj)  # type: ignore[arg-type]
+        elif isinstance(obj, str):
+            oterm = class_term(obj) if pterm is INSTANCE_OF else self.instance(obj)
         else:
-            pdef = self.ontology.prop(pname)
-            pterm = pdef.id
-            if isinstance(obj, (TermId, Literal)):
-                oterm = obj
-            elif pdef.kind is TermKind.OBJECT_PROPERTY:
-                if not isinstance(obj, str):
-                    raise TypeMismatch(f"object property {pname!r} expects an instance name")
-                oterm = self.instance(obj)
-            else:
-                oterm = Literal(obj)  # type: ignore[arg-type]
+            raise TypeMismatch(f"{pname!r} expects a class or instance name, not {obj!r}")
         return self.add(Assertion(sterm, pterm, oterm))
 
     def _check_literal(self, pdef: PropertyDef, subject: TermId, literal: Literal) -> Literal:
@@ -616,18 +631,6 @@ class InstanceStore:
                     f"{subject.name}: {pdef.name} = {value} sits on the permitted boundary"
                 )
         return Literal(value, spec.unit)
-
-    def _check_functional(self, assertion: Assertion) -> None:
-        if assertion.predicate.name == INSTANCE_OF.name:
-            return
-        pdef = self.ontology.prop(assertion.predicate.name)
-        if not pdef.functional:
-            return
-        for existing in self._by_subject.get(assertion.subject.name, ()):
-            if existing.predicate.name == assertion.predicate.name:
-                raise FunctionalViolation(
-                    f"{pdef.name!r} is functional; {assertion.subject.name!r} already has a value"
-                )
 
     # --------------------------------------------------------------- access
 

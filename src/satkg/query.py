@@ -45,6 +45,7 @@ from enum import Enum
 from typing import Iterator, Optional, Union
 
 from .core import (
+    INSTANCE_OF,
     InstanceStore,
     Literal,
     Ontology,
@@ -254,8 +255,8 @@ class _Parser:
         if tok.kind != "ident":
             raise self.error("predicate must be a property name or instance_of")
         self.advance()
-        if tok.text == "instance_of":
-            return TermId("instance_of", TermKind.OBJECT_PROPERTY)
+        if tok.text == INSTANCE_OF.name:
+            return INSTANCE_OF
         if self.ontology is not None:
             if not self.ontology.has_property(tok.text):
                 raise UnknownTermInQuery(f"property {tok.text!r} not in ontology")

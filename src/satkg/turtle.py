@@ -10,6 +10,8 @@ The reader is one token regex, a statement loop splitting at ``.``, ``;``
 and ``,``, and one table, ``_DECLARATIONS``: per declaration of a ``t:``
 term (class, object or data property, either maybe functional, or none for
 an alias), the predicates it may carry and the shape of their objects.
+Each distinct token, predicate and class name is resolved once per file;
+``InstanceStore.add`` then checks every instance assertion.
 Anything else raises a ``SatkgError`` naming the term or the line, never
 dropped: blank nodes, collections, long strings, ``@base``, IRIs outside the
 declared namespaces, predicates or object shapes the table does not allow,
@@ -29,6 +31,8 @@ from typing import Any, Iterator, Optional, Union
 from urllib.parse import quote, unquote
 
 from .core import (
+    INSTANCE_OF,
+    Assertion,
     DatatypeSpec,
     InstanceStore,
     Literal,
@@ -37,6 +41,8 @@ from .core import (
     TermId,
     TermKind,
     bounded_decimal,
+    bounded_integer,
+    class_term,
     escape_string,
     lexical_form,
     unescape_string,
@@ -182,7 +188,8 @@ def export_turtle(store: InstanceStore, namespaces: Namespaces = Namespaces()) -
 
 _TOKEN_RE = re.compile(
     r"""
-    (?P<space>[ \t\r\n]+|\#[^\n]*)
+    [ \t]*  # blanks before a token, read with it (a token is the text of its group)
+    (?:(?P<space>[ \t\r\n]+|\#[^\n]*)
   | (?P<outside>[\[\]()]|_:|"{3})
   | (?P<iri><[^\x00-\x20<>"{}|^`\\]*>)
   | (?P<string>"(?P<body>(?:[^"\\\n]|\\.)*)"
@@ -190,7 +197,7 @@ _TOKEN_RE = re.compile(
   | (?P<pname>(?:[A-Za-z][A-Za-z0-9_\-]*)?:(?:[A-Za-z0-9_][A-Za-z0-9_\-]*)?)
   | (?P<word>@?[A-Za-z]+)
   | (?P<punct>[.;,])
-  | (?P<bad>.)
+  | (?P<bad>.))
     """,
     re.VERBOSE,
 )
@@ -200,7 +207,7 @@ _STANDARD = {RDF_NS: "rdf", RDFS_NS: "rdfs", OWL_NS: "owl", XSD_NS: "xsd"}
 _Node = Union[str, Literal]
 
 
-_READ_LITERAL = {"decimal": bounded_decimal, "integer": int, "string": str,
+_READ_LITERAL = {"decimal": bounded_decimal, "integer": bounded_integer, "string": str,
                  "date": lambda text: datetime.strptime(text, "%Y-%m-%d").date()}
 
 _BAD_START = {'"': "unterminated string",
@@ -213,7 +220,8 @@ def _triples(text: str) -> Iterator[tuple[str, str, _Node]]:
     prefix the text used, and a literal as a :class:`Literal`."""
     declared: dict[str, str] = {}  # prefix label -> namespace IRI
     spaces = dict(_STANDARD)  # namespace IRI -> label, the project ones first
-    run: list[tuple[str, re.Match, int]] = []  # tokens since the last punctuation
+    run: list[tuple[str, str, re.Match, int]] = []  # tokens since the last punctuation
+    resolved: dict[str, _Node] = {}  # token text -> its node, until the next @prefix
     subject: Optional[_Node] = None
     predicate: Optional[_Node] = None
     line = 1
@@ -225,8 +233,7 @@ def _triples(text: str) -> Iterator[tuple[str, str, _Node]]:
             raise TurtleParseError(f"unknown prefix {label!r}", line)
         return text if space == label else f"{space}:{name}"
 
-    def node(kind: str, m: re.Match, line: int) -> _Node:
-        text = m.group()
+    def node(kind: str, text: str, m: re.Match, line: int) -> _Node:
         if kind == "pname":
             return pname(text, line)
         if kind == "iri":
@@ -255,31 +262,33 @@ def _triples(text: str) -> Iterator[tuple[str, str, _Node]]:
 
     for m in _TOKEN_RE.finditer(text):
         kind = m.lastgroup or ""
+        token = m[kind]
         if kind == "space":
-            line += m.group().count("\n")
+            line += token.count("\n")
         elif kind == "outside":
-            raise UnsupportedConstruct(f"line {line}: {m.group()!r} is outside the fragment")
+            raise UnsupportedConstruct(f"line {line}: {token!r} is outside the fragment")
         elif kind == "bad":
-            problem = _BAD_START.get(m.group(), f"unexpected character {m.group()!r}")
+            problem = _BAD_START.get(token, f"unexpected character {token!r}")
             raise TurtleParseError(problem, line)
         elif kind != "punct":
-            run.append((kind, m, line))
-        elif subject is None and run and run[0][1].group().startswith("@"):
-            directive = [tok[1].group() for tok in run]
+            run.append((kind, token, m, line))
+        elif subject is None and run and run[0][1].startswith("@"):
+            directive = [tok[1] for tok in run]
             if directive[0] != "@prefix":
                 raise UnsupportedConstruct(f"line {line}: {directive[0]} is outside the fragment")
-            if ([tok[0] for tok in run] != ["word", "pname", "iri"] or m.group() != "."
+            if ([tok[0] for tok in run] != ["word", "pname", "iri"] or token != "."
                     or not directive[1].endswith(":")):
                 raise TurtleParseError("expected '@prefix label: <IRI> .'", line)
             declared[directive[1][:-1]] = directive[2][1:-1]
             spaces = {declared[label]: label for label in ("t", "i", "v") if label in declared}
             spaces.update((iri, label) for iri, label in _STANDARD.items() if iri not in spaces)
+            resolved.clear()
             run = []
         else:
             roles = ("subject", "predicate", "object")[2 - (subject is None) - (predicate is None):]
             if len(run) != len(roles):
-                raise TurtleParseError(f"expected {' '.join(roles)} before {m.group()!r}", line)
-            nodes = [node(*tok) for tok in run]
+                raise TurtleParseError(f"expected {' '.join(roles)} before {token!r}", line)
+            nodes = [resolved.get(t[1]) or resolved.setdefault(t[1], node(*t)) for t in run]
             if subject is None:
                 subject = nodes.pop(0)
             if predicate is None:
@@ -287,9 +296,9 @@ def _triples(text: str) -> Iterator[tuple[str, str, _Node]]:
             if not isinstance(subject, str) or not isinstance(predicate, str):
                 raise TurtleParseError("a literal as subject or predicate", line)
             yield subject, predicate, nodes[0]
-            if m.group() == ".":
+            if token == ".":
                 subject = predicate = None
-            elif m.group() == ";":
+            elif token == ";":
                 predicate = None
             run = []
     if run or subject is not None:
@@ -424,19 +433,24 @@ def import_turtle(data: Union[bytes, str]) -> InstanceStore:
             raise UnsupportedConstruct(f"typing {o} on instance {name}")
 
     # All typings before all other assertions, each in file order, as the
-    # store's assertion order (and so the order of validate reports) expects.
+    # store's assertion order (and so the order of validate reports) expects;
+    # each distinct class or predicate name becomes a term once.
     store = InstanceStore(_ontology(terms))
     for name in individuals:
         store.add_instance(name)
+    classes: dict[str, TermId] = {}
     for name, cls_name in typings:
-        store.add_instance(name)
-        store.assert_fact(name, "instance_of", cls_name)
+        subject = store.add_instance(name)
+        cls = classes.get(cls_name) or classes.setdefault(cls_name, class_term(cls_name))
+        store.add(Assertion(subject, INSTANCE_OF, cls))
+    predicates = {INSTANCE_OF.name: INSTANCE_OF}
     for name, predicate, obj in facts:
-        store.add_instance(name)
-        if isinstance(obj, Literal):
-            store.assert_fact(name, predicate, obj)
-        elif obj.startswith("i:"):
-            store.assert_fact(name, predicate, store.add_instance(obj[2:]))
-        else:
-            raise UnsupportedConstruct(f"object {obj} of t:{predicate} on instance {name}")
+        subject = store.add_instance(name)
+        if isinstance(obj, str):
+            if not obj.startswith("i:"):
+                raise UnsupportedConstruct(f"object {obj} of t:{predicate} on instance {name}")
+            obj = store.add_instance(obj[2:])
+        if predicate not in predicates:
+            predicates[predicate] = store.ontology.prop(predicate).id
+        store.add(Assertion(subject, predicates[predicate], obj))
     return store

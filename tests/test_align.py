@@ -1,20 +1,26 @@
 import pytest
 
 from satkg import (
+    InstanceStore,
     ModelingMode,
     apply_mapping,
     build_bridged_ontology,
     build_mapping,
     build_ssao_core,
     build_ucsso,
+    classify_orbits,
     evaluate,
+    ingest,
     merge_ontologies,
     Ontology,
+    parse_csv,
     parse_query,
 )
 from satkg.core import TermId, TermKind
 from satkg.errors import DanglingMapping, DuplicateTerm
 from satkg.schema import MappingEntry, MappingKind
+
+from test_complexity import repeated_catalog
 
 
 def test_apply_mapping_adds_reference_typing(direct_store):
@@ -125,3 +131,67 @@ def test_merge_rejects_a_property_named_like_a_base_alias_or_class(name):
     extra.define_object_property(name, ["Path"], ["Path"])
     with pytest.raises(DuplicateTerm):
         merge_ontologies(build_ucsso(ModelingMode.DIRECT), extra)
+
+
+# ------------------------------------------------- apply_mapping, reference
+
+def _mapping_by_all_types(store, entries):
+    """The formulation apply_mapping had before its subclass walk: one
+    closure read per (entry, instance), instances in store order."""
+    result = store.copy()
+    result.ontology = merge_ontologies(store.ontology, build_ssao_core())
+    for entry in entries:
+        for term in store.instances:
+            if entry.local.name in store.all_types_of(term.name):
+                result.assert_fact(term.name, "instance_of", entry.reference.name)
+    return result
+
+
+def _catalog_store(source, mode, fixture_csv_bytes):
+    data = repeated_catalog(200) if source == "repeated-200" else fixture_csv_bytes
+    store, _report = ingest(parse_csv(data), mode, build_ucsso(mode))
+    return store
+
+
+@pytest.mark.parametrize("classified", [False, True], ids=["loaded", "classified"])
+@pytest.mark.parametrize("mode", list(ModelingMode), ids=lambda m: m.value)
+@pytest.mark.parametrize("source", ["ucs_sample", "repeated-200"])
+def test_apply_mapping_matches_the_per_instance_formulation(
+    source, mode, classified, fixture_csv_bytes
+):
+    store = _catalog_store(source, mode, fixture_csv_bytes)
+    if classified:
+        store = classify_orbits(store, mode)
+    entries = build_mapping()
+    got = apply_mapping(store, entries)
+    assert list(got.assertions()) == list(_mapping_by_all_types(store, entries).assertions())
+    assert got.warnings == store.warnings
+
+
+def test_apply_mapping_reads_no_per_instance_type_closure(monkeypatch, reified_store):
+    calls = []
+    all_types_of = InstanceStore.all_types_of
+
+    def counted(self, name):
+        calls.append(name)
+        return all_types_of(self, name)
+
+    monkeypatch.setattr(InstanceStore, "all_types_of", counted)
+    mapped = apply_mapping(reified_store, build_mapping())
+    assert mapped.assertion_count > reified_store.assertion_count
+    assert calls == []
+
+
+def test_a_local_class_named_by_an_alias_maps_its_instances():
+    local = Ontology()
+    local.define_class("Craft")
+    local.define_class("Probe", ["Craft"])
+    local.define_alias("Vehicle", "Craft")
+    reference = Ontology()
+    reference.define_class("Spacecraft")
+    store = InstanceStore(local)
+    store.add_instance("p1")
+    store.assert_fact("p1", "instance_of", "Probe")
+    entry = MappingEntry(TermId("Vehicle", TermKind.CLASS), TermId("Spacecraft", TermKind.CLASS),
+                         MappingKind.EQUIVALENT)
+    assert apply_mapping(store, [entry], reference).types_of("p1") == ["Probe", "Spacecraft"]

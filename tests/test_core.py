@@ -1,5 +1,9 @@
+import os
+import subprocess
+import sys
 from datetime import date
 from decimal import Decimal
+from pathlib import Path
 
 import pytest
 from hypothesis import given
@@ -27,6 +31,8 @@ from satkg.errors import (
     UnknownParent,
     UnknownTerm,
 )
+
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 # ------------------------------------------------------------------- TermId
@@ -409,3 +415,76 @@ def test_restriction_bounds_obey_the_exponent_bound(bound):
         NumericRestriction(lower=bound)
     with pytest.raises(SatkgError):
         NumericRestriction(upper=bound)
+
+
+@pytest.mark.parametrize("value", [10**101, -(10**101), 10**5000],
+                         ids=["10**101", "-10**101", "10**5000"])
+def test_a_store_holds_only_integers_within_the_exponent_bound(value):
+    ont = Ontology()
+    ont.define_class("A")
+    ont.define_data_property("n", ["A"], DatatypeSpec("integer"))
+    store = InstanceStore(ont)
+    store.add_instance("x")
+    with pytest.raises(TypeMismatch):
+        store.assert_fact("x", "n", value)
+    with pytest.raises(TypeMismatch):
+        DatatypeSpec("integer").coerce(value)
+    assert store.assertion_count == 0
+
+
+def test_integers_at_the_exponent_bound_are_stored():
+    for value in (10**101 - 1, -(10**101 - 1)):
+        assert DatatypeSpec("integer").coerce(value) == value
+
+
+# ------------------------------------------------------------ canonical terms
+
+def test_definitions_and_the_store_hand_out_one_term_each():
+    ont = Ontology()
+    ont.define_class("A")
+    ont.define_object_property("p", ["A"], ["A"])
+    ont.define_alias("q", "p")
+    assert ont.cls("A").id is ont.cls("A").id
+    assert ont.prop("p").id is ont.prop("p").id
+    assert ont.prop("q").id is ont.prop("p").id
+    store = InstanceStore(ont)
+    x = store.add_instance("x")
+    assert store.add_instance("x") is x
+    assert store.instance("x") is x
+    store.assert_fact("x", "instance_of", "A")
+    store.assert_fact("x", "q", "x")
+    typing, link = store.assertions()
+    assert typing.object is ont.cls("A").id
+    assert link.predicate is ont.prop("p").id
+    assert link.subject is x and link.object is x
+
+
+def test_equal_terms_hash_alike_in_every_construction_and_run():
+    for kind in TermKind:
+        a, b = TermId("x", kind), TermId("x", kind)
+        assert a is not b and a == b and hash(a) == hash(b)
+        assert hash(a) == hash(("x", kind))  # the dataclass hash, so set orders stay as they were
+    # a hash fixed by the string hash seed, not by object identity, gives
+    # one set iteration order per seed, from run to run
+    code = ("from satkg import TermId, TermKind\n"
+            "print([t.name for t in {TermId(str(i), TermKind.INSTANCE) for i in range(64)}])")
+    env = {**os.environ, "PYTHONHASHSEED": "0",
+           "PYTHONPATH": os.pathsep.join([str(SRC)] + sys.path)}
+    orders = {subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                             text=True, check=True).stdout for _ in range(2)}
+    assert len(orders) == 1
+
+
+def test_a_term_pickled_under_one_hash_seed_is_found_under_another():
+    def python(code, seed, stdin=b""):
+        env = {**os.environ, "PYTHONHASHSEED": seed,
+               "PYTHONPATH": os.pathsep.join([str(SRC)] + sys.path)}
+        return subprocess.run([sys.executable, "-c", "import pickle, sys\n" + code], env=env,
+                              input=stdin, capture_output=True, check=True).stdout
+
+    dumped = python("from satkg import TermId, TermKind\n"
+                    "sys.stdout.buffer.write(pickle.dumps(TermId('x', TermKind.CLASS)))", "1")
+    found = python("from satkg import TermId, TermKind\n"
+                   "print(pickle.loads(sys.stdin.buffer.read()) in {TermId('x', TermKind.CLASS)})",
+                   "2", dumped)
+    assert found.strip() == b"True"

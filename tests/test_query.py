@@ -1,7 +1,7 @@
 from decimal import Decimal
 
 import pytest
-from hypothesis import example, given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from satkg import (
@@ -21,9 +21,12 @@ from satkg import (
 from satkg.errors import (
     NegationUnderOpenWorld,
     QuerySyntaxError,
+    SatkgError,
     UnknownTermInQuery,
     UnsafeVariable,
 )
+
+from conftest import mangled
 
 ONT = build_ucsso(ModelingMode.DIRECT)
 
@@ -342,3 +345,23 @@ def test_printer_round_trip_keeps_any_string_constant(text):
     pattern = TriplePattern(Variable("?s"), ONT.prop("has_Satellite_Comment").id, Literal(text))
     again = parse_query(format_query(QueryAst(["?s"], [pattern])), ONT)
     assert again.patterns == [pattern]
+
+
+# ------------------------------------------------------------------ fuzzing
+
+_VALID_QUERY = (
+    'select ?s ?e where { ?s instance_of Earth_Observing_Satellite . ?s has_Operator OpX . '
+    '?s has_Orbital_Eccentricity_value ?e . filter ?e <= 0.14 . filter ?e > -1 . '
+    'not { ?s has_Satellite_Comment "a \\"b\\" \\q" } }'
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(mangled(_VALID_QUERY) | st.text())
+def test_any_query_text_parses_or_raises_a_satkg_error(text):
+    store = three_satellite_store()
+    for ontology, semantics in ((ONT, Semantics.CLOSED_WORLD), (None, Semantics.OPEN_WORLD)):
+        try:
+            evaluate(parse_query(text, ontology, semantics), store)
+        except SatkgError:
+            pass

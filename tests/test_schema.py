@@ -1,4 +1,6 @@
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from satkg import (
     MappingKind,
@@ -10,8 +12,10 @@ from satkg import (
     build_ucsso,
     parse_overlay,
 )
-from satkg.errors import OverlayError
+from satkg.errors import OverlayError, SatkgError
 from satkg.schema import UNMAPPED_CLASSES, unmapped_classes
+
+from conftest import mangled
 
 
 def test_builders_are_deterministic():
@@ -172,3 +176,23 @@ def test_overlay_rejects_malformed_lines():
 def test_overlay_rejects_invalid_class_names_with_the_line():
     with pytest.raises(OverlayError, match="line 2: .*'a-b'"):
         parse_overlay("class Drift_Orbit < Orbit\nclass a-b < Orbit\n")
+
+
+_VALID_OVERLAY = (
+    "# Lagrange-point orbits\n"
+    "class Lagrange_Orbit < Orbit\n"
+    "\n"
+    "class Halo_Orbit < Lagrange_Orbit\n"
+    "class Halo_Orbit < Elliptical_Orbit\n"
+)
+_OVERLAY_BASE = build_ucsso(ModelingMode.DIRECT)
+
+
+@settings(max_examples=300, deadline=None)
+@given(mangled(_VALID_OVERLAY) | st.text())
+def test_any_overlay_text_applies_or_raises_a_satkg_error(text):
+    ont = _OVERLAY_BASE.copy()
+    try:
+        apply_overlay(ont, parse_overlay(text))
+    except SatkgError:
+        pass

@@ -245,20 +245,17 @@ _INSTANCE_NAME = st.sampled_from(["Sat/42", "100%", "a#b", "名前", "Beidou-3_M
 
 @st.composite
 def _restrictions(draw, base):
-    if base not in ("decimal", "integer"):
+    if base not in ("decimal", "integer") or draw(st.booleans()):
         return None
     lower, upper = draw(st.none() | _VALUES[base]), draw(st.none() | _VALUES[base])
     if lower is not None and upper is not None and lower > upper:
         lower, upper = upper, lower
-    warn = draw(st.booleans())
-    if lower is None and upper is None and not warn:
-        return None  # an empty restriction exports as no restriction at all
     return NumericRestriction(
         lower,
         upper,
-        lower_inclusive=lower is None or draw(st.booleans()),
-        upper_inclusive=upper is None or draw(st.booleans()),
-        warn_at_upper=warn,
+        lower_inclusive=draw(st.booleans()),
+        upper_inclusive=draw(st.booleans()),
+        warn_at_upper=draw(st.booleans()),
     )
 
 
@@ -440,3 +437,24 @@ def test_decimal_literal_at_the_exponent_bound_imports():
     restriction = import_turtle(VOCAB_PREFIXES + body).ontology.prop("p").datatype.restriction
     assert restriction.lower == Decimal("-1E+100")
 
+
+INTEGER_PROPERTY = "t:p a owl:DatatypeProperty ; rdfs:range xsd:integer ;\n    "
+
+
+@pytest.mark.parametrize("digits", [102, 5000])
+def test_integer_literal_beyond_the_bound_names_the_line(digits):
+    body = INTEGER_PROPERTY + f'v:minValue "{"9" * digits}"^^xsd:integer .\n'
+    with pytest.raises(TurtleParseError) as err:
+        import_turtle(VOCAB_PREFIXES + body)
+    assert err.value.line == VOCAB_PREFIXES.count("\n") + 2
+
+
+def test_integers_at_the_bound_round_trip():
+    ont = Ontology()
+    ont.define_class("A")
+    ont.define_data_property("n", ["A"], DatatypeSpec("integer"))
+    store = InstanceStore(ont)
+    for name, value in (("x", 10**101 - 1), ("y", -(10**101 - 1))):
+        store.add_instance(name)
+        store.assert_fact(name, "n", value)
+    assert import_turtle(export_turtle(store)) == store
