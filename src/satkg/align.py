@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from typing import Optional
 
-from .core import INSTANCE_OF, Assertion, InstanceStore, Ontology, class_term
+from .core import INSTANCE_OF, Assertion, InstanceStore, Ontology
 from .errors import DanglingMapping, DuplicateTerm
 from .schema import (
     MappingEntry,
@@ -74,9 +74,9 @@ def apply_mapping(
     for entry in entries:
         subclasses = store.ontology.subclasses_of(entry.local.name)
         typed = {term for cls in subclasses for term in store.instances_of(cls)}
-        reference_class = class_term(entry.reference.name)
+        reference_class = merged.cls(entry.reference.name).id
         for term in sorted(typed, key=position.__getitem__):
-            result.add(Assertion(term, INSTANCE_OF, reference_class))
+            result.add(Assertion(term, INSTANCE_OF, reference_class))  # normal: stored as it is
     return result
 
 

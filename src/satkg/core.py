@@ -23,14 +23,21 @@ Aliases are resolved before the closure is read, so adding one never makes
 it stale.
 
 The store keeps each assertion once in one insertion-ordered dict, plus one
-index per access path, each maintained by ``add``:
+index per access path.  Every write goes through one checked insert,
+``InstanceStore.insert(subject, predicate, object)``: ``add`` hands it an
+``Assertion``, ``assert_fact`` plain names, and the readers (Turtle import,
+CSV ingest) the terms they resolved once per name.  It resolves the
+predicate and a class object, checks and coerces the object, builds the
+stored ``Assertion`` once (or keeps the caller's, when already in normal
+form), hashes it once, and maintains the indexes:
 
 * ``_by_subject``: subject name -> its assertions;
 * ``_by_predicate``: canonical predicate name -> its assertions;
 * ``_by_object``: object instance name -> the object-property assertions
   pointing at it (typing and literal-valued assertions are not included);
 * ``_by_class``: class name -> the instances directly typed with it;
-* ``_types``: instance name -> its directly asserted classes.
+* ``_types``: instance name -> its directly asserted classes, which also
+  finds a repeated typing before any ``Assertion`` is built for it.
 """
 
 from __future__ import annotations
@@ -70,6 +77,13 @@ _SCHEMA_NAME = re.compile(r"[A-Za-z0-9_]+\Z")
 _INSTANCE_NAME = re.compile(r"\S+\Z")
 
 
+def _check_name(name: str, kind: TermKind) -> None:
+    """Raise InvalidTermName unless ``name`` is a valid name for ``kind``."""
+    pattern = _INSTANCE_NAME if kind is TermKind.INSTANCE else _SCHEMA_NAME
+    if not pattern.match(name):
+        raise InvalidTermName(f"invalid term name {name!r} for kind {kind.value}")
+
+
 @dataclass(frozen=True, slots=True)
 class TermId:
     name: str
@@ -77,9 +91,7 @@ class TermId:
     _hash: int = field(init=False, repr=False, compare=False)  # hash((name, kind)), once
 
     def __post_init__(self) -> None:
-        pattern = _INSTANCE_NAME if self.kind is TermKind.INSTANCE else _SCHEMA_NAME
-        if not pattern.match(self.name):
-            raise InvalidTermName(f"invalid term name {self.name!r} for kind {self.kind.value}")
+        _check_name(self.name, self.kind)
         object.__setattr__(self, "_hash", hash((self.name, self.kind)))
 
     def __hash__(self) -> int:
@@ -316,7 +328,7 @@ class Ontology:
         parents: Iterable[str] = (),
         definition: Optional[str] = None,
     ) -> ClassDef:
-        TermId(name, TermKind.CLASS)  # charset check
+        _check_name(name, TermKind.CLASS)
         if name in self.classes or name in self.properties or name in self.aliases:
             raise DuplicateTerm(f"class {name!r} names an existing term")
         parent_set = frozenset(parents)
@@ -407,7 +419,7 @@ class Ontology:
         return pdef
 
     def define_alias(self, alias: str, target: str) -> None:
-        TermId(alias, TermKind.CLASS)  # charset check; kind irrelevant here
+        _check_name(alias, TermKind.CLASS)  # the kind only names the charset
         if alias in self.classes or alias in self.properties or alias in self.aliases:
             raise DuplicateTerm(f"alias {alias!r} collides with an existing term")
         if target not in self.classes and target not in self.properties:
@@ -415,7 +427,7 @@ class Ontology:
         self.aliases[alias] = target
 
     def _check_new_property(self, name: str) -> None:
-        TermId(name, TermKind.OBJECT_PROPERTY)  # charset check
+        _check_name(name, TermKind.OBJECT_PROPERTY)
         if name in self.properties or name in self.classes or name in self.aliases:
             raise DuplicateTerm(f"property {name!r} names an existing term")
 
@@ -436,6 +448,13 @@ class Ontology:
             return self.classes[canonical]
         except KeyError:
             raise UnknownTerm(f"class {name!r} not defined") from None
+
+    def class_id(self, name: str) -> TermId:
+        """The class's own term when ``name`` is a class, else a new class term
+        for it (an alias or an unknown name, for the store to resolve or
+        reject)."""
+        cdef = self.classes.get(name)
+        return cdef.id if cdef is not None else TermId(name, TermKind.CLASS)
 
     def prop(self, name: str) -> PropertyDef:
         canonical = self.canonical_name(name)
@@ -539,20 +558,34 @@ class InstanceStore:
 
     def add(self, assertion: Assertion) -> bool:
         """Validate and store one assertion; return True when newly added."""
-        subject = assertion.subject
+        return self.insert(assertion.subject, assertion.predicate, assertion.object, assertion)
+
+    def insert(
+        self,
+        subject: TermId,
+        predicate: TermId,
+        obj: Union[TermId, Literal],
+        assertion: Optional[Assertion] = None,
+    ) -> bool:
+        """Validate and store the triple (subject, predicate, obj); return True
+        when newly added.  ``assertion``, the same triple as the caller's
+        Assertion, is stored as it is when already normal (canonical
+        predicate and class, coerced literal); else one is built here."""
         if subject.kind is not TermKind.INSTANCE or subject.name not in self._instances:
             raise UnknownTerm(f"assertion subject {subject.name!r} is not a store instance")
 
-        predicate = assertion.predicate
-        obj = assertion.object
+        ont = self.ontology
         functional = False
         if predicate.name == INSTANCE_OF.name:
             predicate = INSTANCE_OF
             if not isinstance(obj, TermId) or obj.kind is not TermKind.CLASS:
                 raise TypeMismatch("instance_of expects a class object")
-            obj = self.ontology.cls(obj.name).id
+            obj = (ont.classes.get(obj.name) or ont.cls(obj.name)).id
+            types = self._types.setdefault(subject.name, [])
+            if obj.name in types:  # one typing assertion per (instance, class)
+                return False
         else:
-            pdef = self.ontology.prop(predicate.name)
+            pdef = ont.properties.get(predicate.name) or ont.prop(predicate.name)
             predicate, functional = pdef.id, pdef.functional
             if pdef.kind is TermKind.OBJECT_PROPERTY:
                 if not isinstance(obj, TermId) or obj.kind is not TermKind.INSTANCE:
@@ -568,23 +601,27 @@ class InstanceStore:
                     )
                 obj = self._check_literal(pdef, subject, obj)
 
-        normalized = Assertion(subject, predicate, obj)
-        if normalized in self._assertions:
+        if (assertion is None or assertion.subject is not subject
+                or assertion.predicate is not predicate or assertion.object is not obj):
+            assertion = Assertion(subject, predicate, obj)
+        table = self._assertions
+        size = len(table)
+        table[assertion] = None  # one hash: a repeat keeps its key, place and the length
+        if len(table) == size:
             return False
         by_subject = self._by_subject.setdefault(subject.name, [])
         if functional and any(a.predicate.name == predicate.name for a in by_subject):
+            del table[assertion]
             raise FunctionalViolation(
                 f"{predicate.name!r} is functional; {subject.name!r} already has a value"
             )
-        self._assertions[normalized] = None
-        self._by_predicate.setdefault(predicate.name, []).append(normalized)
-        by_subject.append(normalized)
+        self._by_predicate.setdefault(predicate.name, []).append(assertion)
+        by_subject.append(assertion)
         if predicate is INSTANCE_OF:
-            # obj is a canonical class id: one typing assertion per pair
-            self._types.setdefault(subject.name, []).append(obj.name)  # type: ignore[union-attr]
+            types.append(obj.name)  # type: ignore[union-attr]
             self._by_class.setdefault(obj.name, []).append(subject)  # type: ignore[union-attr]
         elif isinstance(obj, TermId):
-            self._by_object.setdefault(obj.name, []).append(normalized)
+            self._by_object.setdefault(obj.name, []).append(assertion)
         return True
 
     def assert_fact(
@@ -593,10 +630,10 @@ class InstanceStore:
         predicate: Union[str, TermId],
         obj: Union[str, TermId, Literal, LiteralValue],
     ) -> bool:
-        """Convenience wrapper around :meth:`add` accepting plain names.
+        """Convenience wrapper around :meth:`insert` accepting plain names.
 
-        A string object names an instance for object properties and
-        ``instance_of``, and is taken as a string literal for data
+        A string object names an instance for object properties and a class
+        for ``instance_of``, and is taken as a string literal for data
         properties; other scalars become literals.
         """
         sterm = self.instance(subject) if isinstance(subject, str) else subject
@@ -608,10 +645,10 @@ class InstanceStore:
         elif pterm.kind is TermKind.DATA_PROPERTY:
             oterm = Literal(obj)  # type: ignore[arg-type]
         elif isinstance(obj, str):
-            oterm = class_term(obj) if pterm is INSTANCE_OF else self.instance(obj)
+            oterm = self.ontology.class_id(obj) if pterm is INSTANCE_OF else self.instance(obj)
         else:
             raise TypeMismatch(f"{pname!r} expects a class or instance name, not {obj!r}")
-        return self.add(Assertion(sterm, pterm, oterm))
+        return self.insert(sterm, pterm, oterm)
 
     def _check_literal(self, pdef: PropertyDef, subject: TermId, literal: Literal) -> Literal:
         spec = pdef.datatype
@@ -630,6 +667,8 @@ class InstanceStore:
                 self.warnings.append(
                     f"{subject.name}: {pdef.name} = {value} sits on the permitted boundary"
                 )
+        if value is literal.value and literal.unit == spec.unit:
+            return literal
         return Literal(value, spec.unit)
 
     # --------------------------------------------------------------- access

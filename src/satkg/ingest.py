@@ -34,7 +34,6 @@ from .core import (
     TermId,
     TermKind,
     bounded_decimal,
-    class_term,
     instance_term,
 )
 from .countries import is_country
@@ -371,22 +370,43 @@ def resolve_record_fields(
     notes: Optional[list[IngestWarning]] = None,
 ) -> list[tuple[str, Assertion]]:
     """Like :func:`resolve_record` but keeps each assertion's source field."""
+    facts = _resolve_facts(record, mode, ont, satellite_name, issues, notes, instance_term)
+    return [(fieldname, Assertion(s, p, o)) for fieldname, s, p, o in facts]
+
+
+_Fact = tuple[str, TermId, TermId, Union[TermId, Literal]]
+
+
+def _resolve_facts(
+    record: RawRecord,
+    mode: ModelingMode,
+    ont: Ontology,
+    satellite_name: Optional[str],
+    issues: Optional[list[IngestViolation]],
+    notes: Optional[list[IngestWarning]],
+    instance: Callable[[str], TermId],
+) -> list[_Fact]:
+    """One row's facts as (field, subject, predicate, object) terms: each
+    instance term from ``instance``, each class and property term the
+    ontology's own when it defines that name (else a new term, for the store
+    to resolve or reject)."""
     name_cell = record.get("Name of Satellite")
     if name_cell is None:
         raise ValueError(f"row {record.row_number}: Name of Satellite is empty")
     if satellite_name is None:
         satellite_name = instance_name(name_cell)
-    sat = instance_term(satellite_name)
-    resolved: list[tuple[str, Assertion]] = []
+    sat = instance(satellite_name)
+    resolved: list[_Fact] = []
 
     def emit(fieldname: str, subject: TermId, predicate: str, obj) -> None:
-        """Record one assertion; the object of ``instance_of`` is a class name."""
+        """Record one fact; the object of ``instance_of`` is a class name."""
         if predicate == "instance_of":
-            pred, obj = INSTANCE_OF, class_term(obj)
+            pred, obj = INSTANCE_OF, ont.class_id(obj)
         else:
             kind = TermKind.DATA_PROPERTY if isinstance(obj, Literal) else TermKind.OBJECT_PROPERTY
-            pred = TermId(predicate, kind)
-        resolved.append((fieldname, Assertion(subject, pred, obj)))
+            pdef = ont.properties.get(predicate)
+            pred = pdef.id if pdef is not None and pdef.kind is kind else TermId(predicate, kind)
+        resolved.append((fieldname, subject, pred, obj))
 
     def fail(fieldname: str, exc: SatkgError) -> None:
         if issues is None:
@@ -401,13 +421,13 @@ def resolve_record_fields(
         classes, links, separator, country_column = _ENTITY_COLUMNS[column]
         countries = _split(record.get(country_column) or "", "/") if country_column else []
         for entity_name in _split(cell, separator) if separator else [cell]:
-            entity = instance_term(instance_name(entity_name))
+            entity = instance(instance_name(entity_name))
             for cls in classes:
                 emit(column, entity, "instance_of", cls)
             for link in links:
                 emit(column, sat, link, entity)
             for country in countries:
-                c_inst = instance_term(instance_name(country))
+                c_inst = instance(instance_name(country))
                 emit(country_column, c_inst, "instance_of", "Country")
                 emit(country_column, entity, "has_Country_of_Origin", c_inst)
 
@@ -424,12 +444,12 @@ def resolve_record_fields(
             emit("Purpose", sat, "instance_of", FUNCTION_SATELLITE_CLASSES[purpose_class])
 
     # (a/b) identifier instances for the primary and alternate names
-    name_inst = instance_term(f"{satellite_name}_Name")
+    name_inst = instance(f"{satellite_name}_Name")
     emit("Name of Satellite", name_inst, "instance_of", "Satellite_Name")
     emit("Name of Satellite", sat, "has_Identifier", name_inst)
     emit("Name of Satellite", name_inst, "has_Identifier_value", Literal(name_cell))
     for alt in _split(record.get("Alternate Names") or "", ","):
-        alt_inst = instance_term(f"{instance_name(alt)}_Name")
+        alt_inst = instance(f"{instance_name(alt)}_Name")
         emit("Alternate Names", alt_inst, "instance_of", "Alternate_Satellite_Name")
         emit("Alternate Names", sat, "has_Identifier", alt_inst)
         emit("Alternate Names", alt_inst, "has_Identifier_value", Literal(alt))
@@ -437,7 +457,7 @@ def resolve_record_fields(
     # (c) UN registry: countries and organizations split by gazetteer lookup
     registry = record.get("Country/Org of UN Registry")
     if registry is not None:
-        entity = instance_term(instance_name(registry))
+        entity = instance(instance_name(registry))
         kind = "Country" if is_country(registry) else "Organization"
         emit("Country/Org of UN Registry", entity, "instance_of", kind)
         emit("Country/Org of UN Registry", entity,
@@ -453,7 +473,7 @@ def resolve_record_fields(
         if user_class is None:
             user_class = "User"
             warn("Users", f"unrecognized user sector {user!r}; typed as User")
-        user_inst = instance_term(f"{satellite_name}_{user_class}")
+        user_inst = instance(f"{satellite_name}_{user_class}")
         emit("Users", user_inst, "instance_of", user_class)
         emit("Users", sat, "has_User", user_inst)
 
@@ -468,7 +488,7 @@ def resolve_record_fields(
     final_purpose = detailed_class or purpose_class or ("Purpose" if purpose_cell else None)
     if final_purpose is not None:
         fieldname = "Detailed Purpose" if detailed_class else "Purpose"
-        p_inst = instance_term(f"{satellite_name}_Purpose")
+        p_inst = instance(f"{satellite_name}_Purpose")
         emit(fieldname, p_inst, "instance_of", final_purpose)
         emit(fieldname, sat, "has_Purpose", p_inst)
 
@@ -485,7 +505,7 @@ def resolve_record_fields(
         else:
             if merge_warning:
                 warn("Type of Orbit", merge_warning)
-            orbit_inst = instance_term(f"{satellite_name}_Orbit")
+            orbit_inst = instance(f"{satellite_name}_Orbit")
             emit("Class of Orbit", orbit_inst, "instance_of", orbit_class)
             emit("Class of Orbit", sat, "has_Orbit", orbit_inst)
 
@@ -504,7 +524,7 @@ def resolve_record_fields(
         parsed_params[param_class] = value
         literal = Literal(value)
         if mode is ModelingMode.REIFIED:
-            param_inst = instance_term(f"{owner.name}_{param_class}")
+            param_inst = instance(f"{owner.name}_{param_class}")
             emit(column, param_inst, "instance_of", param_class)
             emit(column, owner, f"has_{param_class}", param_inst)
             emit(column, param_inst, f"has_{param_class}_value", literal)
@@ -559,16 +579,15 @@ def ingest(
             name = f"{name}_row{record.row_number}"
         satellite_names.add(name)
 
-        pairs = resolve_record_fields(record, mode, ont, satellite_name=name,
-                                      issues=report.violations, notes=report.warnings)
+        # the store interns every instance term as the row resolves: each
+        # subject and instance object enters the store before its fact does
+        facts = _resolve_facts(record, mode, ont, name, report.violations, report.warnings,
+                               store.add_instance)
         report.rows_ingested += 1
-        for fieldname, assertion in pairs:
-            store.add_instance(assertion.subject.name)
-            if isinstance(assertion.object, TermId) and assertion.object.kind is TermKind.INSTANCE:
-                store.add_instance(assertion.object.name)
+        for fieldname, subject, predicate, obj in facts:
             before_warnings = len(store.warnings)
             try:
-                if store.add(assertion):
+                if store.insert(subject, predicate, obj):
                     report.assertions_created += 1
             except SatkgError as exc:
                 code = _CODES.get(type(exc), "error")

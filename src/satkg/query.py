@@ -452,9 +452,10 @@ def _typing_matches(store: InstanceStore, pattern: TriplePattern, binding: Bindi
             candidates = [subject]
         else:
             return
+        classes = store.ontology.classes
         for term in candidates:
             for t in sorted(store.all_types_of(term.name)):
-                row = _extend(binding, pattern, term, TermId(t, TermKind.CLASS))
+                row = _extend(binding, pattern, term, classes[t].id)
                 if row is not None:
                     yield row
     elif isinstance(obj, TermId) and obj.kind is TermKind.CLASS:

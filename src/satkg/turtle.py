@@ -10,8 +10,9 @@ The reader is one token regex, a statement loop splitting at ``.``, ``;``
 and ``,``, and one table, ``_DECLARATIONS``: per declaration of a ``t:``
 term (class, object or data property, either maybe functional, or none for
 an alias), the predicates it may carry and the shape of their objects.
-Each distinct token, predicate and class name is resolved once per file;
-``InstanceStore.add`` then checks every instance assertion.
+Each distinct token, predicate, class and instance name is resolved once
+per file, and each instance triple goes to ``InstanceStore.insert`` as
+terms, which checks it.
 Anything else raises a ``SatkgError`` naming the term or the line, never
 dropped: blank nodes, collections, long strings, ``@base``, IRIs outside the
 declared namespaces, predicates or object shapes the table does not allow,
@@ -32,7 +33,6 @@ from urllib.parse import quote, unquote
 
 from .core import (
     INSTANCE_OF,
-    Assertion,
     DatatypeSpec,
     InstanceStore,
     Literal,
@@ -42,12 +42,11 @@ from .core import (
     TermKind,
     bounded_decimal,
     bounded_integer,
-    class_term,
     escape_string,
     lexical_form,
     unescape_string,
 )
-from .errors import InvalidDatatype, TurtleParseError, UnsupportedConstruct
+from .errors import InvalidDatatype, SatkgError, TurtleParseError, UnsupportedConstruct
 
 RDF_NS = "http://www.w3.org/1999/02/22-rdf-syntax-ns#"
 RDFS_NS = "http://www.w3.org/2000/01/rdf-schema#"
@@ -209,6 +208,10 @@ _Node = Union[str, Literal]
 
 _READ_LITERAL = {"decimal": bounded_decimal, "integer": bounded_integer, "string": str,
                  "date": lambda text: datetime.strptime(text, "%Y-%m-%d").date()}
+#: XSD's ASCII lexical forms of the numeric bases; ``int`` and ``Decimal``
+#: alone would also take ``_``, blanks and non-ASCII digits
+_NUMERIC_FORMS = {"decimal": re.compile(r"[+-]?([0-9]+(\.[0-9]*)?|\.[0-9]+)([eE][+-]?[0-9]+)?"),
+                  "integer": re.compile(r"[+-]?[0-9]+")}
 
 _BAD_START = {'"': "unterminated string",
               "<": "unterminated IRI, or one holding whitespace or <>\"{}|^`\\"}
@@ -217,11 +220,18 @@ _BAD_START = {'"': "unterminated string",
 def _triples(text: str) -> Iterator[tuple[str, str, _Node]]:
     """Yield each triple as (subject, predicate, object): a resource as
     ``"label:name"`` under the labels t, i, v, rdf, rdfs, owl and xsd, whatever
-    prefix the text used, and a literal as a :class:`Literal`."""
+    prefix the text used, and a literal as a :class:`Literal`.
+
+    Each token is resolved to its node as it is read, through a memo kept
+    until the next ``@prefix``, so a repeated token costs one dict probe.  A
+    token that does not resolve is reported when its statement ends, after
+    the statement's shape is checked, as if the statement were read whole."""
     declared: dict[str, str] = {}  # prefix label -> namespace IRI
     spaces = dict(_STANDARD)  # namespace IRI -> label, the project ones first
-    run: list[tuple[str, str, re.Match, int]] = []  # tokens since the last punctuation
     resolved: dict[str, _Node] = {}  # token text -> its node, until the next @prefix
+    run: list[Optional[_Node]] = []  # nodes since the last punctuation
+    failed: Optional[SatkgError] = None  # the first token of ``run`` that did not resolve
+    directive: Optional[list[tuple[str, str]]] = None  # (kind, text) of an @-directive
     subject: Optional[_Node] = None
     predicate: Optional[_Node] = None
     line = 1
@@ -250,7 +260,10 @@ def _triples(text: str) -> Iterator[tuple[str, str, _Node]]:
             read = _READ_LITERAL.get(datatype[4:]) if datatype.startswith("xsd:") else None
             if read is None:
                 raise UnsupportedConstruct(f"line {line}: datatype {datatype}")
+            form = _NUMERIC_FORMS.get(datatype[4:])
             try:
+                if form is not None and form.fullmatch(body) is None:
+                    raise ValueError(body)
                 return Literal(read(body))
             except (ValueError, ArithmeticError):
                 raise TurtleParseError(f"bad {datatype} literal {body!r}", line) from None
@@ -271,37 +284,50 @@ def _triples(text: str) -> Iterator[tuple[str, str, _Node]]:
             problem = _BAD_START.get(token, f"unexpected character {token!r}")
             raise TurtleParseError(problem, line)
         elif kind != "punct":
-            run.append((kind, token, m, line))
-        elif subject is None and run and run[0][1].startswith("@"):
-            directive = [tok[1] for tok in run]
-            if directive[0] != "@prefix":
-                raise UnsupportedConstruct(f"line {line}: {directive[0]} is outside the fragment")
-            if ([tok[0] for tok in run] != ["word", "pname", "iri"] or token != "."
-                    or not directive[1].endswith(":")):
+            if directive is not None:
+                directive.append((kind, token))
+            elif subject is None and not run and token[0] == "@":
+                directive = [(kind, token)]
+            else:
+                found = resolved.get(token)
+                if found is None:
+                    try:
+                        found = resolved[token] = node(kind, token, m, line)
+                    except SatkgError as exc:
+                        failed = failed or exc
+                run.append(found)
+        elif directive is not None:
+            words = [word for _, word in directive]
+            if words[0] != "@prefix":
+                raise UnsupportedConstruct(f"line {line}: {words[0]} is outside the fragment")
+            if ([kind for kind, _ in directive] != ["word", "pname", "iri"] or token != "."
+                    or not words[1].endswith(":")):
                 raise TurtleParseError("expected '@prefix label: <IRI> .'", line)
-            declared[directive[1][:-1]] = directive[2][1:-1]
+            declared[words[1][:-1]] = words[2][1:-1]
             spaces = {declared[label]: label for label in ("t", "i", "v") if label in declared}
             spaces.update((iri, label) for iri, label in _STANDARD.items() if iri not in spaces)
             resolved.clear()
-            run = []
+            directive = None
         else:
-            roles = ("subject", "predicate", "object")[2 - (subject is None) - (predicate is None):]
-            if len(run) != len(roles):
+            want = 3 - (subject is not None) - (predicate is not None)
+            if len(run) != want:
+                roles = ("subject", "predicate", "object")[3 - want:]
                 raise TurtleParseError(f"expected {' '.join(roles)} before {token!r}", line)
-            nodes = [resolved.get(t[1]) or resolved.setdefault(t[1], node(*t)) for t in run]
+            if failed is not None:
+                raise failed
             if subject is None:
-                subject = nodes.pop(0)
+                subject = run[0]
             if predicate is None:
-                predicate = nodes.pop(0)
+                predicate = run[-2]
             if not isinstance(subject, str) or not isinstance(predicate, str):
                 raise TurtleParseError("a literal as subject or predicate", line)
-            yield subject, predicate, nodes[0]
+            yield subject, predicate, run[-1]  # type: ignore[misc]
             if token == ".":
                 subject = predicate = None
             elif token == ";":
                 predicate = None
             run = []
-    if run or subject is not None:
+    if run or subject is not None or directive is not None:
         raise TurtleParseError("expected '.' at the end of the input", line)
 
 
@@ -412,45 +438,54 @@ def import_turtle(data: Union[bytes, str]) -> InstanceStore:
     """Rebuild a store from the fragment; inverse of :func:`export_turtle`."""
     text = data.decode("utf-8") if isinstance(data, bytes) else data
     terms: dict[str, dict[str, list[_Node]]] = {}  # t: subject -> predicate -> objects
-    individuals: list[str] = []
-    typings: list[tuple[str, str]] = []
-    facts: list[tuple[str, str, _Node]] = []
+    individuals: list[str] = []  # i: nodes
+    typings: list[tuple[str, str]] = []  # (i: node, t: node)
+    facts: list[tuple[str, str, _Node]] = []  # (i: node, t: node, object node)
     for s, p, o in _triples(text):
-        label, _, name = s.partition(":")
-        if label == "t":
-            terms.setdefault(name, {}).setdefault(p, []).append(o)
-        elif label != "i":
+        if s.startswith("t:"):
+            terms.setdefault(s[2:], {}).setdefault(p, []).append(o)
+        elif not s.startswith("i:"):
             raise UnsupportedConstruct(f"subject outside the fragment: {s}")
         elif p != "rdf:type":
             if not p.startswith("t:"):
-                raise UnsupportedConstruct(f"predicate {p} on instance {name}")
-            facts.append((name, p[2:], o))
+                raise UnsupportedConstruct(f"predicate {p} on instance {s[2:]}")
+            facts.append((s, p, o))
         elif o == "owl:NamedIndividual":
-            individuals.append(name)
+            individuals.append(s)
         elif isinstance(o, str) and o.startswith("t:"):
-            typings.append((name, o[2:]))
+            typings.append((s, o))
         else:
-            raise UnsupportedConstruct(f"typing {o} on instance {name}")
+            raise UnsupportedConstruct(f"typing {o} on instance {s[2:]}")
 
     # All typings before all other assertions, each in file order, as the
-    # store's assertion order (and so the order of validate reports) expects;
-    # each distinct class or predicate name becomes a term once.
+    # store's assertion order (and so the order of validate reports) expects.
+    # Each distinct node becomes a term once: an instance through the store,
+    # a class or predicate through its definition.
     store = InstanceStore(_ontology(terms))
-    for name in individuals:
-        store.add_instance(name)
+    ont = store.ontology
+    instances: dict[str, TermId] = {}
+
+    def instance(node: str) -> TermId:
+        term = instances[node] = store.add_instance(node[2:])
+        return term
+
+    for s in individuals:
+        if s not in instances:
+            instance(s)
     classes: dict[str, TermId] = {}
-    for name, cls_name in typings:
-        subject = store.add_instance(name)
-        cls = classes.get(cls_name) or classes.setdefault(cls_name, class_term(cls_name))
-        store.add(Assertion(subject, INSTANCE_OF, cls))
-    predicates = {INSTANCE_OF.name: INSTANCE_OF}
-    for name, predicate, obj in facts:
-        subject = store.add_instance(name)
-        if isinstance(obj, str):
-            if not obj.startswith("i:"):
-                raise UnsupportedConstruct(f"object {obj} of t:{predicate} on instance {name}")
-            obj = store.add_instance(obj[2:])
-        if predicate not in predicates:
-            predicates[predicate] = store.ontology.prop(predicate).id
-        store.add(Assertion(subject, predicates[predicate], obj))
+    for s, o in typings:
+        subject = instances.get(s) or instance(s)
+        cls = classes.get(o) or classes.setdefault(o, ont.class_id(o[2:]))
+        store.insert(subject, INSTANCE_OF, cls)
+    predicates = {"t:" + INSTANCE_OF.name: INSTANCE_OF}
+    for s, p, o in facts:
+        subject = instances.get(s) or instance(s)
+        if isinstance(o, str):
+            if not o.startswith("i:"):
+                raise UnsupportedConstruct(f"object {o} of {p} on instance {s[2:]}")
+            o = instances.get(o) or instance(o)
+        predicate = predicates.get(p)
+        if predicate is None:
+            predicate = predicates[p] = ont.prop(p[2:]).id
+        store.insert(subject, predicate, o)
     return store

@@ -1,28 +1,38 @@
-"""Deterministic complexity check: store rows read per catalog row stay flat.
+"""Deterministic complexity checks; no timing is involved.
 
-Counts the rows returned by the two scanning reads of ``InstanceStore``
-(``instances`` and ``assertions_with_predicate``) while classifying,
-validating and answering one bound-subject join, on catalogs of 200 and 800
-rows.  A scan per orbit or per binding would make the count per row grow
-with the catalog; no timing is involved.
+Store rows read per catalog row stay flat: counts the rows returned by the
+two scanning reads of ``InstanceStore`` (``instances`` and
+``assertions_with_predicate``) while classifying, validating and answering
+one bound-subject join, on catalogs of 200 and 800 rows.  A scan per orbit
+or per binding would make the count per row grow with the catalog.
+
+The readers build each value once: counts ``Assertion`` and ``TermId``
+constructions inside ``ingest`` and ``import_turtle``, against the stored
+assertions and the distinct names.
 """
 
 import csv
 import io
+from contextlib import contextmanager
 
 import pytest
 
 from satkg import (
+    Assertion,
     InstanceStore,
     ModelingMode,
+    TermId,
     build_ucsso,
     classify_orbits,
     evaluate,
+    export_turtle,
+    import_turtle,
     ingest,
     parse_csv,
     parse_query,
     validate,
 )
+from satkg.ingest import resolve_record_fields
 
 from conftest import FIXTURES
 
@@ -85,3 +95,45 @@ def rows_read(monkeypatch, rows: int) -> int:
 def test_rows_read_per_catalog_row_stay_flat(monkeypatch, small, large):
     per_row = {rows: rows_read(monkeypatch, rows) / rows for rows in (small, large)}
     assert per_row[large] <= 1.25 * per_row[small], per_row
+
+
+@contextmanager
+def constructions(monkeypatch):
+    """Count the ``Assertion`` and ``TermId`` values built inside the block."""
+    counts = {Assertion: 0, TermId: 0}
+    with monkeypatch.context() as patch:
+        for cls in counts:
+            def counted(self, *args, _cls=cls, _init=cls.__init__):
+                counts[_cls] += 1
+                _init(self, *args)
+
+            patch.setattr(cls, "__init__", counted)
+        yield counts
+
+
+@pytest.mark.parametrize("mode", list(ModelingMode))
+def test_readers_build_one_assertion_per_stored_assertion_and_one_term_per_name(
+        monkeypatch, mode):
+    records = parse_csv(repeated_catalog(200))
+    ont = build_ucsso(mode)
+    facts = [a for record in records
+             for _field, a in resolve_record_fields(record, mode, ont, issues=[], notes=[])]
+    # a repeated typing is found by name; another repeated fact needs its
+    # Assertion to be found in the table
+    repeats = len(facts) - len(set(facts))
+    typing_repeats = sum(1 for a in facts if a.predicate.name == "instance_of") - len(
+        {a for a in facts if a.predicate.name == "instance_of"})
+
+    with constructions(monkeypatch) as built:
+        store, report = ingest(records, mode, ont)
+    names = len(store.instances) + len(ont.classes) + len(ont.properties)
+    assert built[Assertion] <= store.assertion_count + repeats - typing_repeats
+    assert built[TermId] <= names
+    assert repeats > typing_repeats > 0  # the catalog repeats both kinds of fact
+
+    text = export_turtle(store)
+    with constructions(monkeypatch) as built:
+        back = import_turtle(text)
+    assert back == store
+    assert built[Assertion] == back.assertion_count
+    assert built[TermId] <= names

@@ -177,6 +177,13 @@ def test_subsumption_aware_typing_match(direct_store):
     assert len(names) == 8  # every fixture purpose instance
 
 
+def test_a_variable_class_binds_the_ontologys_own_class_terms(direct_store):
+    ast = parse_query("select ?s ?c where { ?s instance_of ?c }", direct_store.ontology)
+    classes = evaluate(ast, direct_store).column("?c")
+    assert {c.name for c in classes} >= {"Artificial_Satellite", "Orbit", "Purpose"}
+    assert all(c is direct_store.ontology.classes[c.name].id for c in classes)
+
+
 def test_constant_subject_pattern(direct_store):
     ast = parse_query(
         "select ?e where { AAUSat-4_Orbit has_Orbital_Eccentricity_value ?e }",

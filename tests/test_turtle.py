@@ -458,3 +458,25 @@ def test_integers_at_the_bound_round_trip():
         store.add_instance(name)
         store.assert_fact(name, "n", value)
     assert import_turtle(export_turtle(store)) == store
+
+
+@pytest.mark.parametrize(
+    "datatype, lexical",
+    [("integer", "1_0"), ("integer", " 12 "), ("integer", "١٢"), ("decimal", "1_0.5")],
+    ids=["integer-underscore", "integer-blanks", "integer-arabic-indic-digits",
+         "decimal-underscore"],
+)
+def test_numeric_literal_outside_the_xsd_lexical_form_names_the_line(datatype, lexical):
+    prop = INTEGER_PROPERTY if datatype == "integer" else DECIMAL_PROPERTY
+    body = prop + f'v:minValue "{lexical}"^^xsd:{datatype} .\n'
+    with pytest.raises(TurtleParseError, match=f"bad xsd:{datatype} literal") as err:
+        import_turtle(VOCAB_PREFIXES + body)
+    assert err.value.line == VOCAB_PREFIXES.count("\n") + 2
+
+
+@pytest.mark.parametrize("lexical, value", [("+1.5", "1.5"), (".5", "0.5"), ("5.", "5"),
+                                            ("-2e3", "-2000")])
+def test_every_xsd_decimal_form_imports(lexical, value):
+    body = DECIMAL_PROPERTY + f'v:minValue "{lexical}"^^xsd:decimal .\n'
+    restriction = import_turtle(VOCAB_PREFIXES + body).ontology.prop("p").datatype.restriction
+    assert restriction.lower == Decimal(value)
