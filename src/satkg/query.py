@@ -22,27 +22,34 @@ lexical form and unit, so ``1`` and ``1.0`` are different terms.  A literal
 constant written in the query carries no unit and matches any stored literal
 of equal value.
 
-Evaluation joins the patterns in a greedy order: next comes the pattern with
-the most bound positions (constants, or variables bound by the patterns
+Evaluation works on sets of rows, each a tuple with a slot per bound
+variable.  It joins the patterns in a greedy order: next comes the pattern
+with the most bound positions (constants, or variables bound by the patterns
 already joined), then the one with the shorter candidate list as read through
-its constants, then the one written first.  Each match reads the narrowest
-store index its bound positions allow: the subject's assertions, else the
-object instance's, else the predicate's; a typing pattern with a class and a
-free subject reads the instances typed by the class or its subclasses.
-Filters run on the joined rows, negations after them.  The order changes only
-the work, never the answer.
+its constants, then the one written first.  A pattern that shares variables
+with the rows is hash-joined: its candidates are read once through its
+constants and keyed by term identity.  Only when they outnumber the rows more
+than four times over does each row probe the narrowest index its bound
+positions allow: the subject's assertions, else the object instance's, else
+the predicate's.  A typing pattern with a class and a free subject reads the
+instances typed by the class or its subclasses.  Filters run on the joined
+rows; each negation then drops the rows it matches, by the same rule (a hash
+anti-join, or a probe per row).  Neither the order nor the path changes the
+answer.
 """
 
 from __future__ import annotations
 
 import csv
 import io
+import itertools
 import json
+import operator
 import re
 from dataclasses import dataclass, field
 from decimal import Decimal
 from enum import Enum
-from typing import Iterator, Optional, Union
+from typing import Container, Iterator, Optional, Union
 
 from .core import (
     INSTANCE_OF,
@@ -86,15 +93,13 @@ class TriplePattern:
     object: Term
 
     def variables(self) -> set[str]:
-        out = set()
-        if isinstance(self.subject, Variable):
-            out.add(self.subject.name)
-        if isinstance(self.object, Variable):
-            out.add(self.object.name)
-        return out
+        return {t.name for t in (self.subject, self.object) if isinstance(t, Variable)}
 
 
-_COMPARATORS = ("<=", ">=", "<", ">", "=")
+#: Filter comparator -> its test of (value, bound).
+_OPERATORS = {
+    "<": operator.lt, "<=": operator.le, "=": operator.eq, ">=": operator.ge, ">": operator.gt,
+}
 
 
 @dataclass(frozen=True)
@@ -104,15 +109,7 @@ class NumericFilter:
     bound: Decimal
 
     def accepts(self, value: Union[Decimal, int]) -> bool:
-        if self.comparator == "<":
-            return value < self.bound
-        if self.comparator == "<=":
-            return value <= self.bound
-        if self.comparator == "=":
-            return value == self.bound
-        if self.comparator == ">=":
-            return value >= self.bound
-        return value > self.bound
+        return _OPERATORS[self.comparator](value, self.bound)
 
 
 @dataclass
@@ -293,7 +290,7 @@ class _Parser:
             raise self.error("filter expects a ?variable")
         self.advance()
         op = self.current
-        if op.kind != "punct" or op.text not in _COMPARATORS:
+        if op.kind != "punct" or op.text not in _OPERATORS:
             raise self.error("filter expects a comparator (<, <=, =, >=, >)")
         self.advance()
         num = self.current
@@ -348,32 +345,26 @@ def _format_term(term: Term) -> str:
     return lexical_form(value)
 
 
+def _format_pattern(p: TriplePattern) -> str:
+    return " ".join((_format_term(p.subject), p.predicate.name, _format_term(p.object)))
+
+
 def format_query(ast: QueryAst) -> str:
     """Canonical text form; parse(format(parse(q))) equals parse(q)."""
-    parts = [
-        "select",
-        " ".join(ast.select_vars),
-        "where {",
-    ]
-    body = [
-        " ".join((_format_term(p.subject), p.predicate.name, _format_term(p.object)))
-        for p in ast.patterns
-    ]
-    body.extend(
-        f"filter {f.variable} {f.comparator} {lexical_form(f.bound)}" for f in ast.filters
-    )
-    body.extend(
-        "not { "
-        + " ".join((_format_term(n.subject), n.predicate.name, _format_term(n.object)))
-        + " }"
-        for n in ast.negations
-    )
-    return " ".join(parts) + " " + " . ".join(body) + " }"
+    body = [_format_pattern(p) for p in ast.patterns]
+    body.extend(f"filter {f.variable} {f.comparator} {lexical_form(f.bound)}" for f in ast.filters)
+    body.extend(f"not {{ {_format_pattern(n)} }}" for n in ast.negations)
+    return f"select {' '.join(ast.select_vars)} where {{ {' . '.join(body)} }}"
 
 
 # ---------------------------------------------------------------- evaluation
 
-Binding = dict[str, Union[TermId, Literal]]
+Value = Union[TermId, Literal]
+Binding = dict[str, Value]
+#: One value per bound variable, in the order the variables were bound.
+Row = tuple
+#: The subject and object of one stored fact that matches a pattern.
+Pair = tuple[Value, Value]
 
 
 @dataclass
@@ -390,140 +381,86 @@ class BindingSet:
         return buf.getvalue()
 
     def to_json(self) -> str:
-        rows = [
-            {v: _render(row[v]) for v in self.variables} for row in self.rows
-        ]
+        rows = [{v: _render(row[v]) for v in self.variables} for row in self.rows]
         return json.dumps({"vars": self.variables, "rows": rows}, ensure_ascii=False, indent=2)
 
-    def column(self, variable: str) -> list[Union[TermId, Literal]]:
+    def column(self, variable: str) -> list[Value]:
         return [row[variable] for row in self.rows]
 
     def __len__(self) -> int:
         return len(self.rows)
 
 
-def _render(value: Union[TermId, Literal]) -> str:
-    if isinstance(value, TermId):
-        return value.name
-    return lexical_form(value.value)
+def _render(value: Value) -> str:
+    return _sort_key(value)[1]
 
 
-def _sort_key(value: Union[TermId, Literal]) -> tuple[bool, str]:
-    return (isinstance(value, Literal), _render(value))
+def _sort_key(value: Value) -> tuple[bool, str]:
+    if type(value) is TermId:
+        return (False, value.name)
+    return (True, lexical_form(value.value))
 
 
-def _resolve(term: Term, binding: Binding) -> Term:
-    if isinstance(term, Variable):
-        return binding.get(term.name, term)
-    return term
-
-
-def _extend(
-    binding: Binding,
-    pattern: TriplePattern,
-    subject_value: Union[TermId, Literal],
-    object_value: Union[TermId, Literal],
-) -> Optional[Binding]:
-    """The binding extended by one match; None when a variable repeated in
-    the pattern would take two different values."""
-    if pattern.subject == pattern.object and subject_value != object_value:
-        return None
-    row = dict(binding)
-    if isinstance(pattern.subject, Variable):
-        row[pattern.subject.name] = subject_value
-    if isinstance(pattern.object, Variable):
-        row[pattern.object.name] = object_value
-    return row
+def _term_key(value: Value) -> object:
+    """Term identity as a dict key: a term as itself, a literal by value
+    type, lexical form and unit, so ``1`` and ``1.0`` never join and the join
+    order cannot change which of them a variable is bound to."""
+    if type(value) is TermId:
+        return value
+    return (type(value.value), lexical_form(value.value), value.unit)
 
 
 def _is_instance(term: Term) -> bool:
     return isinstance(term, TermId) and term.kind is TermKind.INSTANCE
 
 
-def _typing_matches(store: InstanceStore, pattern: TriplePattern, binding: Binding) -> Iterator[Binding]:
-    subject = _resolve(pattern.subject, binding)
-    obj = _resolve(pattern.object, binding)
-    if not (isinstance(subject, Variable) or _is_instance(subject)):
-        return
-    if isinstance(obj, Variable):
-        if isinstance(subject, Variable):
-            candidates = store.instances
-        elif store.has_instance(subject.name):
-            candidates = [subject]
-        else:
-            return
-        classes = store.ontology.classes
-        for term in candidates:
-            for t in sorted(store.all_types_of(term.name)):
-                row = _extend(binding, pattern, term, classes[t].id)
-                if row is not None:
-                    yield row
-    elif isinstance(obj, TermId) and obj.kind is TermKind.CLASS:
-        ont = store.ontology
-        if isinstance(subject, Variable):
-            # the subject is unbound, so the object is not the same variable
-            seen: set[str] = set()
-            for cls in ont.subclasses_of(obj.name):
-                for term in store.instances_of(cls):
-                    if term.name not in seen:
-                        seen.add(term.name)
-                        yield {**binding, subject.name: term}
-        elif ont.cls(obj.name).name in store.all_types_of(subject.name):
-            yield dict(binding)
-    # an instance or literal in class position can never match
-
-
-def _pattern_matches(store: InstanceStore, pattern: TriplePattern, binding: Binding) -> Iterator[Binding]:
-    """Matches of one pattern under a binding, read from the narrowest index:
-    the subject's assertions, else the object instance's, else the predicate's."""
+def _pairs(store: InstanceStore, pattern: TriplePattern,
+           subject: Optional[Value], obj: Optional[Value], same: bool) -> list[Pair]:
+    """The facts matching ``pattern`` with its subject and object fixed to
+    ``subject`` and ``obj`` (None where free), read from the narrowest index;
+    ``same`` when one free variable stands in both places.  A query literal
+    carries no unit and matches a stored value in any unit; any other fixed
+    object matches only the same term."""
+    if subject is not None and not _is_instance(subject):
+        return []  # a class or literal can never stand in subject position
     if pattern.predicate.name == "instance_of":
-        yield from _typing_matches(store, pattern, binding)
-        return
-    subject = _resolve(pattern.subject, binding)
-    obj = _resolve(pattern.object, binding)
-    predicate = store.ontology.canonical_name(pattern.predicate.name)
-    if isinstance(subject, Variable):
-        if _is_instance(obj):
+        pairs = _typing_pairs(store, subject, obj)
+    else:
+        predicate = store.ontology.canonical_name(pattern.predicate.name)
+        if subject is not None:
+            candidates = store.assertions_about(subject.name)
+        elif _is_instance(obj):
             candidates = store.assertions_with_object(obj.name)
         else:
             candidates = store.assertions_with_predicate(predicate)
-    elif _is_instance(subject):
-        candidates = store.assertions_about(subject.name)
-    else:
-        return  # a class or literal can never stand in subject position
-    for a in candidates:
-        if a.predicate.name == predicate and _object_compatible(a.object, pattern.object, obj):
-            row = _extend(binding, pattern, a.subject, a.object)
-            if row is not None:
-                yield row
+        pairs = [(a.subject, a.object) for a in candidates if a.predicate.name == predicate]
+        written = pattern.object
+        if type(written) is Literal and written.unit is None:
+            pairs = [p for p in pairs if type(p[1]) is Literal and p[1].value == written.value]
+        elif obj is not None:
+            key = _term_key(obj)
+            pairs = [p for p in pairs if _term_key(p[1]) == key]
+    return [p for p in pairs if p[0] == p[1]] if same else pairs
 
 
-def _object_compatible(stored: Union[TermId, Literal], written: Term, wanted: Term) -> bool:
-    """Whether a stored object matches a pattern object: ``written`` as in
-    the query, ``wanted`` under the current binding.  A query literal carries
-    no unit and matches a stored value in any unit; a bound variable joins
-    only the same term."""
-    if isinstance(wanted, Variable):
-        return True
-    if isinstance(written, Literal) and written.unit is None:
-        return isinstance(stored, Literal) and stored.value == wanted.value  # type: ignore[union-attr]
-    return _same_term(stored, wanted)
+def _typing_pairs(store: InstanceStore, subject: Optional[TermId],
+                  obj: Optional[Value]) -> list[Pair]:
+    """Typings closed under subsumption; a class with a free subject reads
+    the instances typed by the class or its subclasses."""
+    ont = store.ontology
+    if obj is None:
+        candidates = store.instances if subject is None else [subject]
+        return [(t, ont.classes[c].id) for t in candidates for c in store.all_types_of(t.name)]
+    if type(obj) is not TermId or obj.kind is not TermKind.CLASS:
+        return []  # an instance or literal in class position can never match
+    if subject is None:
+        subclasses = ont.subclasses_of(obj.name)
+        typed = dict.fromkeys(itertools.chain.from_iterable(map(store.instances_of, subclasses)))
+        return [(t, obj) for t in typed]
+    return [(subject, obj)] if ont.cls(obj.name).name in store.all_types_of(subject.name) else []
 
 
-def _same_term(a: Union[TermId, Literal], b: Term) -> bool:
-    """Term identity: literals are the same term only with the same value
-    type, lexical form and unit, so ``1`` and ``1.0`` never join and the join
-    order cannot change which of them a variable is bound to."""
-    if isinstance(a, Literal) and isinstance(b, Literal):
-        return (
-            type(a.value) is type(b.value)
-            and a.unit == b.unit
-            and lexical_form(a.value) == lexical_form(b.value)
-        )
-    return a == b
-
-
-def _estimate(store: InstanceStore, pattern: TriplePattern, bound: set[str]) -> tuple[int, int]:
+def _estimate(store: InstanceStore, pattern: TriplePattern, bound: Container[str]) -> tuple[int, int]:
     """Planner key: more bound positions first, then the shorter candidate
     list as read through the pattern's constants."""
 
@@ -548,14 +485,71 @@ def _estimate(store: InstanceStore, pattern: TriplePattern, bound: set[str]) -> 
     return (-positions, size)
 
 
-def _passes(f: NumericFilter, row: Binding) -> bool:
-    value = row.get(f.variable)
-    return (
-        isinstance(value, Literal)
-        and isinstance(value.value, (Decimal, int))
-        and not isinstance(value.value, bool)
-        and f.accepts(value.value)
-    )
+#: Rows are probed one at a time only when the pattern's candidates outnumber
+#: them this many times over; otherwise the candidates are read once.  A probe
+#: costs a few candidate reads, so the hash join wins from about here on.
+_PROBE_RATIO = 4
+
+
+def _keys(values: list[tuple], indexes: list[int], positions: list[int]) -> Iterator:
+    """Join keys of each pair or row: the values at ``indexes``, filling the
+    pattern ``positions`` (0 subject, 1 object).  Only objects can be
+    literals, which need ``_term_key``; a term is its own key."""
+    columns = [map(operator.itemgetter(i), values) for i in indexes]
+    columns = [map(_term_key, c) if at else c for c, at in zip(columns, positions)]
+    return columns[0] if len(columns) == 1 else zip(*columns)
+
+
+def _join(store: InstanceStore, pattern: TriplePattern, slots: dict[str, int],
+          rows: list[Row], size: int, negated: bool = False) -> list[Row]:
+    """The rows extended by each match of ``pattern``, its new variables put
+    in new slots; ``negated``, the rows it has no match for.  Rows that bind
+    a variable of the pattern are probed one by one through the narrowest
+    index, or, when ``size`` candidates are few enough, hash-joined with the
+    candidates read once through the pattern's constants."""
+    terms = subject, obj = pattern.subject, pattern.object
+    same = isinstance(subject, Variable) and isinstance(obj, Variable) and subject.name == obj.name
+    fixed: list = [None, None]
+    bound: list = [None, None]
+    keyed, new = [], []
+    for i, term in enumerate(terms):
+        if not isinstance(term, Variable):
+            fixed[i] = term
+        elif term.name in slots:
+            bound[i] = slots[term.name]
+            keyed.append(i)
+        elif not (negated or i and same):
+            new.append(i)
+    for i in new:
+        slots[terms[i].name] = len(slots)
+    lo, hi = (new[0], new[-1] + 1) if new else (0, 0)
+
+    if keyed and size > _PROBE_RATIO * len(rows):
+        out: list[Row] = []
+        for row in rows:
+            s, o = [fixed[i] if bound[i] is None else row[bound[i]] for i in (0, 1)]
+            pairs = _pairs(store, pattern, s, o, same)
+            if not negated:
+                out.extend([row + p[lo:hi] for p in pairs])
+            elif not pairs:
+                out.append(row)
+        return out
+
+    pairs = _pairs(store, pattern, fixed[0], fixed[1], same)
+    if not keyed:  # the same matches for every row
+        if negated:
+            return [] if pairs else rows
+        extensions = pairs if (lo, hi) == (0, 2) else [p[lo:hi] for p in pairs]
+        return extensions if rows == [()] else [row + ext for row in rows for ext in extensions]
+    pair_keys = _keys(pairs, keyed, keyed)
+    row_keys = _keys(rows, [bound[i] for i in keyed], keyed)
+    if negated:
+        matched = set(pair_keys)
+        return [row for row, key in zip(rows, row_keys) if key not in matched]
+    table: dict[object, list[tuple]] = {}
+    for key, p in zip(pair_keys, pairs):
+        table.setdefault(key, []).append(p[lo:hi])
+    return [row + ext for row, key in zip(rows, row_keys) for ext in table.get(key, ())]
 
 
 def evaluate(ast: QueryAst, store: InstanceStore) -> BindingSet:
@@ -573,32 +567,37 @@ def evaluate(ast: QueryAst, store: InstanceStore) -> BindingSet:
     if store.ontology is not None:
         _check_terms(ast, store.ontology)
 
-    rows: list[Binding] = [{}]
-    bound: set[str] = set()
+    variables = list(ast.select_vars)
+    slots: dict[str, int] = {}
+    rows: list[Row] = [()]
     remaining = list(ast.patterns)
     while remaining and rows:
-        pattern = min(remaining, key=lambda p: _estimate(store, p, bound))
-        remaining.remove(pattern)
-        rows = [m for binding in rows for m in _pattern_matches(store, pattern, binding)]
-        bound |= pattern.variables()
+        estimates = [_estimate(store, p, slots) for p in remaining]
+        best = estimates.index(min(estimates))
+        rows = _join(store, remaining.pop(best), slots, rows, estimates[best][1])
+    if not rows:
+        return BindingSet(variables, [])
 
     for f in ast.filters:
-        rows = [row for row in rows if _passes(f, row)]
+        test, bound, slot = _OPERATORS[f.comparator], f.bound, slots[f.variable]
+        rows = [row for row in rows if isinstance(value := row[slot], Literal)
+                and isinstance(number := value.value, (Decimal, int))
+                and not isinstance(number, bool) and test(number, bound)]
 
     if ast.semantics is Semantics.CLOSED_WORLD:
         for negation in ast.negations:
-            rows = [
-                row
-                for row in rows
-                if next(_pattern_matches(store, negation, row), None) is None
-            ]
+            size = _estimate(store, negation, slots)[1]
+            rows = _join(store, negation, slots, rows, size, negated=True)
 
-    projected: dict[tuple, Binding] = {}
-    for row in rows:
-        key = tuple(_sort_key(row[v]) for v in ast.select_vars)
-        if key not in projected:
-            projected[key] = {v: row[v] for v in ast.select_vars}
-    return BindingSet(list(ast.select_vars), [projected[k] for k in sorted(projected)])
+    # project; the first row of each sort key is kept
+    if len(variables) == 1:  # the common case: a value is its own key, a dict display the row
+        (name,) = variables
+        projected = {_sort_key(v): v for v in map(operator.itemgetter(slots[name]), reversed(rows))}
+        return BindingSet(variables, [{name: projected[k]} for k in sorted(projected)])
+    columns = [list(map(operator.itemgetter(slots[v]), rows)) for v in variables]
+    keys = list(zip(*[map(_sort_key, column) for column in columns]))
+    projected = dict(zip(reversed(keys), reversed(list(zip(*columns)))))
+    return BindingSet(variables, [dict(zip(variables, projected[k])) for k in sorted(projected)])
 
 
 def _check_terms(ast: QueryAst, ontology: Ontology) -> None:

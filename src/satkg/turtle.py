@@ -208,10 +208,12 @@ _Node = Union[str, Literal]
 
 _READ_LITERAL = {"decimal": bounded_decimal, "integer": bounded_integer, "string": str,
                  "date": lambda text: datetime.strptime(text, "%Y-%m-%d").date()}
-#: XSD's ASCII lexical forms of the numeric bases; ``int`` and ``Decimal``
-#: alone would also take ``_``, blanks and non-ASCII digits
-_NUMERIC_FORMS = {"decimal": re.compile(r"[+-]?([0-9]+(\.[0-9]*)?|\.[0-9]+)([eE][+-]?[0-9]+)?"),
-                  "integer": re.compile(r"[+-]?[0-9]+")}
+#: XSD's ASCII lexical forms of the numeric bases and the canonical date;
+#: ``int`` and ``Decimal`` alone would also take ``_``, blanks and non-ASCII
+#: digits, and ``strptime`` one-digit months and days, which export differently
+_LEXICAL_FORMS = {"decimal": re.compile(r"[+-]?([0-9]+(\.[0-9]*)?|\.[0-9]+)([eE][+-]?[0-9]+)?"),
+                  "integer": re.compile(r"[+-]?[0-9]+"),
+                  "date": re.compile(r"[0-9]{4}-[0-9]{2}-[0-9]{2}")}
 
 _BAD_START = {'"': "unterminated string",
               "<": "unterminated IRI, or one holding whitespace or <>\"{}|^`\\"}
@@ -260,7 +262,7 @@ def _triples(text: str) -> Iterator[tuple[str, str, _Node]]:
             read = _READ_LITERAL.get(datatype[4:]) if datatype.startswith("xsd:") else None
             if read is None:
                 raise UnsupportedConstruct(f"line {line}: datatype {datatype}")
-            form = _NUMERIC_FORMS.get(datatype[4:])
+            form = _LEXICAL_FORMS.get(datatype[4:])
             try:
                 if form is not None and form.fullmatch(body) is None:
                     raise ValueError(body)

@@ -9,6 +9,11 @@ or per binding would make the count per row grow with the catalog.
 The readers build each value once: counts ``Assertion`` and ``TermId``
 constructions inside ``ingest`` and ``import_turtle``, against the stored
 assertions and the distinct names.
+
+Joins and negations over many rows read each index once: counts the
+per-instance reads (``assertions_about``, ``assertions_with_object``) inside
+``evaluate`` for the benchmark's join and negation shapes, on catalogs of 200
+and 800 rows.  A probe per row would make the count grow with the catalog.
 """
 
 import csv
@@ -21,6 +26,7 @@ from satkg import (
     Assertion,
     InstanceStore,
     ModelingMode,
+    Semantics,
     TermId,
     build_ucsso,
     classify_orbits,
@@ -137,3 +143,43 @@ def test_readers_build_one_assertion_per_stored_assertion_and_one_term_per_name(
     assert back == store
     assert built[Assertion] == back.assertion_count
     assert built[TermId] <= names
+
+
+BENCH_JOIN = (
+    "select ?s ?e where { ?s has_Orbit ?o . ?o instance_of Nearly_Circular_Orbit . "
+    "?o has_Orbital_Eccentricity ?p . ?p has_Orbital_Eccentricity_value ?e . filter ?e <= 0.14 }"
+)
+NEGATION = "select ?s where { ?s instance_of Artificial_Satellite . not { ?s has_Launch_Site ?o } }"
+
+
+def per_row_reads(monkeypatch, rows: int) -> dict:
+    """Calls of the two per-instance reads of ``InstanceStore`` inside
+    ``evaluate``, per query, on a classified catalog of ``rows`` rows."""
+    mode = ModelingMode.REIFIED
+    store, _report = ingest(parse_csv(repeated_catalog(rows)), mode, build_ucsso(mode))
+    classified = classify_orbits(store, mode)
+    calls = {}
+    for text, semantics in ((BENCH_JOIN, Semantics.OPEN_WORLD),
+                            (NEGATION, Semantics.CLOSED_WORLD)):
+        ast = parse_query(text, classified.ontology, semantics)
+        count = [0]
+
+        def counted(read):
+            def wrapper(self, name):
+                count[0] += 1
+                return read(self, name)
+            return wrapper
+
+        with monkeypatch.context() as patch:
+            for read in ("assertions_about", "assertions_with_object"):
+                patch.setattr(InstanceStore, read, counted(getattr(InstanceStore, read)))
+            answer = evaluate(ast, classified)
+        assert len(answer) > 0, text
+        calls[text] = count[0]
+    return calls
+
+
+def test_joins_and_negations_read_no_index_entry_per_row(monkeypatch):
+    small, large = per_row_reads(monkeypatch, 200), per_row_reads(monkeypatch, 800)
+    for text in small:
+        assert large[text] <= small[text], (text, small[text], large[text])

@@ -1,5 +1,6 @@
 import random
 import re
+from datetime import date
 from decimal import Decimal
 from itertools import zip_longest
 
@@ -480,3 +481,23 @@ def test_every_xsd_decimal_form_imports(lexical, value):
     body = DECIMAL_PROPERTY + f'v:minValue "{lexical}"^^xsd:decimal .\n'
     restriction = import_turtle(VOCAB_PREFIXES + body).ontology.prop("p").datatype.restriction
     assert restriction.lower == Decimal(value)
+
+
+GOLDEN_LAUNCH = '"2016-04-25"^^xsd:date'
+
+
+@pytest.mark.parametrize("lexical", ["2016-4-5", "2016-04-5"])
+def test_date_literal_outside_the_canonical_form_names_the_line(lexical):
+    golden = (FIXTURES / "one_satellite.ttl").read_text(encoding="utf-8")
+    head, found, tail = golden.partition(GOLDEN_LAUNCH)
+    assert found
+    with pytest.raises(TurtleParseError, match="bad xsd:date literal") as err:
+        import_turtle(head + f'"{lexical}"^^xsd:date' + tail)
+    assert err.value.line == head.count("\n") + 1
+
+
+def test_canonical_date_literal_imports():
+    store = import_turtle((FIXTURES / "one_satellite.ttl").read_text(encoding="utf-8"))
+    launches = [a.object.value for a in store.assertions()
+                if a.predicate.name == "has_Date_of_Launch"]
+    assert launches == [date(2016, 4, 25)]
