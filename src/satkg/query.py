@@ -28,14 +28,13 @@ with the most bound positions (constants, or variables bound by the patterns
 already joined), then the one with the shorter candidate list as read through
 its constants, then the one written first.  A pattern that shares variables
 with the rows is hash-joined: its candidates are read once through its
-constants and keyed by term identity.  Only when they outnumber the rows more
-than four times over does each row probe the narrowest index its bound
-positions allow: the subject's assertions, else the object instance's, else
-the predicate's.  A typing pattern with a class and a free subject reads the
-instances typed by the class or its subclasses.  Filters run on the joined
-rows; each negation then drops the rows it matches, by the same rule (a hash
-anti-join, or a probe per row).  Neither the order nor the path changes the
-answer.
+constants and keyed by term identity.  When they outnumber the rows more than
+five times over, and always for a typing with a variable class, each row
+probes the narrowest index instead: the subject's assertions, else the object
+instance's, else the predicate's, or for a typing the instance's types or the
+class's instances.  Filters run on the joined rows; each negation then drops
+the rows it matches by the same rule, as a hash anti-join or a probe per row.
+Neither the order nor the path changes the answer.
 """
 
 from __future__ import annotations
@@ -93,7 +92,12 @@ class TriplePattern:
     object: Term
 
     def variables(self) -> set[str]:
-        return {t.name for t in (self.subject, self.object) if isinstance(t, Variable)}
+        out = set()
+        if isinstance(self.subject, Variable):
+            out.add(self.subject.name)
+        if isinstance(self.object, Variable):
+            out.add(self.object.name)
+        return out
 
 
 #: Filter comparator -> its test of (value, bound).
@@ -345,26 +349,33 @@ def _format_term(term: Term) -> str:
     return lexical_form(value)
 
 
-def _format_pattern(p: TriplePattern) -> str:
-    return " ".join((_format_term(p.subject), p.predicate.name, _format_term(p.object)))
-
-
 def format_query(ast: QueryAst) -> str:
     """Canonical text form; parse(format(parse(q))) equals parse(q)."""
-    body = [_format_pattern(p) for p in ast.patterns]
-    body.extend(f"filter {f.variable} {f.comparator} {lexical_form(f.bound)}" for f in ast.filters)
-    body.extend(f"not {{ {_format_pattern(n)} }}" for n in ast.negations)
-    return f"select {' '.join(ast.select_vars)} where {{ {' . '.join(body)} }}"
+    parts = [
+        "select",
+        " ".join(ast.select_vars),
+        "where {",
+    ]
+    body = [
+        " ".join((_format_term(p.subject), p.predicate.name, _format_term(p.object)))
+        for p in ast.patterns
+    ]
+    body.extend(
+        f"filter {f.variable} {f.comparator} {lexical_form(f.bound)}" for f in ast.filters
+    )
+    body.extend(
+        "not { "
+        + " ".join((_format_term(n.subject), n.predicate.name, _format_term(n.object)))
+        + " }"
+        for n in ast.negations
+    )
+    return " ".join(parts) + " " + " . ".join(body) + " }"
 
 
 # ---------------------------------------------------------------- evaluation
 
 Value = Union[TermId, Literal]
 Binding = dict[str, Value]
-#: One value per bound variable, in the order the variables were bound.
-Row = tuple
-#: The subject and object of one stored fact that matches a pattern.
-Pair = tuple[Value, Value]
 
 
 @dataclass
@@ -381,10 +392,12 @@ class BindingSet:
         return buf.getvalue()
 
     def to_json(self) -> str:
-        rows = [{v: _render(row[v]) for v in self.variables} for row in self.rows]
+        rows = [
+            {v: _render(row[v]) for v in self.variables} for row in self.rows
+        ]
         return json.dumps({"vars": self.variables, "rows": rows}, ensure_ascii=False, indent=2)
 
-    def column(self, variable: str) -> list[Value]:
+    def column(self, variable: str) -> list[Union[TermId, Literal]]:
         return [row[variable] for row in self.rows]
 
     def __len__(self) -> int:
@@ -415,7 +428,7 @@ def _is_instance(term: Term) -> bool:
 
 
 def _pairs(store: InstanceStore, pattern: TriplePattern,
-           subject: Optional[Value], obj: Optional[Value], same: bool) -> list[Pair]:
+           subject: Optional[Value], obj: Optional[Value], same: bool) -> list[tuple]:
     """The facts matching ``pattern`` with its subject and object fixed to
     ``subject`` and ``obj`` (None where free), read from the narrowest index;
     ``same`` when one free variable stands in both places.  A query literal
@@ -444,7 +457,7 @@ def _pairs(store: InstanceStore, pattern: TriplePattern,
 
 
 def _typing_pairs(store: InstanceStore, subject: Optional[TermId],
-                  obj: Optional[Value]) -> list[Pair]:
+                  obj: Optional[Value]) -> list[tuple]:
     """Typings closed under subsumption; a class with a free subject reads
     the instances typed by the class or its subclasses."""
     ont = store.ontology
@@ -486,29 +499,29 @@ def _estimate(store: InstanceStore, pattern: TriplePattern, bound: Container[str
 
 
 #: Rows are probed one at a time only when the pattern's candidates outnumber
-#: them this many times over; otherwise the candidates are read once.  A probe
-#: costs a few candidate reads, so the hash join wins from about here on.
-_PROBE_RATIO = 4
+#: them this many times over, else the candidates are read once: timed through
+#: ``evaluate``, the hash join wins at four candidates a row, the probe at six.
+_PROBE_RATIO = 5
 
 
 def _keys(values: list[tuple], indexes: list[int], positions: list[int]) -> Iterator:
-    """Join keys of each pair or row: the values at ``indexes``, filling the
-    pattern ``positions`` (0 subject, 1 object).  Only objects can be
-    literals, which need ``_term_key``; a term is its own key."""
+    """Join keys of each pair or row: its values at ``indexes``, which fill
+    the pattern ``positions``; an object (position 1) may be a literal."""
     columns = [map(operator.itemgetter(i), values) for i in indexes]
     columns = [map(_term_key, c) if at else c for c, at in zip(columns, positions)]
     return columns[0] if len(columns) == 1 else zip(*columns)
 
 
 def _join(store: InstanceStore, pattern: TriplePattern, slots: dict[str, int],
-          rows: list[Row], size: int, negated: bool = False) -> list[Row]:
+          rows: list[tuple], size: int, negated: bool = False) -> list[tuple]:
     """The rows extended by each match of ``pattern``, its new variables put
     in new slots; ``negated``, the rows it has no match for.  Rows that bind
-    a variable of the pattern are probed one by one through the narrowest
-    index, or, when ``size`` candidates are few enough, hash-joined with the
-    candidates read once through the pattern's constants."""
+    a variable of the pattern are hash-joined with its ``size`` candidates,
+    read once, or probed one by one through the narrowest index when the
+    candidates are too many or the pattern is a typing with a variable
+    class, whose hash join closes every instance's types."""
     terms = subject, obj = pattern.subject, pattern.object
-    same = isinstance(subject, Variable) and isinstance(obj, Variable) and subject.name == obj.name
+    same = isinstance(subject, Variable) and subject == obj
     fixed: list = [None, None]
     bound: list = [None, None]
     keyed, new = [], []
@@ -524,32 +537,21 @@ def _join(store: InstanceStore, pattern: TriplePattern, slots: dict[str, int],
         slots[terms[i].name] = len(slots)
     lo, hi = (new[0], new[-1] + 1) if new else (0, 0)
 
-    if keyed and size > _PROBE_RATIO * len(rows):
-        out: list[Row] = []
-        for row in rows:
-            s, o = [fixed[i] if bound[i] is None else row[bound[i]] for i in (0, 1)]
-            pairs = _pairs(store, pattern, s, o, same)
-            if not negated:
-                out.extend([row + p[lo:hi] for p in pairs])
-            elif not pairs:
-                out.append(row)
-        return out
-
-    pairs = _pairs(store, pattern, fixed[0], fixed[1], same)
+    typing_by_class = pattern.predicate.name == "instance_of" and isinstance(obj, Variable)
     if not keyed:  # the same matches for every row
-        if negated:
-            return [] if pairs else rows
-        extensions = pairs if (lo, hi) == (0, 2) else [p[lo:hi] for p in pairs]
-        return extensions if rows == [()] else [row + ext for row in rows for ext in extensions]
-    pair_keys = _keys(pairs, keyed, keyed)
-    row_keys = _keys(rows, [bound[i] for i in keyed], keyed)
+        matches: Iterator = itertools.repeat(_pairs(store, pattern, fixed[0], fixed[1], same))
+    elif typing_by_class or size > _PROBE_RATIO * len(rows):
+        probes = ([row[b] if b is not None else f for f, b in zip(fixed, bound)] for row in rows)
+        matches = (_pairs(store, pattern, s, o, same) for s, o in probes)
+    else:  # hash join: the candidates read once, keyed by the bound positions
+        pairs = _pairs(store, pattern, fixed[0], fixed[1], same)
+        table: dict[object, list[tuple]] = {}
+        for key, p in zip(_keys(pairs, keyed, keyed), pairs):
+            table.setdefault(key, []).append(p)
+        matches = map(table.get, _keys(rows, [bound[i] for i in keyed], keyed), itertools.repeat(()))
     if negated:
-        matched = set(pair_keys)
-        return [row for row, key in zip(rows, row_keys) if key not in matched]
-    table: dict[object, list[tuple]] = {}
-    for key, p in zip(pair_keys, pairs):
-        table.setdefault(key, []).append(p[lo:hi])
-    return [row + ext for row, key in zip(rows, row_keys) for ext in table.get(key, ())]
+        return [row for row, found in zip(rows, matches) if not found]
+    return [row + p[lo:hi] for row, found in zip(rows, matches) for p in found]
 
 
 def evaluate(ast: QueryAst, store: InstanceStore) -> BindingSet:
@@ -569,7 +571,7 @@ def evaluate(ast: QueryAst, store: InstanceStore) -> BindingSet:
 
     variables = list(ast.select_vars)
     slots: dict[str, int] = {}
-    rows: list[Row] = [()]
+    rows: list[tuple] = [()]
     remaining = list(ast.patterns)
     while remaining and rows:
         estimates = [_estimate(store, p, slots) for p in remaining]
@@ -590,13 +592,12 @@ def evaluate(ast: QueryAst, store: InstanceStore) -> BindingSet:
             rows = _join(store, negation, slots, rows, size, negated=True)
 
     # project; the first row of each sort key is kept
-    if len(variables) == 1:  # the common case: a value is its own key, a dict display the row
+    if len(variables) == 1:  # a value is its own key, a dict display the row
         (name,) = variables
         projected = {_sort_key(v): v for v in map(operator.itemgetter(slots[name]), reversed(rows))}
         return BindingSet(variables, [{name: projected[k]} for k in sorted(projected)])
-    columns = [list(map(operator.itemgetter(slots[v]), rows)) for v in variables]
-    keys = list(zip(*[map(_sort_key, column) for column in columns]))
-    projected = dict(zip(reversed(keys), reversed(list(zip(*columns)))))
+    columns = [list(map(operator.itemgetter(slots[v]), reversed(rows))) for v in variables]
+    projected = dict(zip(zip(*[map(_sort_key, column) for column in columns]), zip(*columns)))
     return BindingSet(variables, [dict(zip(variables, projected[k])) for k in sorted(projected)])
 
 

@@ -14,6 +14,11 @@ Joins and negations over many rows read each index once: counts the
 per-instance reads (``assertions_about``, ``assertions_with_object``) inside
 ``evaluate`` for the benchmark's join and negation shapes, on catalogs of 200
 and 800 rows.  A probe per row would make the count grow with the catalog.
+
+A typing with a variable class closes the types of the joined rows only:
+counts ``all_types_of`` calls inside ``evaluate`` when more than a fifth of
+the store's instances are joined.  Closing every instance's types would
+exceed one call per row.
 """
 
 import csv
@@ -183,3 +188,27 @@ def test_joins_and_negations_read_no_index_entry_per_row(monkeypatch):
     small, large = per_row_reads(monkeypatch, 200), per_row_reads(monkeypatch, 800)
     for text in small:
         assert large[text] <= small[text], (text, small[text], large[text])
+
+
+ROW_TYPES = "select ?p ?c where { ?p instance_of Orbital_Property . ?p instance_of ?c }"
+
+
+@pytest.mark.parametrize("rows", [200, 800])
+def test_variable_class_typing_closes_the_types_of_the_rows_only(monkeypatch, rows):
+    mode = ModelingMode.REIFIED
+    store, _report = ingest(parse_csv(repeated_catalog(rows)), mode, build_ucsso(mode))
+    ast = parse_query(ROW_TYPES, store.ontology)
+    count = [0]
+    all_types_of = InstanceStore.all_types_of
+
+    def counted(self, name):
+        count[0] += 1
+        return all_types_of(self, name)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(InstanceStore, "all_types_of", counted)
+        answer = evaluate(ast, store)
+    joined = len(set(answer.column("?p")))
+    # the candidate estimate, one per instance, is at most five per row
+    assert store.instance_count / 5 < joined < store.instance_count
+    assert count[0] <= joined, (count[0], joined)

@@ -5,8 +5,8 @@ join paths.
 probing an index once per row or by hashing the pattern's candidates, and
 applies a negation the same two ways; which one depends on how the row count
 compares with the candidate count.  The stores of ``test_query_differential``
-hold at most 16 facts, too few candidates to outnumber the rows four times
-over, so its examples never probe.  Here stores of 30 to 60 facts over eight
+hold at most 16 facts, too few candidates to outnumber the rows five times
+over, so its examples probe little more than typings with a variable class.  Here stores of 30 to 60 facts over eight
 instances must get the same answers as the nested-loop reference, and across
 the examples every join path and every negation path must have run.
 """
@@ -78,14 +78,14 @@ def joined_queries(draw) -> QueryAst:
 
 
 def probe_store() -> InstanceStore:
-    """``i0 p i1``, ``i0 p i2`` and ten ``q`` links, none from ``i2``: two
+    """``i0 p i1``, ``i0 p i2`` and twelve ``q`` links, none from ``i2``: two
     rows against many candidates."""
     store = InstanceStore(ONT)
     for name in INSTANCES:
         store.add_instance(name)
     for target in ("i1", "i2"):
         store.assert_fact("i0", "p", target)
-    for source, target in ("13", "34", "45", "56", "67", "35", "46", "57", "63", "74"):
+    for source, target in ("13", "34", "45", "56", "67", "35", "46", "57", "63", "74", "64", "73"):
         store.assert_fact(f"i{source}", "q", f"i{target}")
     return store
 
