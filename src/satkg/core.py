@@ -14,13 +14,15 @@ missing classes of a name -> parents map in any order and then adds each
 edge through ``add_parent``; ``add_parent`` rejects an edge that would close
 a cycle and does nothing for an edge that already exists.
 
-The ontology computes its subsumption closure (each class's ancestors in
-breadth-first order, its reflexive ancestor set and its reflexive descendant
-set) on the first subsumption lookup and caches it.  Every change to the
-class graph (``define_class``, a new ``add_parent`` edge) drops the cache, so
-the next lookup rebuilds it; copies share it until one of them is mutated.
-Aliases are resolved before the closure is read, so adding one never makes
-it stale.
+The ontology keeps its subsumption closure current: each class maps to its
+reflexive ancestor set and its reflexive descendant set, and the two places
+the class graph changes update them at once.  ``define_class`` gives the
+new class the union of its parents' ancestor sets and adds it to each
+ancestor's descendants; a new ``add_parent`` edge gives every descendant of
+the child every ancestor of the parent, and the reverse.  The same sets
+answer the cycle check (an edge closes a cycle when the child is already an
+ancestor of the parent), so lookups only read and never fill a cache.
+Aliases are resolved before the sets are read, so adding one changes none.
 
 The store keeps each assertion once in one insertion-ordered dict, plus one
 index per access path.  Every write goes through one checked insert,
@@ -272,43 +274,6 @@ class Assertion:
         return f"({self.subject} {self.predicate} {self.object})"
 
 
-@dataclass(frozen=True)
-class _Closure:
-    """Subsumption closure of one class graph, keyed by canonical class name."""
-
-    #: strict superclasses, nearest first, each breadth-first level sorted
-    ancestors: dict[str, tuple[str, ...]]
-    #: the class and all its superclasses
-    up: dict[str, frozenset[str]]
-    #: the class and all its subclasses
-    down: dict[str, frozenset[str]]
-
-    @classmethod
-    def build(cls, classes: dict[str, ClassDef]) -> "_Closure":
-        ancestors: dict[str, tuple[str, ...]] = {}
-        for name in classes:
-            out: list[str] = []
-            seen = {name}
-            frontier = [name]
-            while frontier:
-                level: set[str] = set()
-                for n in frontier:
-                    level.update(p for p in classes[n].parents if p not in seen)
-                frontier = sorted(level)
-                seen.update(level)
-                out.extend(frontier)
-            ancestors[name] = tuple(out)
-        down: dict[str, set[str]] = {name: {name} for name in classes}
-        for name, ups in ancestors.items():
-            for a in ups:
-                down[a].add(name)
-        return cls(
-            ancestors,
-            {name: frozenset(ups).union((name,)) for name, ups in ancestors.items()},
-            {name: frozenset(subs) for name, subs in down.items()},
-        )
-
-
 class Ontology:
     """Classes, properties and aliases, each under its own name, with an
     acyclic subsumption graph."""
@@ -318,7 +283,10 @@ class Ontology:
         self.properties: dict[str, PropertyDef] = {}
         # alias name -> canonical name (classes or properties)
         self.aliases: dict[str, str] = {}
-        self._closure: Optional[_Closure] = None
+        #: class -> the class and all its superclasses
+        self._up: dict[str, frozenset[str]] = {}
+        #: class -> the class and all its subclasses
+        self._down: dict[str, frozenset[str]] = {}
 
     # -------------------------------------------------------------- schema
 
@@ -337,7 +305,10 @@ class Ontology:
                 raise UnknownParent(f"parent class {p!r} of {name!r} not defined")
         cdef = ClassDef(name, parent_set, definition)
         self.classes[name] = cdef
-        self._closure = None
+        self._down[name] = frozenset()
+        self._up[name] = up = frozenset((name,)).union(*(self._up[p] for p in parent_set))
+        for a in up:
+            self._down[a] |= {name}
         return cdef
 
     def add_classes(
@@ -364,26 +335,15 @@ class Ontology:
             raise UnknownParent(f"parent class {parent!r} not defined")
         if parent in self.classes[child].parents:
             return
-        if self._reaches(parent, child):
+        up, down = self._up[parent], self._down[child]
+        if child in up:
             raise CycleDetected(f"edge {child!r} -> {parent!r} would create a subsumption cycle")
         old = self.classes[child]
         self.classes[child] = ClassDef(old.name, old.parents | {parent}, old.definition)
-        self._closure = None
-
-    def _reaches(self, start: str, target: str) -> bool:
-        """Whether ``target`` is ``start`` or one of its superclasses, by a
-        walk up from ``start`` alone (no closure build between mutations)."""
-        seen = {start}
-        frontier = [start]
-        while frontier:
-            name = frontier.pop()
-            if name == target:
-                return True
-            for p in self.classes[name].parents:
-                if p not in seen:
-                    seen.add(p)
-                    frontier.append(p)
-        return False
+        for d in down:
+            self._up[d] |= up
+        for u in up:
+            self._down[u] |= down
 
     def define_object_property(
         self,
@@ -465,24 +425,27 @@ class Ontology:
 
     # ---------------------------------------------------------- subsumption
 
-    def _subsumption(self) -> _Closure:
-        closure = self._closure
-        if closure is None:
-            closure = self._closure = _Closure.build(self.classes)
-        return closure
-
     def is_subclass_of(self, sub: str, sup: str) -> bool:
         """Reflexive-transitive subsumption over the class graph."""
         sub = self.cls(sub).name
-        return self.cls(sup).name in self._subsumption().up[sub]
+        return self.cls(sup).name in self._up[sub]
 
     def ancestors(self, name: str) -> list[str]:
-        """Strict superclasses ordered nearest-first (breadth-first levels)."""
-        return list(self._subsumption().ancestors[self.cls(name).name])
+        """Strict superclasses ordered nearest-first (breadth-first levels,
+        each sorted)."""
+        seen = {self.cls(name).name}
+        frontier = list(seen)
+        out: list[str] = []
+        while frontier:
+            level = {p for n in frontier for p in self.classes[n].parents} - seen
+            frontier = sorted(level)
+            seen |= level
+            out += frontier
+        return out
 
     def subclasses_of(self, name: str) -> frozenset[str]:
         """The class itself plus every strict descendant."""
-        return self._subsumption().down[self.cls(name).name]
+        return self._down[self.cls(name).name]
 
     # -------------------------------------------------------------- misc
 
@@ -491,7 +454,8 @@ class Ontology:
         dup.classes = dict(self.classes)
         dup.properties = dict(self.properties)
         dup.aliases = dict(self.aliases)
-        dup._closure = self._closure
+        dup._up = dict(self._up)
+        dup._down = dict(self._down)
         return dup
 
     def __eq__(self, other: object) -> bool:
@@ -704,7 +668,7 @@ class InstanceStore:
 
     def all_types_of(self, name: str) -> set[str]:
         """Asserted classes closed under subsumption."""
-        up = self.ontology._subsumption().up
+        up = self.ontology._up
         out: set[str] = set()
         for t in self._types.get(name, ()):
             out |= up[t]

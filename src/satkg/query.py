@@ -48,7 +48,7 @@ import re
 from dataclasses import dataclass, field
 from decimal import Decimal
 from enum import Enum
-from typing import Container, Iterator, Optional, Union
+from typing import Container, Iterator, NamedTuple, Optional, Union
 
 from .core import (
     INSTANCE_OF,
@@ -140,8 +140,7 @@ _TOKEN_RE = re.compile(
 )
 
 
-@dataclass(frozen=True)
-class _Token:
+class _Token(NamedTuple):
     kind: str
     text: str
     line: int

@@ -8,13 +8,16 @@ compares with the candidate count.  The stores of ``test_query_differential``
 hold at most 16 facts, too few candidates to outnumber the rows five times
 over, so its examples probe little more than typings with a variable class.  Here stores of 30 to 60 facts over eight
 instances must get the same answers as the nested-loop reference, and across
-the examples every join path and every negation path must have run.
+the examples every join path and every negation path must have run ten times
+at least.  Half the examples anchor the first pattern at one of the store's
+links, so that few rows meet many candidates and the probe paths run.
 """
 
 from collections import Counter
 from contextlib import contextmanager
+from typing import Optional
 
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from satkg import InstanceStore, Literal, Semantics, TermId, TermKind, Variable, evaluate
@@ -25,6 +28,7 @@ from test_query_differential import (
     CLASSES,
     ONT,
     VALUES,
+    VARIABLES,
     answer_key,
     patterns,
     reference_evaluate,
@@ -59,22 +63,41 @@ def sharing(draw, pattern: TriplePattern, seen: set) -> TriplePattern:
 
 
 @st.composite
-def joined_queries(draw) -> QueryAst:
+def joined_queries(draw, first: Optional[TriplePattern] = None) -> QueryAst:
     """Up to three patterns and two negations, each sharing a variable with
     the patterns before it, so that every join after the first is keyed and
-    the reference's written-order loops stay small."""
+    the reference's written-order loops stay small.  ``first``, when given,
+    takes the place of the first two drawn patterns, and one negation at
+    least follows."""
     seen: set = set()
     positive: list = []
-    for pattern in draw(st.lists(patterns(), min_size=1, max_size=3)):
+    drawn = draw(st.lists(patterns(), min_size=1, max_size=3))
+    if first is not None:
+        drawn[:2] = [first]
+    for pattern in drawn:
         positive.append(sharing(draw, pattern, seen))
         seen = set().union(*(p.variables() for p in positive))
-    negations = [sharing(draw, n, seen) for n in draw(st.lists(patterns(), max_size=2))]
+    negations = [sharing(draw, n, seen)
+                 for n in draw(st.lists(patterns(), min_size=first is not None, max_size=2))]
     select = draw(st.lists(st.sampled_from(sorted(seen)), min_size=1, unique=True))
     filters = draw(st.lists(st.builds(
         NumericFilter, st.sampled_from(sorted(seen)), st.sampled_from(("<", "<=", "=", ">=", ">")),
         st.sampled_from(VALUES)), max_size=1))
     semantics = Semantics.CLOSED_WORLD if negations else draw(st.sampled_from(Semantics))
     return QueryAst(select, positive, filters, negations, semantics)
+
+
+@st.composite
+def anchored_cases(draw) -> tuple:
+    """A store and a query whose first pattern, such as ``i0 p ?a``, takes
+    one of the store's links from a constant subject: its few rows then meet
+    many candidates, so later patterns and negations take the probe path."""
+    store = draw(larger_stores())
+    links = [a for a in store.assertions() if a.predicate.name in ("p", "q")]
+    assume(links)
+    link = draw(st.sampled_from(links))
+    first = TriplePattern(link.subject, link.predicate, draw(st.sampled_from(VARIABLES)))
+    return store, draw(joined_queries(first))
 
 
 def probe_store() -> InstanceStore:
@@ -137,10 +160,11 @@ def test_both_join_paths_match_the_nested_loop_reference():
     paths: Counter = Counter()
 
     @settings(max_examples=300, deadline=None, derandomize=True)
-    @given(larger_stores(), joined_queries())
-    @example(probe_store(), probe_query(negated=False))
-    @example(probe_store(), probe_query(negated=True))
-    def check(store, ast):
+    @given(st.one_of(st.tuples(larger_stores(), joined_queries()), anchored_cases()))
+    @example((probe_store(), probe_query(negated=False)))
+    @example((probe_store(), probe_query(negated=True)))
+    def check(case):
+        store, ast = case
         with recorded_paths(paths):
             rows = evaluate(ast, store).rows
         got = [tuple(answer_key(row[v]) for v in ast.select_vars) for row in rows]
@@ -150,3 +174,4 @@ def test_both_join_paths_match_the_nested_loop_reference():
     check()
     assert set(paths) == {("join", "probe"), ("join", "hash"),
                           ("negation", "probe"), ("negation", "hash")}, paths
+    assert min(paths.values()) >= 10, paths
