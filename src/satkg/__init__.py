@@ -47,7 +47,6 @@ from .query import (
 )
 from .reasoner import (
     NEARLY_CIRCULAR_MAX_ECCENTRICITY,
-    ClassificationRule,
     Violation,
     classify_orbits,
     materialize,
@@ -62,6 +61,7 @@ from .schema import (
     build_mapping,
     build_ssao_core,
     build_ucsso,
+    mode_of,
     parse_overlay,
 )
 from .turtle import Namespaces, export_turtle, import_turtle

@@ -25,6 +25,7 @@ from .schema import (
     apply_overlay,
     build_mapping,
     build_ucsso,
+    mode_of,
     parse_overlay,
 )
 from .turtle import Namespaces, export_turtle, import_turtle
@@ -180,15 +181,9 @@ def _cmd_validate(args: argparse.Namespace, stdout) -> int:
     return 0
 
 
-def _infer_mode(store: InstanceStore) -> ModelingMode:
-    if store.ontology.has_property("has_Orbital_Eccentricity"):
-        return ModelingMode.REIFIED
-    return ModelingMode.DIRECT
-
-
 def _cmd_classify(args: argparse.Namespace, stdout) -> int:
     store = _load_store(args.store)
-    mode = _infer_mode(store) if args.mode == "auto" else ModelingMode(args.mode)
+    mode = mode_of(store.ontology) if args.mode == "auto" else ModelingMode(args.mode)
     classified = classify_orbits(store, mode)
     _write(args.out, export_turtle(classified, _namespaces(args)))
     if args.report is not None:

@@ -357,21 +357,8 @@ def resolve_record(
     unknown orbit class) are recorded there and the rest of the row is
     still resolved; without it the first failure raises.
     """
-    pairs = resolve_record_fields(record, mode, ont, satellite_name, issues, notes)
-    return [assertion for _fieldname, assertion in pairs]
-
-
-def resolve_record_fields(
-    record: RawRecord,
-    mode: ModelingMode,
-    ont: Ontology,
-    satellite_name: Optional[str] = None,
-    issues: Optional[list[IngestViolation]] = None,
-    notes: Optional[list[IngestWarning]] = None,
-) -> list[tuple[str, Assertion]]:
-    """Like :func:`resolve_record` but keeps each assertion's source field."""
     facts = _resolve_facts(record, mode, ont, satellite_name, issues, notes, instance_term)
-    return [(fieldname, Assertion(s, p, o)) for fieldname, s, p, o in facts]
+    return [Assertion(s, p, o) for _fieldname, s, p, o in facts]
 
 
 _Fact = tuple[str, TermId, TermId, Union[TermId, Literal]]

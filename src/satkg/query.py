@@ -565,8 +565,7 @@ def evaluate(ast: QueryAst, store: InstanceStore) -> BindingSet:
             "negation requires closed_world semantics; under open_world the "
             "absence of an assertion proves nothing"
         )
-    if store.ontology is not None:
-        _check_terms(ast, store.ontology)
+    _check_terms(ast, store.ontology)
 
     variables = list(ast.select_vars)
     slots: dict[str, int] = {}

@@ -1,11 +1,15 @@
-"""Rule-based classification and validation over a populated store.
+"""Orbit classification and validation over a populated store.
 
-The eccentricity rule types orbit instances as nearly circular (value at or
-below 0.14) or elliptical (above).  Under reified modeling the value is only
-reachable through a parameter instance that is actually typed by the
-parameter class; under direct modeling a single hop suffices.  Values may
-also hang off a satellite linked to the orbit, mirroring catalog rows that
-carry the numbers on the satellite itself.
+Both read orbital parameters through one reach, ``parameter_values``: the
+one-hop ``has_<P>_value`` under direct modeling, the two-hop path through a
+parameter instance typed by ``P`` under reified modeling (an untyped
+parameter instance is not followed), or both when no mode is given.  The
+reach starts at the instance and at every satellite linking to it by
+``has_Orbit`` or ``has_Orbit_type``, mirroring catalog rows that carry the
+numbers on the satellite itself.
+
+Classification is one fixed rule: an orbit with a reachable eccentricity at
+or below 0.14 is nearly circular, one above it is elliptical.
 """
 
 from __future__ import annotations
@@ -15,64 +19,19 @@ from dataclasses import dataclass
 from decimal import Decimal
 from typing import Iterable, Optional, Union
 
-from .core import (
-    InstanceStore,
-    Literal,
-    NumericRestriction,
-    TermId,
-    TermKind,
-    class_term,
-)
+from .core import InstanceStore, Literal, TermId, TermKind, class_term
 from .errors import ModeMismatch, UnknownTerm
-from .schema import ModelingMode
+from .schema import ModelingMode, mode_of
 
 #: Catalog bound separating nearly circular from elliptical orbits.
 NEARLY_CIRCULAR_MAX_ECCENTRICITY = Decimal("0.14")
 
 
 @dataclass(frozen=True)
-class ClassificationRule:
-    """Types instances of ``applies_to`` by a numeric test on one parameter."""
-
-    target_class: str
-    applies_to: str
-    #: direct form: value property tested against the restriction
-    value_property: str
-    #: reified form: object link, required parameter typing, then the value
-    object_property: str
-    parameter_class: str
-    restriction: NumericRestriction
-
-
-ORBIT_CLASSIFICATION_RULES: tuple[ClassificationRule, ...] = (
-    ClassificationRule(
-        target_class="Nearly_Circular_Orbit",
-        applies_to="Orbit",
-        value_property="has_Orbital_Eccentricity_value",
-        object_property="has_Orbital_Eccentricity",
-        parameter_class="Orbital_Eccentricity",
-        restriction=NumericRestriction(upper=NEARLY_CIRCULAR_MAX_ECCENTRICITY),
-    ),
-    # Complement rule: an orbit with a known eccentricity is elliptical
-    # exactly when it is not nearly circular.
-    ClassificationRule(
-        target_class="Elliptical_Orbit",
-        applies_to="Orbit",
-        value_property="has_Orbital_Eccentricity_value",
-        object_property="has_Orbital_Eccentricity",
-        parameter_class="Orbital_Eccentricity",
-        restriction=NumericRestriction(
-            lower=NEARLY_CIRCULAR_MAX_ECCENTRICITY, lower_inclusive=False
-        ),
-    ),
-)
-
-
-@dataclass(frozen=True)
 class Violation:
     subject: TermId
     #: domain | range | rule_conflict | completeness; out-of-range values and
-    #: second functional values never reach a store (``InstanceStore.add``
+    #: second functional values never reach a store (``InstanceStore.insert``
     #: rejects them), so validation has no code for them
     code: str
     detail: str
@@ -97,36 +56,6 @@ def violations_to_jsonl(violations: Iterable[Violation]) -> str:
 
 # ------------------------------------------------------------- value access
 
-def _literal_values(store: InstanceStore, subject: str, value_property: str) -> list[Decimal]:
-    if not store.ontology.has_property(value_property):
-        return []
-    return [
-        obj.value
-        for obj in store.object_values(subject, value_property)
-        if isinstance(obj, Literal) and isinstance(obj.value, (Decimal, int))
-    ]
-
-
-def _reified_values(
-    store: InstanceStore,
-    subject: str,
-    object_property: str,
-    parameter_class: str,
-    value_property: str,
-) -> list[Decimal]:
-    """Two-hop access: object link to a typed parameter instance, then value."""
-    if not store.ontology.has_property(object_property):
-        return []
-    out: list[Decimal] = []
-    for obj in store.object_values(subject, object_property):
-        if not isinstance(obj, TermId) or obj.kind is not TermKind.INSTANCE:
-            continue
-        if parameter_class not in store.all_types_of(obj.name):
-            continue
-        out.extend(_literal_values(store, obj.name, value_property))
-    return out
-
-
 def _linking_satellites(store: InstanceStore, orbit: str) -> list[str]:
     links = store.assertions_with_object(orbit)
     return [
@@ -137,110 +66,73 @@ def _linking_satellites(store: InstanceStore, orbit: str) -> list[str]:
     ]
 
 
-def _rule_values(
-    store: InstanceStore, mode: ModelingMode, instance: str, rule: ClassificationRule
-) -> list[Decimal]:
-    """Parameter values reachable for ``instance`` under the given mode."""
-    subjects = [instance] + _linking_satellites(store, instance)
-    out: list[Decimal] = []
-    for subject in subjects:
-        if mode is ModelingMode.DIRECT:
-            out.extend(_literal_values(store, subject, rule.value_property))
-        else:
-            out.extend(
-                _reified_values(
-                    store, subject, rule.object_property, rule.parameter_class, rule.value_property
-                )
-            )
-    return out
-
-
-def parameter_values(store: InstanceStore, instance: str, param_class: str) -> list[Decimal]:
-    """Mode-agnostic reach used by completeness checking: both the one-hop
-    and the two-hop pattern, on the instance and on linking satellites."""
+def parameter_values(
+    store: InstanceStore,
+    instance: str,
+    param_class: str,
+    mode: Optional[ModelingMode] = None,
+) -> list[Union[Decimal, int]]:
+    """Numbers of ``param_class`` reachable from ``instance`` and from the
+    satellites linking to it: one hop under ``DIRECT``, two hops through a
+    parameter instance typed by ``param_class`` under ``REIFIED``, and both
+    under ``None`` (completeness checking)."""
     value_property = f"has_{param_class}_value"
-    object_property = f"has_{param_class}"
-    out: list[Decimal] = []
+    holders: list[str] = []
     for subject in [instance] + _linking_satellites(store, instance):
-        out.extend(_literal_values(store, subject, value_property))
-        out.extend(_reified_values(store, subject, object_property, param_class, value_property))
-    return out
+        if mode is not ModelingMode.REIFIED:
+            holders.append(subject)
+        if mode is not ModelingMode.DIRECT:
+            holders += [
+                obj.name
+                for obj in store.object_values(subject, f"has_{param_class}")
+                if isinstance(obj, TermId) and param_class in store.all_types_of(obj.name)
+            ]
+    return [
+        obj.value
+        for holder in holders
+        for obj in store.object_values(holder, value_property)
+        if isinstance(obj, Literal) and isinstance(obj.value, (Decimal, int))
+    ]
 
 
 # ------------------------------------------------------------ classification
 
-def _check_mode(store: InstanceStore, mode: ModelingMode, rules: Iterable[ClassificationRule]) -> None:
-    for rule in rules:
-        reified_link = store.ontology.has_property(rule.object_property)
-        if mode is ModelingMode.REIFIED and not reified_link:
-            raise ModeMismatch(
-                f"reified mode expects object property {rule.object_property!r} in the schema"
-            )
-        if mode is ModelingMode.DIRECT and reified_link:
-            raise ModeMismatch(
-                f"direct mode store should not declare {rule.object_property!r}"
-            )
-
-
-def classify_orbits(
-    store: InstanceStore,
-    mode: ModelingMode,
-    rules: tuple[ClassificationRule, ...] = ORBIT_CLASSIFICATION_RULES,
-) -> InstanceStore:
-    """Materialize rule-derived typing; conflicts are reported, not repaired.
+def classify_orbits(store: InstanceStore, mode: ModelingMode) -> InstanceStore:
+    """Materialize the eccentricity typing; conflicts are reported, not repaired.
 
     Returns a new store.  Instances whose asserted typing contradicts the
     computed class keep their assertions and gain a ``rule_conflict`` entry
     instead of the computed type.  Instances with no reachable value stay
     unclassified.
     """
-    _check_mode(store, mode, rules)
+    if mode_of(store.ontology) is not mode:
+        raise ModeMismatch(
+            "reified mode expects object property 'has_Orbital_Eccentricity' in the schema"
+            if mode is ModelingMode.REIFIED
+            else "direct mode store should not declare 'has_Orbital_Eccentricity'"
+        )
     result = store.copy()
-    ont = store.ontology
-    scopes = {rule.applies_to for rule in rules}
-    all_targets = {rule.target_class for rule in rules}
-
     for term in store.instances:
-        types = store.all_types_of(term.name)
-        if not any(scope in types for scope in scopes):
+        if "Orbit" not in store.all_types_of(term.name):
             continue
-        computed: set[str] = set()
-        for rule in rules:
-            if rule.applies_to not in types:
-                continue
-            values = _rule_values(store, mode, term.name, rule)
-            if any(rule.restriction.allows(v) for v in values):
-                computed.add(rule.target_class)
+        computed = {
+            "Nearly_Circular_Orbit" if v <= NEARLY_CIRCULAR_MAX_ECCENTRICITY else "Elliptical_Orbit"
+            for v in parameter_values(store, term.name, "Orbital_Eccentricity", mode)
+        }
         if not computed:
             continue
         if len(computed) > 1:
-            result.rule_conflicts.append(
-                Violation(
-                    term,
-                    "rule_conflict",
-                    f"values reachable from {term.name!r} select "
-                    f"{' and '.join(sorted(computed))}",
-                )
-            )
-            continue
-        target = computed.pop()
-        conflicting = {
-            t
-            for t in store.types_of(term.name)
-            for other in all_targets - {target}
-            if ont.is_subclass_of(t, other)
-        }
-        if conflicting:
-            result.rule_conflicts.append(
-                Violation(
-                    term,
-                    "rule_conflict",
-                    f"computed {target} contradicts asserted "
-                    f"{', '.join(sorted(conflicting))} on {term.name!r}",
-                )
-            )
-            continue
-        result.assert_fact(term.name, "instance_of", target)
+            detail = f"values reachable from {term.name!r} select {' and '.join(sorted(computed))}"
+        else:
+            (target,) = computed
+            (other,) = {"Nearly_Circular_Orbit", "Elliptical_Orbit"} - computed
+            conflicting = store.ontology.subclasses_of(other).intersection(store.types_of(term.name))
+            if not conflicting:
+                result.assert_fact(term.name, "instance_of", target)
+                continue
+            detail = (f"computed {target} contradicts asserted "
+                      f"{', '.join(sorted(conflicting))} on {term.name!r}")
+        result.rule_conflicts.append(Violation(term, "rule_conflict", detail))
     return result
 
 
@@ -286,11 +178,10 @@ CORE_ORBIT_PARAMETERS: tuple[str, ...] = (
 def _conforms(store: InstanceStore, instance: str, declared: frozenset[str]) -> Optional[bool]:
     """True/False when the instance's typing decides conformance, None when
     the instance is untyped (open world: absence proves nothing)."""
-    types = store.types_of(instance)
+    types = store.all_types_of(instance)
     if not types:
         return None
-    ont = store.ontology
-    return any(ont.is_subclass_of(t, d) for t in types for d in declared)
+    return not declared.isdisjoint(types)
 
 
 def validate(store: InstanceStore) -> list[Violation]:

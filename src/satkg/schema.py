@@ -28,6 +28,14 @@ class ModelingMode(Enum):
     DIRECT = "direct"
 
 
+def mode_of(ontology: Ontology) -> ModelingMode:
+    """The modeling mode a schema was built for: reified exactly when it
+    declares the eccentricity link ``has_Orbital_Eccentricity``."""
+    if ontology.has_property("has_Orbital_Eccentricity"):
+        return ModelingMode.REIFIED
+    return ModelingMode.DIRECT
+
+
 class MappingKind(Enum):
     EQUIVALENT = "equivalent"
     SUBSUMED_BY = "subsumed_by"

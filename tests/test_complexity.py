@@ -43,7 +43,7 @@ from satkg import (
     parse_query,
     validate,
 )
-from satkg.ingest import resolve_record_fields
+from satkg.ingest import resolve_record
 
 from conftest import FIXTURES
 
@@ -128,7 +128,7 @@ def test_readers_build_one_assertion_per_stored_assertion_and_one_term_per_name(
     records = parse_csv(repeated_catalog(200))
     ont = build_ucsso(mode)
     facts = [a for record in records
-             for _field, a in resolve_record_fields(record, mode, ont, issues=[], notes=[])]
+             for a in resolve_record(record, mode, ont, issues=[], notes=[])]
     # a repeated typing is found by name; another repeated fact needs its
     # Assertion to be found in the table
     repeats = len(facts) - len(set(facts))
