@@ -492,8 +492,8 @@ class InstanceStore:
         #: Non-fatal messages produced while adding assertions (e.g. values
         #: sitting exactly on a warned numeric bound).
         self.warnings: list[str] = []
-        #: Filled by the classifier when a computed type contradicts an
-        #: asserted one; consumed by validation.
+        #: Classify's report for its caller of computed types contradicting
+        #: asserted ones; validation recomputes them and does not read it.
         self.rule_conflicts: list = []
 
     # ------------------------------------------------------------ instances

@@ -1,15 +1,18 @@
 """Orbit classification and validation over a populated store.
 
-Both read orbital parameters through one reach, ``parameter_values``: the
-one-hop ``has_<P>_value`` under direct modeling, the two-hop path through a
-parameter instance typed by ``P`` under reified modeling (an untyped
-parameter instance is not followed), or both when no mode is given.  The
-reach starts at the instance and at every satellite linking to it by
-``has_Orbit`` or ``has_Orbit_type``, mirroring catalog rows that carry the
-numbers on the satellite itself.
+Both read orbital parameters through one reach per parameter class ``P``:
+instance -> the numbers of ``P`` reachable from it, built in one pass over
+each predicate index involved.  A number is reached by the one-hop
+``has_<P>_value`` under direct modeling, by the two-hop path through a
+parameter instance typed by ``P`` under reified modeling (an untyped one is
+not followed), or by both when no mode is given.  An orbit also reaches the
+numbers of every satellite linking to it by ``has_Orbit`` or
+``has_Orbit_type``, mirroring catalog rows that carry them on the satellite.
 
 Classification is one fixed rule: an orbit with a reachable eccentricity at
-or below 0.14 is nearly circular, one above it is elliptical.
+or below 0.14 is nearly circular, one above it is elliptical.  Its conflicts
+are a function of the store: ``validate`` recomputes them, so they are the
+same before classification, after it and after a Turtle round trip.
 """
 
 from __future__ import annotations
@@ -56,54 +59,76 @@ def violations_to_jsonl(violations: Iterable[Violation]) -> str:
 
 # ------------------------------------------------------------- value access
 
-def _linking_satellites(store: InstanceStore, orbit: str) -> list[str]:
-    links = store.assertions_with_object(orbit)
-    return [
-        a.subject.name
-        for prop in ("has_Orbit", "has_Orbit_type")
-        for a in links
-        if a.predicate.name == prop
-    ]
+def _reach(store: InstanceStore, param_class: str, mode: Optional[ModelingMode]) -> dict:
+    """Instance -> its reachable numbers of ``param_class`` under ``mode`` (its
+    one-hop values, its parameter instances', then its linking satellites'),
+    for each instance that reaches any."""
+    held: dict[str, list[Union[Decimal, int]]] = {}
+    for a in store.assertions_with_predicate(f"has_{param_class}_value"):
+        if isinstance(a.object, Literal) and isinstance(a.object.value, (Decimal, int)):
+            held.setdefault(a.subject.name, []).append(a.object.value)
+    own = {} if mode is ModelingMode.REIFIED else {k: list(v) for k, v in held.items()}
+    if mode is not ModelingMode.DIRECT:
+        for a in store.assertions_with_predicate(f"has_{param_class}"):
+            param = a.object.name if isinstance(a.object, TermId) else None
+            if param in held and param_class in store.all_types_of(param):
+                own.setdefault(a.subject.name, []).extend(held[param])
+    reach = {name: list(values) for name, values in own.items()}
+    for link in ("has_Orbit", "has_Orbit_type"):
+        for a in store.assertions_with_predicate(link):
+            if a.subject.name in own and isinstance(a.object, TermId):
+                reach.setdefault(a.object.name, []).extend(own[a.subject.name])
+    return reach
 
 
-def parameter_values(
-    store: InstanceStore,
-    instance: str,
-    param_class: str,
-    mode: Optional[ModelingMode] = None,
-) -> list[Union[Decimal, int]]:
+def parameter_values(store: InstanceStore, instance: str, param_class: str,
+                     mode: Optional[ModelingMode] = None) -> list[Union[Decimal, int]]:
     """Numbers of ``param_class`` reachable from ``instance`` and from the
     satellites linking to it: one hop under ``DIRECT``, two hops through a
     parameter instance typed by ``param_class`` under ``REIFIED``, and both
     under ``None`` (completeness checking)."""
-    value_property = f"has_{param_class}_value"
-    holders: list[str] = []
-    for subject in [instance] + _linking_satellites(store, instance):
-        if mode is not ModelingMode.REIFIED:
-            holders.append(subject)
-        if mode is not ModelingMode.DIRECT:
-            holders += [
-                obj.name
-                for obj in store.object_values(subject, f"has_{param_class}")
-                if isinstance(obj, TermId) and param_class in store.all_types_of(obj.name)
-            ]
-    return [
-        obj.value
-        for holder in holders
-        for obj in store.object_values(holder, value_property)
-        if isinstance(obj, Literal) and isinstance(obj.value, (Decimal, int))
-    ]
+    return _reach(store, param_class, mode).get(instance, [])
 
 
 # ------------------------------------------------------------ classification
+
+def _classification(store: InstanceStore, mode: ModelingMode) -> tuple[list[Violation], list]:
+    """The rule conflicts and the (orbit, class) typings the eccentricity
+    rule gives under ``mode``, orbit by orbit in store order."""
+    reach = _reach(store, "Orbital_Eccentricity", mode)
+    conflicts: list[Violation] = []
+    typings: list[tuple[TermId, str]] = []
+    for term in store.instances:
+        values = reach.get(term.name, ())
+        types = store.all_types_of(term.name) if values else ()
+        if "Orbit" not in types:
+            continue
+        computed = {
+            "Nearly_Circular_Orbit" if v <= NEARLY_CIRCULAR_MAX_ECCENTRICITY else "Elliptical_Orbit"
+            for v in values
+        }
+        if len(computed) > 1:
+            detail = f"values reachable from {term.name!r} select {' and '.join(sorted(computed))}"
+        else:
+            (target,) = computed
+            (other,) = {"Nearly_Circular_Orbit", "Elliptical_Orbit"} - computed
+            if other not in types:
+                typings.append((term, target))
+                continue
+            conflicting = store.ontology.subclasses_of(other).intersection(store.types_of(term.name))
+            detail = (f"computed {target} contradicts asserted "
+                      f"{', '.join(sorted(conflicting))} on {term.name!r}")
+        conflicts.append(Violation(term, "rule_conflict", detail))
+    return conflicts, typings
+
 
 def classify_orbits(store: InstanceStore, mode: ModelingMode) -> InstanceStore:
     """Materialize the eccentricity typing; conflicts are reported, not repaired.
 
     Returns a new store.  Instances whose asserted typing contradicts the
     computed class keep their assertions and gain a ``rule_conflict`` entry
-    instead of the computed type.  Instances with no reachable value stay
-    unclassified.
+    in the result's ``rule_conflicts`` instead of the computed type.
+    Instances with no reachable value stay unclassified.
     """
     if mode_of(store.ontology) is not mode:
         raise ModeMismatch(
@@ -111,28 +136,11 @@ def classify_orbits(store: InstanceStore, mode: ModelingMode) -> InstanceStore:
             if mode is ModelingMode.REIFIED
             else "direct mode store should not declare 'has_Orbital_Eccentricity'"
         )
+    conflicts, typings = _classification(store, mode)
     result = store.copy()
-    for term in store.instances:
-        if "Orbit" not in store.all_types_of(term.name):
-            continue
-        computed = {
-            "Nearly_Circular_Orbit" if v <= NEARLY_CIRCULAR_MAX_ECCENTRICITY else "Elliptical_Orbit"
-            for v in parameter_values(store, term.name, "Orbital_Eccentricity", mode)
-        }
-        if not computed:
-            continue
-        if len(computed) > 1:
-            detail = f"values reachable from {term.name!r} select {' and '.join(sorted(computed))}"
-        else:
-            (target,) = computed
-            (other,) = {"Nearly_Circular_Orbit", "Elliptical_Orbit"} - computed
-            conflicting = store.ontology.subclasses_of(other).intersection(store.types_of(term.name))
-            if not conflicting:
-                result.assert_fact(term.name, "instance_of", target)
-                continue
-            detail = (f"computed {target} contradicts asserted "
-                      f"{', '.join(sorted(conflicting))} on {term.name!r}")
-        result.rule_conflicts.append(Violation(term, "rule_conflict", detail))
+    for term, target in typings:
+        result.assert_fact(term, "instance_of", target)
+    result.rule_conflicts = conflicts
     return result
 
 
@@ -201,41 +209,22 @@ def validate(store: InstanceStore) -> list[Violation]:
             continue
         pdef = ont.prop(a.predicate.name)
         if pdef.domain and _conforms(store, a.subject.name, pdef.domain) is False:
-            out.append(
-                Violation(
-                    a.subject,
-                    "domain",
-                    f"{a.subject.name!r} is not typed within the domain of {pdef.name!r}",
-                )
-            )
+            detail = f"{a.subject.name!r} is not typed within the domain of {pdef.name!r}"
+            out.append(Violation(a.subject, "domain", detail))
         if pdef.kind is TermKind.OBJECT_PROPERTY:
             assert isinstance(a.object, TermId)
             if pdef.range_classes and _conforms(store, a.object.name, pdef.range_classes) is False:
-                out.append(
-                    Violation(
-                        a.subject,
-                        "range",
-                        f"object {a.object.name!r} of {pdef.name!r} is not typed within its range",
-                    )
-                )
+                detail = f"object {a.object.name!r} of {pdef.name!r} is not typed within its range"
+                out.append(Violation(a.subject, "range", detail))
 
     # Completeness: every orbit should expose the core parameter set.
-    if ont.has_class("Orbit"):
-        for term in store.instances:
-            if "Orbit" not in store.all_types_of(term.name):
-                continue
-            missing = [
-                p for p in CORE_ORBIT_PARAMETERS if not parameter_values(store, term.name, p)
-            ]
-            if missing:
-                out.append(
-                    Violation(
-                        term,
-                        "completeness",
-                        f"orbit {term.name!r} lacks {', '.join(missing)}",
-                        severity="warning",
-                    )
-                )
+    reached = [(p, set(_reach(store, p, None))) for p in CORE_ORBIT_PARAMETERS]
+    for term in store.instances:
+        if "Orbit" not in store.all_types_of(term.name):
+            continue
+        missing = [p for p, names in reached if term.name not in names]
+        if missing:
+            out.append(Violation(term, "completeness",
+                                 f"orbit {term.name!r} lacks {', '.join(missing)}", "warning"))
 
-    out.extend(store.rule_conflicts)
-    return out
+    return out + _classification(store, mode_of(ont))[0]

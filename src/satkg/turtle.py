@@ -25,6 +25,7 @@ stores serialize byte-for-byte identically.
 from __future__ import annotations
 
 import re
+from array import array
 from dataclasses import dataclass
 from datetime import date, datetime
 from decimal import Decimal
@@ -219,10 +220,10 @@ _BAD_START = {'"': "unterminated string",
               "<": "unterminated IRI, or one holding whitespace or <>\"{}|^`\\"}
 
 
-def _triples(text: str) -> Iterator[tuple[str, str, _Node]]:
-    """Yield each triple as (subject, predicate, object): a resource as
-    ``"label:name"`` under the labels t, i, v, rdf, rdfs, owl and xsd, whatever
-    prefix the text used, and a literal as a :class:`Literal`.
+def _triples(text: str) -> Iterator[tuple[str, str, _Node, int]]:
+    """Yield each triple as (subject, predicate, object, line of the object):
+    a resource as ``"label:name"`` under the labels t, i, v, rdf, rdfs, owl
+    and xsd, whatever prefix the text used, and a literal as a :class:`Literal`.
 
     Each token is resolved to its node as it is read, through a memo kept
     until the next ``@prefix``, so a repeated token costs one dict probe.  A
@@ -236,7 +237,7 @@ def _triples(text: str) -> Iterator[tuple[str, str, _Node]]:
     directive: Optional[list[tuple[str, str]]] = None  # (kind, text) of an @-directive
     subject: Optional[_Node] = None
     predicate: Optional[_Node] = None
-    line = 1
+    line = at = 1  # the current line, and that of the last node read
 
     def pname(text: str, line: int) -> str:
         label, _, name = text.partition(":")
@@ -298,6 +299,7 @@ def _triples(text: str) -> Iterator[tuple[str, str, _Node]]:
                     except SatkgError as exc:
                         failed = failed or exc
                 run.append(found)
+                at = line
         elif directive is not None:
             words = [word for _, word in directive]
             if words[0] != "@prefix":
@@ -323,7 +325,7 @@ def _triples(text: str) -> Iterator[tuple[str, str, _Node]]:
                 predicate = run[-2]
             if not isinstance(subject, str) or not isinstance(predicate, str):
                 raise TurtleParseError("a literal as subject or predicate", line)
-            yield subject, predicate, run[-1]  # type: ignore[misc]
+            yield subject, predicate, run[-1], at  # type: ignore[misc]
             if token == ".":
                 subject = predicate = None
             elif token == ";":
@@ -443,21 +445,24 @@ def import_turtle(data: Union[bytes, str]) -> InstanceStore:
     individuals: list[str] = []  # i: nodes
     typings: list[tuple[str, str]] = []  # (i: node, t: node)
     facts: list[tuple[str, str, _Node]] = []  # (i: node, t: node, object node)
-    for s, p, o in _triples(text):
+    typing_lines, fact_lines = array("L"), array("L")  # the line of each, unboxed
+    for s, p, o, line in _triples(text):
         if s.startswith("t:"):
             terms.setdefault(s[2:], {}).setdefault(p, []).append(o)
         elif not s.startswith("i:"):
-            raise UnsupportedConstruct(f"subject outside the fragment: {s}")
+            raise UnsupportedConstruct(f"line {line}: subject outside the fragment: {s}")
         elif p != "rdf:type":
             if not p.startswith("t:"):
-                raise UnsupportedConstruct(f"predicate {p} on instance {s[2:]}")
+                raise UnsupportedConstruct(f"line {line}: predicate {p} on instance {s[2:]}")
             facts.append((s, p, o))
+            fact_lines.append(line)
         elif o == "owl:NamedIndividual":
             individuals.append(s)
         elif isinstance(o, str) and o.startswith("t:"):
             typings.append((s, o))
+            typing_lines.append(line)
         else:
-            raise UnsupportedConstruct(f"typing {o} on instance {s[2:]}")
+            raise UnsupportedConstruct(f"line {line}: typing {o} on instance {s[2:]}")
 
     # All typings before all other assertions, each in file order, as the
     # store's assertion order (and so the order of validate reports) expects.
@@ -475,19 +480,22 @@ def import_turtle(data: Union[bytes, str]) -> InstanceStore:
         if s not in instances:
             instance(s)
     classes: dict[str, TermId] = {}
-    for s, o in typings:
-        subject = instances.get(s) or instance(s)
-        cls = classes.get(o) or classes.setdefault(o, ont.class_id(o[2:]))
-        store.insert(subject, INSTANCE_OF, cls)
     predicates = {"t:" + INSTANCE_OF.name: INSTANCE_OF}
-    for s, p, o in facts:
-        subject = instances.get(s) or instance(s)
-        if isinstance(o, str):
-            if not o.startswith("i:"):
-                raise UnsupportedConstruct(f"object {o} of {p} on instance {s[2:]}")
-            o = instances.get(o) or instance(o)
-        predicate = predicates.get(p)
-        if predicate is None:
-            predicate = predicates[p] = ont.prop(p[2:]).id
-        store.insert(subject, predicate, o)
+    try:
+        for (s, o), line in zip(typings, typing_lines):
+            subject = instances.get(s) or instance(s)
+            cls = classes.get(o) or classes.setdefault(o, ont.class_id(o[2:]))
+            store.insert(subject, INSTANCE_OF, cls)
+        for (s, p, o), line in zip(facts, fact_lines):
+            subject = instances.get(s) or instance(s)
+            if isinstance(o, str):
+                if not o.startswith("i:"):
+                    raise UnsupportedConstruct(f"object {o} of {p} on instance {s[2:]}")
+                o = instances.get(o) or instance(o)
+            predicate = predicates.get(p)
+            if predicate is None:
+                predicate = predicates[p] = ont.prop(p[2:]).id
+            store.insert(subject, predicate, o)
+    except SatkgError as exc:
+        raise type(exc)(f"line {line}: {exc}") from None
     return store

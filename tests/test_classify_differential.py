@@ -11,6 +11,10 @@ or untyped, and one-hop values sit beside them to be ignored.  The typings
 the classifier adds and the ``(subject, detail)`` of its rule conflicts
 must match the reference, which works from the drawn structure, not from
 the store.
+
+``validate`` is checked against the same reference: its ``rule_conflict``
+entries before and after classification, and which orbits its completeness
+warnings find without an eccentricity by either hop.
 """
 
 from decimal import Decimal
@@ -19,7 +23,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from satkg import InstanceStore, ModelingMode, build_ucsso, classify_orbits
+from satkg import InstanceStore, ModelingMode, build_ucsso, classify_orbits, validate
 from satkg.schema import ORBIT_TAXONOMY
 
 NEAR, ELLIPTICAL = "Nearly_Circular_Orbit", "Elliptical_Orbit"
@@ -138,3 +142,40 @@ def test_classification_matches_the_reference(mode, orbit_draws, satellite_draws
     conflicts = [(v.subject.name, v.detail) for v in result.rule_conflicts]
     assert (added, conflicts) == reference(mode, orbit_draws, satellite_draws)
     assert all(v.code == "rule_conflict" for v in result.rule_conflicts)
+
+
+def unreached(mode: ModelingMode, orbit_draws: list, satellite_draws: list) -> set:
+    """Orbits that no eccentricity reaches by either hop: a one-hop value on
+    the orbit or a linking satellite, or under reified modeling a value on a
+    parameter instance typed ``Orbital_Eccentricity``."""
+    out = set()
+    for i, (classes, holder) in enumerate(orbit_draws):
+        if not any("Orbit" in up(c) for c in classes):
+            continue
+        reach = [holder] + [h for h, satellite_links in satellite_draws
+                            for _prop, k in satellite_links if k % len(orbit_draws) == i]
+        one_hop = [v for h in reach for v in h["values"]]
+        two_hop = [v for h in reach for typing, vs in h["params"]
+                   if typing == "Orbital_Eccentricity" for v in vs]
+        if not one_hop and not (mode is ModelingMode.REIFIED and two_hop):
+            out.add(f"o{i}")
+    return out
+
+
+@pytest.mark.parametrize("mode", list(ModelingMode))
+@settings(max_examples=200, deadline=None)
+@given(st.lists(orbits, min_size=1, max_size=4), st.lists(satellites, max_size=3))
+@example([(frozenset({"Molniya_Orbit"}), {"values": [Decimal("0.01")],
+                                          "params": [("Orbital_Eccentricity", [0])]})], [])
+@example([(frozenset({"Orbit"}), {"values": [], "params": [("Orbital_Eccentricity", [1])]})],
+         [({"values": [], "params": [(None, [0])]}, [("has_Orbit", 0)])])
+def test_validate_matches_the_reference(mode, orbit_draws, satellite_draws):
+    store = build(mode, orbit_draws, satellite_draws)
+    _added, conflicts = reference(mode, orbit_draws, satellite_draws)
+    for current in (store, classify_orbits(store, mode)):
+        violations = validate(current)
+        assert [(v.subject.name, v.detail) for v in violations
+                if v.code == "rule_conflict"] == conflicts
+        lacking = {v.subject.name for v in violations
+                   if v.code == "completeness" and "Orbital_Eccentricity" in v.detail}
+        assert lacking == unreached(mode, orbit_draws, satellite_draws)

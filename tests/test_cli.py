@@ -245,3 +245,33 @@ def test_bad_input_exits_1_with_an_error_line(tmp_path, command, text):
     code, _out, err = run(*argv)
     assert code == 1
     assert err.startswith("error: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("mode", ["direct", "reified"])
+def test_rule_conflict_survives_the_cli_chain(tmp_path, mode):
+    header, *rows = CSV.read_text(encoding="utf-8").splitlines()
+    columns = header.split(",")
+    (row,) = [r for r in rows if r.startswith("Meridian 3,")]  # a Molniya orbit
+    cells = row.split(",")
+    cells[columns.index("Eccentricity")] = "0.01"
+    catalog = tmp_path / "molniya.csv"
+    catalog.write_text(header + "\n" + ",".join(cells) + "\n", encoding="utf-8")
+    loaded, classified = tmp_path / "loaded.ttl", tmp_path / "classified.ttl"
+    steps = [
+        ("load", "--mode", mode, "--in", catalog, "--out", loaded),
+        ("validate", "--store", loaded, "--report", tmp_path / "before.jsonl"),
+        ("classify", "--store", loaded, "--out", classified,
+         "--report", tmp_path / "classify.jsonl"),
+        ("validate", "--store", classified, "--report", tmp_path / "after.jsonl"),
+    ]
+    for argv in steps:
+        code, _out, err = run(*argv)
+        assert code == 0, err
+
+    def conflicts(report):
+        lines = [json.loads(line) for line in (tmp_path / report).read_text().splitlines()]
+        return [line for line in lines if line["code"] == "rule_conflict"]
+
+    (conflict,) = conflicts("classify.jsonl")
+    assert conflict["subject"] == "Meridian_3_Orbit"
+    assert conflicts("before.jsonl") == conflicts("after.jsonl") == [conflict]

@@ -19,6 +19,13 @@ A typing with a variable class closes the types of the joined rows only:
 counts ``all_types_of`` calls inside ``evaluate`` when more than a fifth of
 the store's instances are joined.  Closing every instance's types would
 exceed one call per row.
+
+Classification and validation read each predicate index a fixed number of
+times: counts the calls of the store's index reads (``object_values``,
+``assertions_about``, ``assertions_with_object``,
+``assertions_with_predicate``) inside ``classify_orbits`` and ``validate`` on
+catalogs of 200 and 800 rows.  A read per orbit would make the count grow
+with the catalog.
 """
 
 import csv
@@ -212,3 +219,32 @@ def test_variable_class_typing_closes_the_types_of_the_rows_only(monkeypatch, ro
     # the candidate estimate, one per instance, is at most five per row
     assert store.instance_count / 5 < joined < store.instance_count
     assert count[0] <= joined, (count[0], joined)
+
+
+STORE_READS = ("object_values", "assertions_about", "assertions_with_object",
+               "assertions_with_predicate")
+
+
+def reasoner_reads(monkeypatch, mode: ModelingMode, rows: int) -> dict:
+    """Calls of each of the store's index reads inside ``classify_orbits``
+    and ``validate`` on a catalog of ``rows`` rows."""
+    store, _report = ingest(parse_csv(repeated_catalog(rows)), mode, build_ucsso(mode))
+    calls = dict.fromkeys(STORE_READS, 0)
+
+    def counted(name, read):
+        def wrapper(self, *args):
+            calls[name] += 1
+            return read(self, *args)
+        return wrapper
+
+    with monkeypatch.context() as patch:
+        for name in STORE_READS:
+            patch.setattr(InstanceStore, name, counted(name, getattr(InstanceStore, name)))
+        validate(classify_orbits(store, mode))
+    return calls
+
+
+@pytest.mark.parametrize("mode", list(ModelingMode))
+def test_reasoner_index_reads_do_not_grow_with_rows(monkeypatch, mode):
+    small, large = reasoner_reads(monkeypatch, mode, 200), reasoner_reads(monkeypatch, mode, 800)
+    assert small == large, (small, large)

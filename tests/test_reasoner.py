@@ -10,6 +10,8 @@ from satkg import (
     build_ucsso,
     class_term,
     classify_orbits,
+    export_turtle,
+    import_turtle,
     materialize,
     realize,
     validate,
@@ -297,3 +299,17 @@ def test_parameter_values_reaches_both_patterns(direct_store, reified_store):
     assert parameter_values(reified_store, "AAUSat-4_Orbit", "Orbital_Eccentricity") == [
         Decimal("0.02")
     ]
+
+
+@pytest.mark.parametrize("mode", list(ModelingMode))
+def test_rule_conflicts_are_recomputed_from_the_store(mode):
+    # The conflict is a fact about the assertions, so validate finds it
+    # before classification, after it, and after a Turtle round trip.
+    store = orbit_store(mode)
+    add_orbit(store, "m", "0.01", orbit_class="Molniya_Orbit", mode=mode)
+    classified = classify_orbits(store, mode)
+    expected = [("m", "computed Nearly_Circular_Orbit contradicts asserted Molniya_Orbit on 'm'")]
+    assert [(v.subject.name, v.detail) for v in classified.rule_conflicts] == expected
+    for current in (store, classified, import_turtle(export_turtle(classified))):
+        conflicts = [v for v in validate(current) if v.code == "rule_conflict"]
+        assert [(v.subject.name, v.detail) for v in conflicts] == expected

@@ -28,7 +28,9 @@ from satkg.errors import (
     RestrictionViolation,
     SatkgError,
     TurtleParseError,
+    TypeMismatch,
     UnknownParent,
+    UnknownTerm,
     UnsupportedConstruct,
 )
 from satkg.ingest import ingest, parse_csv
@@ -501,3 +503,27 @@ def test_canonical_date_literal_imports():
     launches = [a.object.value for a in store.assertions()
                 if a.predicate.name == "has_Date_of_Launch"]
     assert launches == [date(2016, 4, 25)]
+
+
+@pytest.mark.parametrize(
+    "golden_text, bad_text, error",
+    [
+        ('t:has_Orbital_Eccentricity_value "0.02"^^xsd:decimal',
+         't:has_Orbital_Eccentricity_value "5"^^xsd:decimal', RestrictionViolation),
+        ('t:has_Launch_Mass "0.8"^^xsd:decimal', 't:has_Launch_Mass "heavy"', TypeMismatch),
+        ('t:has_Launch_Mass "0.8"^^xsd:decimal',
+         't:has_Dry_Mass "1"^^xsd:decimal, "2"^^xsd:decimal', FunctionalViolation),
+        ("t:Civil_User .", "t:Ghost_User .", UnknownTerm),
+        ("t:Civil_User .", '"Civil" .', UnsupportedConstruct),
+    ],
+    ids=["eccentricity-above-one", "string-on-decimal", "two-functional-values",
+         "undefined-class", "literal-typing"],
+)
+def test_store_error_while_reading_names_the_statements_line(golden_text, bad_text, error):
+    golden = (FIXTURES / "one_satellite.ttl").read_text(encoding="utf-8")
+    head, found, tail = golden.partition(golden_text)
+    assert found
+    with pytest.raises(error) as err:
+        import_turtle(head + bad_text + tail)
+    assert type(err.value) is error
+    assert str(err.value).startswith(f"line {head.count(chr(10)) + 1}: "), str(err.value)
