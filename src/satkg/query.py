@@ -34,7 +34,14 @@ probes the narrowest index instead: the subject's assertions, else the object
 instance's, else the predicate's, or for a typing the instance's types or the
 class's instances.  Filters run on the joined rows; each negation then drops
 the rows it matches by the same rule, as a hash anti-join or a probe per row.
+Each column of the rows, like each position of the candidates, holds values
+of one kind (instances, classes or literals), so the hash keys of terms are
+their names, and two sides of different kinds are never compared.
 Neither the order nor the path changes the answer.
+
+The answer holds the selected columns of the rows, sorted by their texts: a
+term's name and a literal's lexical form, as CSV and JSON write them.  Rows
+with the same texts are one answer row, the first joined of them.
 """
 
 from __future__ import annotations
@@ -48,7 +55,7 @@ import re
 from dataclasses import dataclass, field
 from decimal import Decimal
 from enum import Enum
-from typing import Container, Iterator, NamedTuple, Optional, Union
+from typing import Container, Iterator, Optional, Union
 
 from .core import (
     INSTANCE_OF,
@@ -127,180 +134,142 @@ class QueryAst:
 
 # ---------------------------------------------------------------- tokenizer
 
+#: One token and the whitespace before it, as the tuple of its groups:
+#: (space, var, number, string, ident, punct, bad).  Of the last six, the
+#: token's kind is the one group not empty; a character no token starts with
+#: is ``bad``, and the end of the text (after any whitespace) is the token
+#: with all six empty.
 _TOKEN_RE = re.compile(
     r"""
-    (?P<ws>\s+)
-  | (?P<var>\?[A-Za-z_][A-Za-z0-9_]*)
-  | (?P<number>-?[0-9]+(?:\.[0-9]+)?)
-  | (?P<string>"(?:[^"\\]|\\.)*")
-  | (?P<ident>[A-Za-z_][A-Za-z0-9_\-]*)
-  | (?P<punct><=|>=|[{}.<>=])
+    (\s*)
+    (?: (\?[A-Za-z_][A-Za-z0-9_]*)
+      | (-?[0-9]+(?:\.[0-9]+)?)
+      | ("(?:[^"\\]|\\.)*")
+      | ([A-Za-z_][A-Za-z0-9_\-]*)
+      | (<=|>=|[{}.<>=])
+      | (\S|\Z) )
     """,
     re.VERBOSE,
 )
-
-
-class _Token(NamedTuple):
-    kind: str
-    text: str
-    line: int
-    column: int
-
-
-def _tokenize(text: str) -> list[_Token]:
-    tokens = []
-    line = 1
-    line_start = 0
-    pos = 0
-    while pos < len(text):
-        m = _TOKEN_RE.match(text, pos)
-        if m is None:
-            raise QuerySyntaxError(
-                f"unexpected character {text[pos]!r}", line, pos - line_start + 1
-            )
-        kind = m.lastgroup or ""
-        value = m.group()
-        if kind == "ws":
-            newlines = value.count("\n")
-            if newlines:
-                line += newlines
-                line_start = pos + value.rfind("\n") + 1
-        else:
-            tokens.append(_Token(kind, value, line, pos - line_start + 1))
-        pos = m.end()
-    tokens.append(_Token("eof", "", line, pos - line_start + 1))
-    return tokens
+_SPACE, _VAR, _NUMBER, _STRING, _IDENT, _PUNCT, _BAD = range(7)
 
 
 class _Parser:
-    def __init__(self, tokens: list[_Token], ontology: Optional[Ontology]):
-        self.tokens = tokens
-        self.pos = 0
-        self.ontology = ontology
+    """Recursive descent over the tokens of one ``findall`` pass; a token's
+    line and column are counted from the text before it only for an error."""
 
-    @property
-    def current(self) -> _Token:
-        return self.tokens[self.pos]
+    def __init__(self, text: str, ontology: Optional[Ontology]):
+        self.tokens = _TOKEN_RE.findall(text)
+        self.pos = 0
+        self.tok = self.tokens[0]
+        self.ontology = ontology
+        if any(map(operator.itemgetter(_BAD), self.tokens)):
+            self.pos = [bool(tok[_BAD]) for tok in self.tokens].index(True)
+            self.tok = self.tokens[self.pos]
+            raise self.error(f"unexpected character {self.tok[_BAD]!r}")
 
     def error(self, message: str) -> QuerySyntaxError:
-        tok = self.current
-        return QuerySyntaxError(message, tok.line, tok.column)
+        before = "".join(itertools.chain(*self.tokens[:self.pos])) + self.tok[_SPACE]
+        return QuerySyntaxError(message, before.count("\n") + 1, len(before) - before.rfind("\n"))
 
-    def advance(self) -> _Token:
-        tok = self.current
-        if tok.kind != "eof":
-            self.pos += 1
-        return tok
+    def advance(self) -> None:
+        self.pos += 1
+        self.tok = self.tokens[self.pos]
 
-    def expect_keyword(self, word: str) -> None:
-        tok = self.current
-        if tok.kind != "ident" or tok.text != word:
-            raise self.error(f"expected {word!r}")
-        self.advance()
-
-    def expect_punct(self, text: str) -> None:
-        tok = self.current
-        if tok.kind != "punct" or tok.text != text:
+    def expect(self, group: int, text: str) -> None:
+        if self.tok[group] != text:
             raise self.error(f"expected {text!r}")
         self.advance()
-
-    def at_punct(self, text: str) -> bool:
-        return self.current.kind == "punct" and self.current.text == text
-
-    def at_keyword(self, word: str) -> bool:
-        return self.current.kind == "ident" and self.current.text == word
 
     # ------------------------------------------------------------- grammar
 
     def parse_query(self) -> QueryAst:
-        self.expect_keyword("select")
+        self.expect(_IDENT, "select")
         select_vars = []
-        while self.current.kind == "var":
-            select_vars.append(self.advance().text)
+        while self.tok[_VAR]:
+            select_vars.append(self.tok[_VAR])
+            self.advance()
         if not select_vars:
             raise self.error("expected at least one ?variable after 'select'")
-        self.expect_keyword("where")
-        self.expect_punct("{")
-        if self.at_punct("}"):
+        self.expect(_IDENT, "where")
+        self.expect(_PUNCT, "{")
+        if self.tok[_PUNCT] == "}":
             raise self.error("empty pattern block")
 
         patterns = [self.parse_pattern()]
         filters: list[NumericFilter] = []
         negations: list[TriplePattern] = []
-        while self.at_punct("."):
+        while self.tok[_PUNCT] == ".":
             self.advance()
-            if self.at_keyword("filter"):
+            if self.tok[_IDENT] == "filter":
                 self.advance()
                 filters.append(self.parse_filter())
-            elif self.at_keyword("not"):
+            elif self.tok[_IDENT] == "not":
                 self.advance()
-                self.expect_punct("{")
+                self.expect(_PUNCT, "{")
                 negations.append(self.parse_pattern())
-                self.expect_punct("}")
+                self.expect(_PUNCT, "}")
             else:
                 patterns.append(self.parse_pattern())
-        self.expect_punct("}")
-        if self.current.kind != "eof":
+        self.expect(_PUNCT, "}")
+        if any(self.tok[_VAR:]):
             raise self.error("trailing input after query")
         return QueryAst(select_vars, patterns, filters, negations)
 
     def parse_pattern(self) -> TriplePattern:
-        subject = self.parse_term(position="subject")
+        subject = self.parse_term(subject=True)
         predicate = self.parse_predicate()
-        obj = self.parse_term(position="object", predicate=predicate)
+        obj = self.parse_term(subject=False, typing=predicate.name == INSTANCE_OF.name)
         return TriplePattern(subject, predicate, obj)  # type: ignore[arg-type]
 
     def parse_predicate(self) -> TermId:
-        tok = self.current
-        if tok.kind != "ident":
+        name = self.tok[_IDENT]
+        if not name:
             raise self.error("predicate must be a property name or instance_of")
         self.advance()
-        if tok.text == INSTANCE_OF.name:
+        if name == INSTANCE_OF.name:
             return INSTANCE_OF
         if self.ontology is not None:
-            if not self.ontology.has_property(tok.text):
-                raise UnknownTermInQuery(f"property {tok.text!r} not in ontology")
-            return self.ontology.prop(tok.text).id
-        return TermId(tok.text, TermKind.OBJECT_PROPERTY)
+            if not self.ontology.has_property(name):
+                raise UnknownTermInQuery(f"property {name!r} not in ontology")
+            return self.ontology.prop(name).id
+        return TermId(name, TermKind.OBJECT_PROPERTY)
 
-    def parse_term(self, position: str, predicate: Optional[TermId] = None) -> Term:
-        tok = self.current
-        if tok.kind == "var":
-            self.advance()
-            return Variable(tok.text)
-        if tok.kind == "number":
-            if position == "subject":
-                raise self.error("subject must not be a literal")
-            self.advance()
-            return Literal(Decimal(tok.text))
-        if tok.kind == "string":
-            if position == "subject":
-                raise self.error("subject must not be a literal")
-            self.advance()
-            return Literal(unescape_string(tok.text[1:-1]))
-        if tok.kind == "ident":
-            self.advance()
-            if position == "object" and predicate is not None and predicate.name == "instance_of":
-                if self.ontology is not None and not self.ontology.has_class(tok.text):
-                    raise UnknownTermInQuery(f"class {tok.text!r} not in ontology")
-                return TermId(tok.text, TermKind.CLASS)
-            return TermId(tok.text, TermKind.INSTANCE)
-        raise self.error("expected a term")
+    def parse_term(self, subject: bool, typing: bool = False) -> Term:
+        _, var, number, string, name = self.tok[:_PUNCT]
+        if (number or string) and subject:
+            raise self.error("subject must not be a literal")
+        if not (var or number or string or name):
+            raise self.error("expected a term")
+        self.advance()
+        if var:
+            return Variable(var)
+        if number:
+            return Literal(Decimal(number))
+        if string:
+            return Literal(unescape_string(string[1:-1]))
+        if not typing:
+            return TermId(name, TermKind.INSTANCE)
+        if self.ontology is None:
+            return TermId(name, TermKind.CLASS)
+        if not self.ontology.has_class(name):
+            raise UnknownTermInQuery(f"class {name!r} not in ontology")
+        return self.ontology.class_id(name)
 
     def parse_filter(self) -> NumericFilter:
-        tok = self.current
-        if tok.kind != "var":
+        variable = self.tok[_VAR]
+        if not variable:
             raise self.error("filter expects a ?variable")
         self.advance()
-        op = self.current
-        if op.kind != "punct" or op.text not in _OPERATORS:
+        comparator = self.tok[_PUNCT]
+        if comparator not in _OPERATORS:
             raise self.error("filter expects a comparator (<, <=, =, >=, >)")
         self.advance()
-        num = self.current
-        if num.kind != "number":
+        bound = self.tok[_NUMBER]
+        if not bound:
             raise self.error("filter expects a numeric bound")
         self.advance()
-        return NumericFilter(tok.text, op.text, Decimal(num.text))
+        return NumericFilter(variable, comparator, Decimal(bound))
 
 
 def parse_query(
@@ -313,7 +282,7 @@ def parse_query(
     The semantics mode is not part of the grammar; it comes from the caller
     (the CLI flag) and defaults to open world.
     """
-    ast = _Parser(_tokenize(text), ontology).parse_query()
+    ast = _Parser(text, ontology).parse_query()
     ast.semantics = semantics
     _check_safety(ast)
     return ast
@@ -404,13 +373,13 @@ class BindingSet:
 
 
 def _render(value: Value) -> str:
-    return _sort_key(value)[1]
+    return value.name if type(value) is TermId else lexical_form(value.value)
 
 
-def _sort_key(value: Value) -> tuple[bool, str]:
-    if type(value) is TermId:
-        return (False, value.name)
-    return (True, lexical_form(value.value))
+_NAME = operator.attrgetter("name")
+_VALUE = operator.attrgetter("value")
+_SUBJECT_OBJECT = operator.attrgetter("subject", "object")
+_NUMBERS = (Decimal, int)  # the filterable value types; bool is not one
 
 
 def _term_key(value: Value) -> object:
@@ -420,6 +389,10 @@ def _term_key(value: Value) -> object:
     if type(value) is TermId:
         return value
     return (type(value.value), lexical_form(value.value), value.unit)
+
+
+def _kind(value: Value) -> object:
+    return value.kind if type(value) is TermId else Literal
 
 
 def _is_instance(term: Term) -> bool:
@@ -439,13 +412,13 @@ def _pairs(store: InstanceStore, pattern: TriplePattern,
         pairs = _typing_pairs(store, subject, obj)
     else:
         predicate = store.ontology.canonical_name(pattern.predicate.name)
-        if subject is not None:
-            candidates = store.assertions_about(subject.name)
-        elif _is_instance(obj):
-            candidates = store.assertions_with_object(obj.name)
-        else:
+        if subject is not None or _is_instance(obj):
+            read = (store.assertions_about(subject.name) if subject is not None
+                    else store.assertions_with_object(obj.name))
+            candidates = [a for a in read if a.predicate.name == predicate]
+        else:  # the predicate's own index
             candidates = store.assertions_with_predicate(predicate)
-        pairs = [(a.subject, a.object) for a in candidates if a.predicate.name == predicate]
+        pairs = list(map(_SUBJECT_OBJECT, candidates))
         written = pattern.object
         if type(written) is Literal and written.unit is None:
             pairs = [p for p in pairs if type(p[1]) is Literal and p[1].value == written.value]
@@ -467,8 +440,10 @@ def _typing_pairs(store: InstanceStore, subject: Optional[TermId],
         return []  # an instance or literal in class position can never match
     if subject is None:
         subclasses = ont.subclasses_of(obj.name)
-        typed = dict.fromkeys(itertools.chain.from_iterable(map(store.instances_of, subclasses)))
-        return [(t, obj) for t in typed]
+        typed = list(itertools.chain.from_iterable(map(store.instances_of, subclasses)))
+        if len(subclasses) > 1:  # an instance typed by two of them is kept once, by name
+            typed = dict(zip(map(_NAME, typed), typed)).values()
+        return list(zip(typed, itertools.repeat(obj)))
     return [(subject, obj)] if ont.cls(obj.name).name in store.all_types_of(subject.name) else []
 
 
@@ -503,11 +478,11 @@ def _estimate(store: InstanceStore, pattern: TriplePattern, bound: Container[str
 _PROBE_RATIO = 5
 
 
-def _keys(values: list[tuple], indexes: list[int], positions: list[int]) -> Iterator:
-    """Join keys of each pair or row: its values at ``indexes``, which fill
-    the pattern ``positions``; an object (position 1) may be a literal."""
-    columns = [map(operator.itemgetter(i), values) for i in indexes]
-    columns = [map(_term_key, c) if at else c for c, at in zip(columns, positions)]
+def _keys(values: list[tuple], indexes: list[int]) -> Iterator:
+    """Join keys of each pair or row: its values at ``indexes``, each column
+    of one kind, terms keyed by name and literals by ``_term_key``."""
+    columns = [map(_NAME if type(values[0][i]) is TermId else _term_key,
+                   map(operator.itemgetter(i), values)) for i in indexes]
     return columns[0] if len(columns) == 1 else zip(*columns)
 
 
@@ -534,20 +509,35 @@ def _join(store: InstanceStore, pattern: TriplePattern, slots: dict[str, int],
             new.append(i)
     for i in new:
         slots[terms[i].name] = len(slots)
+    if not rows:
+        return rows
     lo, hi = (new[0], new[-1] + 1) if new else (0, 0)
 
     typing_by_class = pattern.predicate.name == "instance_of" and isinstance(obj, Variable)
     if not keyed:  # the same matches for every row
-        matches: Iterator = itertools.repeat(_pairs(store, pattern, fixed[0], fixed[1], same))
-    elif typing_by_class or size > _PROBE_RATIO * len(rows):
+        pairs = _pairs(store, pattern, fixed[0], fixed[1], same)
+        if negated:
+            return [] if pairs else rows
+        if hi - lo == 1:
+            pairs = list(zip(map(operator.itemgetter(lo), pairs)))
+        elif hi == lo:
+            pairs = [()] * len(pairs)
+        return pairs if rows == [()] else [row + p for row in rows for p in pairs]
+    if typing_by_class or size > _PROBE_RATIO * len(rows):
         probes = ([row[b] if b is not None else f for f, b in zip(fixed, bound)] for row in rows)
-        matches = (_pairs(store, pattern, s, o, same) for s, o in probes)
+        matches: Iterator = (_pairs(store, pattern, s, o, same) for s, o in probes)
     else:  # hash join: the candidates read once, keyed by the bound positions
         pairs = _pairs(store, pattern, fixed[0], fixed[1], same)
+        if pairs and any(_kind(pairs[0][i]) != _kind(rows[0][bound[i]]) for i in keyed):
+            pairs = []  # a class never joins an instance, nor a literal a term
+        probe_keys = _keys(rows, [bound[i] for i in keyed])
+        if negated:
+            found = set(_keys(pairs, keyed)) if pairs else ()
+            return [row for row, key in zip(rows, probe_keys) if key not in found]
         table: dict[object, list[tuple]] = {}
-        for key, p in zip(_keys(pairs, keyed, keyed), pairs):
+        for key, p in zip(_keys(pairs, keyed) if pairs else (), pairs):
             table.setdefault(key, []).append(p)
-        matches = map(table.get, _keys(rows, [bound[i] for i in keyed], keyed), itertools.repeat(()))
+        matches = map(table.get, probe_keys, itertools.repeat(()))
     if negated:
         return [row for row, found in zip(rows, matches) if not found]
     return [row + p[lo:hi] for row, found in zip(rows, matches) for p in found]
@@ -555,7 +545,7 @@ def _join(store: InstanceStore, pattern: TriplePattern, slots: dict[str, int],
 
 def evaluate(ast: QueryAst, store: InstanceStore) -> BindingSet:
     """Join the patterns in planner order, apply filters, then negation
-    (closed world only).
+    (closed world only), and project.
 
     Open-world queries may not use negation: the store cannot prove that a
     fact is absent from the world, only that it is absent from the store.
@@ -580,23 +570,33 @@ def evaluate(ast: QueryAst, store: InstanceStore) -> BindingSet:
 
     for f in ast.filters:
         test, bound, slot = _OPERATORS[f.comparator], f.bound, slots[f.variable]
-        rows = [row for row in rows if isinstance(value := row[slot], Literal)
-                and isinstance(number := value.value, (Decimal, int))
-                and not isinstance(number, bool) and test(number, bound)]
+        if rows and type(rows[0][slot]) is not Literal:
+            rows = []  # the column holds terms
+        rows = [row for row in rows
+                if type(number := row[slot].value) in _NUMBERS and test(number, bound)]
 
     if ast.semantics is Semantics.CLOSED_WORLD:
         for negation in ast.negations:
             size = _estimate(store, negation, slots)[1]
             rows = _join(store, negation, slots, rows, size, negated=True)
+    if not rows:
+        return BindingSet(variables, [])
 
-    # project; the first row of each sort key is kept
-    if len(variables) == 1:  # a value is its own key, a dict display the row
-        (name,) = variables
-        projected = {_sort_key(v): v for v in map(operator.itemgetter(slots[name]), reversed(rows))}
-        return BindingSet(variables, [{name: projected[k]} for k in sorted(projected)])
+    # project: a column holds values of one kind, keyed by name or lexical
+    # form; the rows are read backwards, so the first row of each key is kept
     columns = [list(map(operator.itemgetter(slots[v]), reversed(rows))) for v in variables]
-    projected = dict(zip(zip(*[map(_sort_key, column) for column in columns]), zip(*columns)))
-    return BindingSet(variables, [dict(zip(variables, projected[k])) for k in sorted(projected)])
+    keys = [map(_NAME, c) if type(c[0]) is TermId else map(lexical_form, map(_VALUE, c))
+            for c in columns]
+    if len(variables) == 1:
+        (a,) = variables
+        kept = dict(zip(keys[0], columns[0]))
+        return BindingSet(variables, [{a: kept[k]} for k in sorted(kept)])
+    kept = dict(zip(zip(*keys), zip(*columns)))
+    values = map(kept.__getitem__, sorted(kept))
+    if len(variables) == 2:
+        a, b = variables
+        return BindingSet(variables, [{a: x, b: y} for x, y in values])
+    return BindingSet(variables, [dict(zip(variables, v)) for v in values])
 
 
 def _check_terms(ast: QueryAst, ontology: Ontology) -> None:

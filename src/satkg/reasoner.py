@@ -86,7 +86,10 @@ def parameter_values(store: InstanceStore, instance: str, param_class: str,
     """Numbers of ``param_class`` reachable from ``instance`` and from the
     satellites linking to it: one hop under ``DIRECT``, two hops through a
     parameter instance typed by ``param_class`` under ``REIFIED``, and both
-    under ``None`` (completeness checking)."""
+    under ``None`` (completeness checking).
+
+    Each call reads the whole store, building the reach of every instance,
+    so a loop over many instances costs instances times store size."""
     return _reach(store, param_class, mode).get(instance, [])
 
 

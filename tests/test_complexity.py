@@ -20,6 +20,12 @@ counts ``all_types_of`` calls inside ``evaluate`` when more than a fifth of
 the store's instances are joined.  Closing every instance's types would
 exceed one call per row.
 
+Answers are keyed without a Python call per term: counts ``TermId.__hash__``
+calls inside ``evaluate`` for a typing with a free subject over a class with
+subclasses, whose instances typed by two of them are kept once, and the
+``lexical_form`` calls for a two-variable range query, whose answers are
+sorted by their texts.
+
 Classification and validation read each predicate index a fixed number of
 times: counts the calls of the store's index reads (``object_values``,
 ``assertions_about``, ``assertions_with_object``,
@@ -50,6 +56,8 @@ from satkg import (
     parse_query,
     validate,
 )
+from satkg import query
+from satkg.core import lexical_form
 from satkg.ingest import resolve_record
 
 from conftest import FIXTURES
@@ -219,6 +227,47 @@ def test_variable_class_typing_closes_the_types_of_the_rows_only(monkeypatch, ro
     # the candidate estimate, one per instance, is at most five per row
     assert store.instance_count / 5 < joined < store.instance_count
     assert count[0] <= joined, (count[0], joined)
+
+
+def classified_catalog(rows: int) -> InstanceStore:
+    mode = ModelingMode.REIFIED
+    store, _report = ingest(parse_csv(repeated_catalog(rows)), mode, build_ucsso(mode))
+    return classify_orbits(store, mode)
+
+
+def test_a_free_subject_typing_hashes_no_term(monkeypatch):
+    store = classified_catalog(200)
+    ast = parse_query("select ?s where { ?s instance_of Orbit }", store.ontology)
+    assert len(store.ontology.subclasses_of("Orbit")) > 1
+    count = [0]
+    term_hash = TermId.__hash__
+
+    def counted(self):
+        count[0] += 1
+        return term_hash(self)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(TermId, "__hash__", counted)
+        answer = evaluate(ast, store)
+    assert len(answer) > 0
+    assert count[0] == 0, (count[0], len(answer))
+
+
+def test_a_range_query_computes_one_lexical_form_per_answer_row(monkeypatch):
+    store = classified_catalog(200)
+    ast = parse_query("select ?p ?v where { ?p has_Perigee_value ?v . filter ?v < 1000 }",
+                      store.ontology)
+    count = [0]
+
+    def counted(value):
+        count[0] += 1
+        return lexical_form(value)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(query, "lexical_form", counted)
+        answer = evaluate(ast, store)
+    assert len(answer) > 0
+    assert count[0] <= len(answer), (count[0], len(answer))
 
 
 STORE_READS = ("object_values", "assertions_about", "assertions_with_object",

@@ -69,6 +69,22 @@ def test_syntax_error_carries_position():
     assert err.value.line == 2
 
 
+@pytest.mark.parametrize("text, position", [
+    ("select ?x where {\n  ?x has_Orbit ?y .\n  ?y has_Apogee $ }", (3, 17)),
+    ("select ?x where { ?x has_Orbit ?y . filter ?y ~ 3 }", (1, 47)),
+    ("select ?x where {\n\t?x has_Orbit ?y", (2, 17)),
+    ("select where { ?x has_Orbit ?y }", (1, 8)),
+    ("select ?x where { ?x has_Orbit ?y } extra", (1, 37)),
+    # the line break inside the string constant counts: '$' opens line 2
+    ('select ?x where { ?x has_Satellite_Comment "a\nb" $ }', (2, 4)),
+])
+def test_syntax_errors_name_their_line_and_column(text, position):
+    for ontology in (ONT, None):
+        with pytest.raises(QuerySyntaxError) as err:
+            parse_query(text, ontology)
+        assert (err.value.line, err.value.column) == position
+
+
 def test_unknown_predicate_is_rejected():
     with pytest.raises(UnknownTermInQuery):
         parse_query("select ?s where { ?s has_Bogus ?x }", ONT)

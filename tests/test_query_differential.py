@@ -3,9 +3,14 @@
 ``reference_evaluate`` is the specification: it joins the patterns in
 written order and scans every instance or assertion for each pattern.
 Random small stores and queries must get the same answers from it as from
-the index-driven, reordering ``evaluate``.
+the index-driven, reordering ``evaluate``.  Where an instance shares a
+class's name, the answers must also come in the documented order and render
+as a reference renderer writes them.
 """
 
+import csv
+import io
+import json
 from decimal import Decimal
 
 from hypothesis import example, given, settings
@@ -119,10 +124,20 @@ facts = st.one_of(
 )
 
 
+#: "Top" also names a class: an instance and a class of one name
+SHARED = INSTANCES + ("Top",)
+shared_ids = st.sampled_from(SHARED).map(lambda n: TermId(n, TermKind.INSTANCE))
+shared_facts = st.one_of(
+    st.tuples(shared_ids, st.just("instance_of"), st.sampled_from(CLASSES)),
+    st.tuples(shared_ids, st.sampled_from(("p", "q")), shared_ids),
+    st.tuples(shared_ids, st.sampled_from(("v", "w")), st.sampled_from(VALUES).map(Literal)),
+)
+
+
 @st.composite
-def stores(draw) -> InstanceStore:
+def stores(draw, facts=facts, instances=INSTANCES) -> InstanceStore:
     store = InstanceStore(ONT)
-    for name in draw(st.lists(st.sampled_from(INSTANCES), unique=True)):
+    for name in draw(st.lists(st.sampled_from(instances), unique=True)):
         store.add_instance(name)
     for subject, predicate, obj in draw(st.lists(facts, min_size=4, max_size=16)):
         names = [subject.name] + ([obj.name] if isinstance(obj, TermId) else [])
@@ -210,3 +225,63 @@ def test_reference_covers_subclass_typing_and_negation():
     assert reference_evaluate(ast, store) == want
     assert {tuple(answer_key(r[v]) for v in ast.select_vars)
             for r in evaluate(ast, store).rows} == want
+
+
+def rendered(value) -> str:
+    """A value's text in an answer: a term's name, a literal's lexical form."""
+    key = answer_key(value)
+    return key[2] if key[0] == "term" else key[1]
+
+
+def reference_csv(variables: list, answers: list) -> str:
+    out = io.StringIO()
+    csv.writer(out, lineterminator="\n").writerows([variables] + answers)
+    return out.getvalue()
+
+
+def reference_json(variables: list, answers: list) -> str:
+    rows = [dict(zip(variables, answer)) for answer in answers]
+    return json.dumps({"vars": variables, "rows": rows}, ensure_ascii=False, indent=2)
+
+
+def shared_name_store() -> InstanceStore:
+    """The instance ``Top`` linked from and to instances typed ``Top``."""
+    store = InstanceStore(ONT)
+    for name in ("i0", "Top"):
+        store.add_instance(name)
+    store.assert_fact("i0", "instance_of", "Top")
+    store.assert_fact("Top", "p", "i0")
+    store.assert_fact("i0", "p", "Top")
+    return store
+
+
+def class_then_link() -> QueryAst:
+    """``?a instance_of ?b . ?b p ?c``: ?b is bound to the class ``Top``."""
+    a, b, c = VARIABLES
+    return QueryAst(["?a", "?b", "?c"], [
+        TriplePattern(a, TermId("instance_of", TermKind.OBJECT_PROPERTY), b),
+        TriplePattern(b, TermId("p", TermKind.OBJECT_PROPERTY), c)])
+
+
+def link_then_class() -> QueryAst:
+    """``?a p ?b . ?c instance_of ?b``: ?b is bound to the instance ``Top``."""
+    a, b, c = VARIABLES
+    return QueryAst(["?a", "?b"], [
+        TriplePattern(a, TermId("p", TermKind.OBJECT_PROPERTY), b),
+        TriplePattern(c, TermId("instance_of", TermKind.OBJECT_PROPERTY), b)],
+        [], [TriplePattern(b, TermId("q", TermKind.OBJECT_PROPERTY), a)], Semantics.CLOSED_WORLD)
+
+
+@settings(max_examples=300, deadline=None)
+@given(stores(shared_facts, SHARED), queries())
+@example(shared_name_store(), class_then_link())
+@example(shared_name_store(), link_then_class())
+def test_answers_keep_kinds_apart_and_come_sorted_by_their_texts(store, ast):
+    result = evaluate(ast, store)
+    got = [tuple(answer_key(row[v]) for v in ast.select_vars) for row in result.rows]
+    assert set(got) == reference_evaluate(ast, store)
+    answers = [[rendered(row[v]) for v in ast.select_vars] for row in result.rows]
+    assert answers == sorted(answers)
+    assert len(got) == len(set(got)) == len(set(map(tuple, answers)))
+    assert result.to_csv() == reference_csv(ast.select_vars, answers)
+    assert result.to_json() == reference_json(ast.select_vars, answers)
