@@ -8,6 +8,8 @@ many threads.
 
 Terms are canonical: a class or property definition (``.id``) and a store's
 instance name (``add_instance``) each have one ``TermId``, hashed once.
+``TermId``, ``Literal`` and ``Assertion`` are frozen slots dataclasses, equal
+and hashed as the tuple of their compared fields, with hand-written inits.
 
 Class graphs are assembled through ``add_classes``, which defines the
 missing classes of a name -> parents map in any order and then adds each
@@ -29,9 +31,10 @@ index per access path.  Every write goes through one checked insert,
 ``InstanceStore.insert(subject, predicate, object)``: ``add`` hands it an
 ``Assertion``, ``assert_fact`` plain names, and the readers (Turtle import,
 CSV ingest) the terms they resolved once per name.  It resolves the
-predicate and a class object, checks and coerces the object, builds the
-stored ``Assertion`` once (or keeps the caller's, when already in normal
-form), hashes it once, and maintains the indexes:
+predicate and, per object kind, a typing's class, a link's instance or a
+literal's coerced value, builds the stored ``Assertion`` once (or keeps the
+caller's, when already in normal form), hashes it once, and maintains the
+indexes (a typing is new exactly when ``_types`` does not list it):
 
 * ``_by_subject``: subject name -> its assertions;
 * ``_by_predicate``: canonical predicate name -> its assertions;
@@ -45,7 +48,7 @@ form), hashes it once, and maintains the indexes:
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from functools import cached_property
 from datetime import date
 from decimal import Decimal
@@ -86,15 +89,23 @@ def _check_name(name: str, kind: TermKind) -> None:
         raise InvalidTermName(f"invalid term name {name!r} for kind {kind.value}")
 
 
-@dataclass(frozen=True, slots=True)
+def _slot_setters(cls: type) -> list:
+    """Each field slot's ``__set__``, which skips a frozen class's ``__setattr__``."""
+    return [getattr(cls, f.name).__set__ for f in fields(cls)]
+
+
+@dataclass(frozen=True, slots=True, init=False)
 class TermId:
     name: str
     kind: TermKind
     _hash: int = field(init=False, repr=False, compare=False)  # hash((name, kind)), once
 
-    def __post_init__(self) -> None:
-        _check_name(self.name, self.kind)
-        object.__setattr__(self, "_hash", hash((self.name, self.kind)))
+    def __init__(self, name: str, kind: TermKind):
+        if (_INSTANCE_NAME if kind is _INSTANCE else _SCHEMA_NAME).match(name) is None:
+            _check_name(name, kind)  # raises
+        _set_name(self, name)
+        _set_kind(self, kind)
+        _set_hash(self, hash((name, kind._name_)))  # = hash((name, kind)), no Enum.__hash__ call
 
     def __hash__(self) -> int:
         return self._hash
@@ -104,6 +115,10 @@ class TermId:
 
     def __str__(self) -> str:
         return self.name
+
+
+_INSTANCE, _CLASS = TermKind.INSTANCE, TermKind.CLASS
+_set_name, _set_kind, _set_hash = _slot_setters(TermId)
 
 
 def class_term(name: str) -> TermId:
@@ -121,16 +136,22 @@ INSTANCE_OF = TermId("instance_of", TermKind.OBJECT_PROPERTY)
 LiteralValue = Union[Decimal, int, str, date]
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, init=False)
 class Literal:
     value: LiteralValue
     unit: Optional[str] = None
+
+    def __init__(self, value: LiteralValue, unit: Optional[str] = None):
+        _set_value(self, value)
+        _set_unit(self, unit)
 
     def __str__(self) -> str:
         if self.unit:
             return f"{self.value} {self.unit}"
         return str(self.value)
 
+
+_set_value, _set_unit = _slot_setters(Literal)
 
 #: The largest power of ten, either way, a decimal literal may reach; it
 #: bounds the positional text ``lexical_form`` writes for a value.
@@ -264,14 +285,22 @@ class PropertyDef:
         return TermId(self.name, self.kind)
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, init=False)
 class Assertion:
     subject: TermId
     predicate: TermId
     object: Union[TermId, Literal]
 
+    def __init__(self, subject: TermId, predicate: TermId, object: Union[TermId, Literal]):
+        _set_subject(self, subject)
+        _set_predicate(self, predicate)
+        _set_object(self, object)
+
     def __str__(self) -> str:
         return f"({self.subject} {self.predicate} {self.object})"
+
+
+_set_subject, _set_predicate, _set_object = _slot_setters(Assertion)
 
 
 class Ontology:
@@ -535,57 +564,56 @@ class InstanceStore:
         when newly added.  ``assertion``, the same triple as the caller's
         Assertion, is stored as it is when already normal (canonical
         predicate and class, coerced literal); else one is built here."""
-        if subject.kind is not TermKind.INSTANCE or subject.name not in self._instances:
-            raise UnknownTerm(f"assertion subject {subject.name!r} is not a store instance")
+        name = subject.name
+        if subject.kind is not _INSTANCE or name not in self._instances:
+            raise UnknownTerm(f"assertion subject {name!r} is not a store instance")
 
         ont = self.ontology
-        functional = False
         if predicate.name == INSTANCE_OF.name:
-            predicate = INSTANCE_OF
-            if not isinstance(obj, TermId) or obj.kind is not TermKind.CLASS:
+            if not isinstance(obj, TermId) or obj.kind is not _CLASS:
                 raise TypeMismatch("instance_of expects a class object")
             obj = (ont.classes.get(obj.name) or ont.cls(obj.name)).id
-            types = self._types.setdefault(subject.name, [])
+            types = self._types.setdefault(name, [])
             if obj.name in types:  # one typing assertion per (instance, class)
                 return False
-        else:
-            pdef = ont.properties.get(predicate.name) or ont.prop(predicate.name)
-            predicate, functional = pdef.id, pdef.functional
-            if pdef.kind is TermKind.OBJECT_PROPERTY:
-                if not isinstance(obj, TermId) or obj.kind is not TermKind.INSTANCE:
-                    raise TypeMismatch(
-                        f"object property {pdef.name!r} expects an instance object, got {obj!r}"
-                    )
-                if obj.name not in self._instances:
-                    raise UnknownTerm(f"assertion object {obj.name!r} is not a store instance")
-            else:
-                if not isinstance(obj, Literal):
-                    raise TypeMismatch(
-                        f"data property {pdef.name!r} expects a literal object, got {obj!r}"
-                    )
-                obj = self._check_literal(pdef, subject, obj)
+            if (assertion is None or assertion.predicate is not INSTANCE_OF
+                    or assertion.object is not obj):
+                assertion = Assertion(subject, INSTANCE_OF, obj)
+            self._assertions[assertion] = None  # new: ``types`` lists every stored typing
+            self._by_predicate.setdefault(INSTANCE_OF.name, []).append(assertion)
+            self._by_subject.setdefault(name, []).append(assertion)
+            types.append(obj.name)
+            self._by_class.setdefault(obj.name, []).append(subject)
+            return True
 
-        if (assertion is None or assertion.subject is not subject
-                or assertion.predicate is not predicate or assertion.object is not obj):
+        pdef = ont.properties.get(predicate.name) or ont.prop(predicate.name)
+        predicate = pdef.id
+        link = pdef.kind is TermKind.OBJECT_PROPERTY
+        if link:
+            if not isinstance(obj, TermId) or obj.kind is not _INSTANCE:
+                raise TypeMismatch(f"object property {pdef.name!r} expects an instance object, "
+                                   f"got {obj!r}")
+            if obj.name not in self._instances:
+                raise UnknownTerm(f"assertion object {obj.name!r} is not a store instance")
+        elif isinstance(obj, Literal):
+            obj = self._check_literal(pdef, subject, obj)
+        else:
+            raise TypeMismatch(f"data property {pdef.name!r} expects a literal object, got {obj!r}")
+        if assertion is None or assertion.predicate is not predicate or assertion.object is not obj:
             assertion = Assertion(subject, predicate, obj)
         table = self._assertions
         size = len(table)
         table[assertion] = None  # one hash: a repeat keeps its key, place and the length
         if len(table) == size:
             return False
-        by_subject = self._by_subject.setdefault(subject.name, [])
-        if functional and any(a.predicate.name == predicate.name for a in by_subject):
+        by_subject = self._by_subject.setdefault(name, [])
+        if pdef.functional and any(a.predicate.name == pdef.name for a in by_subject):
             del table[assertion]
-            raise FunctionalViolation(
-                f"{predicate.name!r} is functional; {subject.name!r} already has a value"
-            )
-        self._by_predicate.setdefault(predicate.name, []).append(assertion)
+            raise FunctionalViolation(f"{pdef.name!r} is functional; {name!r} already has a value")
+        self._by_predicate.setdefault(pdef.name, []).append(assertion)
         by_subject.append(assertion)
-        if predicate is INSTANCE_OF:
-            types.append(obj.name)  # type: ignore[union-attr]
-            self._by_class.setdefault(obj.name, []).append(subject)  # type: ignore[union-attr]
-        elif isinstance(obj, TermId):
-            self._by_object.setdefault(obj.name, []).append(assertion)
+        if link:
+            self._by_object.setdefault(obj.name, []).append(assertion)  # type: ignore[union-attr]
         return True
 
     def assert_fact(
@@ -617,7 +645,10 @@ class InstanceStore:
     def _check_literal(self, pdef: PropertyDef, subject: TermId, literal: Literal) -> Literal:
         spec = pdef.datatype
         assert spec is not None
-        value = spec.coerce(literal.value)
+        value = literal.value  # an in-range Decimal is already what ``coerce`` returns
+        if (type(value) is not Decimal or spec.base != "decimal" or not value.is_finite()
+                or abs(value.adjusted()) > MAX_DECIMAL_EXPONENT):
+            value = spec.coerce(value)
         if literal.unit not in (None, spec.unit):
             raise TypeMismatch(
                 f"unit {literal.unit!r} does not match declared unit {spec.unit!r} of {pdef.name!r}"
@@ -726,6 +757,7 @@ def lexical_form(value: LiteralValue) -> str:
 
 
 _UNESCAPES = {"n": "\n", "r": "\r", "t": "\t", '"': '"', "\\": "\\"}
+_ESCAPE = re.compile(r"\\(.)", re.DOTALL)  # a backslash and the character it escapes
 
 
 def escape_string(text: str) -> str:
@@ -742,14 +774,6 @@ def escape_string(text: str) -> str:
 def unescape_string(text: str) -> str:
     """Inverse of :func:`escape_string`, read left to right; an unknown escape
     such as ``\\q`` stands for the escaped character itself."""
-    out = []
-    i = 0
-    while i < len(text):
-        ch = text[i]
-        if ch == "\\" and i + 1 < len(text):
-            out.append(_UNESCAPES.get(text[i + 1], text[i + 1]))
-            i += 2
-        else:
-            out.append(ch)
-            i += 1
-    return "".join(out)
+    if "\\" not in text:
+        return text
+    return _ESCAPE.sub(lambda m: _UNESCAPES.get(m[1], m[1]), text)

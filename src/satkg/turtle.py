@@ -27,7 +27,7 @@ from __future__ import annotations
 import re
 from array import array
 from dataclasses import dataclass
-from datetime import date, datetime
+from datetime import date
 from decimal import Decimal
 from typing import Any, Iterator, Optional, Union
 from urllib.parse import quote, unquote
@@ -208,10 +208,10 @@ _Node = Union[str, Literal]
 
 
 _READ_LITERAL = {"decimal": bounded_decimal, "integer": bounded_integer, "string": str,
-                 "date": lambda text: datetime.strptime(text, "%Y-%m-%d").date()}
+                 "date": date.fromisoformat}
 #: XSD's ASCII lexical forms of the numeric bases and the canonical date;
 #: ``int`` and ``Decimal`` alone would also take ``_``, blanks and non-ASCII
-#: digits, and ``strptime`` one-digit months and days, which export differently
+#: digits, and ``date.fromisoformat`` (3.11 on) forms such as ``20160425``
 _LEXICAL_FORMS = {"decimal": re.compile(r"[+-]?([0-9]+(\.[0-9]*)?|\.[0-9]+)([eE][+-]?[0-9]+)?"),
                   "integer": re.compile(r"[+-]?[0-9]+"),
                   "date": re.compile(r"[0-9]{4}-[0-9]{2}-[0-9]{2}")}

@@ -10,6 +10,10 @@ The readers build each value once: counts ``Assertion`` and ``TermId``
 constructions inside ``ingest`` and ``import_turtle``, against the stored
 assertions and the distinct names.
 
+Each stored fact is hashed once: counts ``Assertion.__hash__`` calls inside
+``import_turtle`` against the stored assertions, and the Python frames one
+``TermId`` construction runs (its ``__init__`` alone).
+
 Joins and negations over many rows read each index once: counts the
 per-instance reads (``assertions_about``, ``assertions_with_object``) inside
 ``evaluate`` for the benchmark's join and negation shapes, on catalogs of 200
@@ -36,6 +40,7 @@ with the catalog.
 
 import csv
 import io
+import sys
 from contextlib import contextmanager
 
 import pytest
@@ -46,6 +51,7 @@ from satkg import (
     ModelingMode,
     Semantics,
     TermId,
+    TermKind,
     build_ucsso,
     classify_orbits,
     evaluate,
@@ -163,6 +169,40 @@ def test_readers_build_one_assertion_per_stored_assertion_and_one_term_per_name(
     assert back == store
     assert built[Assertion] == back.assertion_count
     assert built[TermId] <= names
+
+
+def test_import_hashes_each_stored_assertion_once_and_a_term_runs_only_its_init(monkeypatch):
+    store, _report = ingest(parse_csv(repeated_catalog(200)), ModelingMode.REIFIED,
+                            build_ucsso(ModelingMode.REIFIED))
+    text = export_turtle(classify_orbits(store, ModelingMode.REIFIED))
+    count = [0]
+    assertion_hash = Assertion.__hash__
+
+    def counted(self):
+        count[0] += 1
+        return assertion_hash(self)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(Assertion, "__hash__", counted)
+        back = import_turtle(text)
+    assert back.assertion_count > 0
+    assert count[0] == back.assertion_count, (count[0], back.assertion_count)
+
+    frames = []
+
+    def profile(frame, event, _arg):
+        if event == "call":
+            frames.append(frame.f_code.co_name)
+
+    kinds, terms, before = list(TermKind), [], sys.getprofile()
+    sys.setprofile(profile)
+    try:
+        for kind in kinds:  # a loop, not a comprehension, which would be a frame of its own
+            terms.append(TermId("x", kind))
+    finally:
+        sys.setprofile(before)
+    assert len(set(terms)) == len(kinds)
+    assert frames == ["__init__"] * len(kinds), frames
 
 
 BENCH_JOIN = (

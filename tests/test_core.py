@@ -1,4 +1,6 @@
+import dataclasses
 import os
+import pickle
 import subprocess
 import sys
 from datetime import date
@@ -10,6 +12,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from satkg import (
+    INSTANCE_OF,
     Assertion,
     DatatypeSpec,
     InstanceStore,
@@ -495,3 +498,70 @@ def test_a_term_pickled_under_one_hash_seed_is_found_under_another():
                    "print(pickle.loads(sys.stdin.buffer.read()) in {TermId('x', TermKind.CLASS)})",
                    "2", dumped)
     assert found.strip() == b"True"
+
+
+# ---------------------------------------------------------------- value types
+
+def value_types():
+    """One term of each kind, a literal with and one without a unit, and an
+    assertion of each object shape."""
+    terms = [TermId("x", kind) for kind in TermKind]
+    sat, cls = TermId("AAUSat-4", TermKind.INSTANCE), TermId("Orbit", TermKind.CLASS)
+    link = TermId("has_Orbit", TermKind.OBJECT_PROPERTY)
+    value = TermId("has_Perigee_value", TermKind.DATA_PROPERTY)
+    literals = [Literal(Decimal("1.5"), "km"), Literal("AAUSat 4")]
+    assertions = [Assertion(sat, INSTANCE_OF, cls), Assertion(sat, link, sat),
+                  Assertion(sat, value, literals[0])]
+    return terms + literals + assertions
+
+
+def test_value_types_are_equal_and_hash_by_their_fields():
+    for a, b in zip(value_types(), value_types()):
+        assert a is not b and a == b
+        fields = tuple(getattr(a, f.name) for f in dataclasses.fields(a) if f.compare)
+        assert hash(a) == hash(b) == hash(fields)
+    first, *others = value_types()
+    assert all(first != other for other in others)
+    assert Literal(1) != Literal(1, "km") and Literal(1) != Literal(2)
+    sat = TermId("s", TermKind.INSTANCE)
+    assert Assertion(sat, INSTANCE_OF, sat) != Assertion(sat, INSTANCE_OF, Literal("s"))
+
+
+def test_value_types_keep_their_fields_and_repr():
+    assert [f.name for f in dataclasses.fields(TermId)] == ["name", "kind", "_hash"]
+    assert [f.name for f in dataclasses.fields(Literal)] == ["value", "unit"]
+    assert [f.name for f in dataclasses.fields(Assertion)] == ["subject", "predicate", "object"]
+    term = TermId("AAUSat-4", TermKind.INSTANCE)
+    assert repr(term) == "TermId(name='AAUSat-4', kind=<TermKind.INSTANCE: 'instance'>)"
+    assert repr(Literal(Decimal("1.5"), "km")) == "Literal(value=Decimal('1.5'), unit='km')"
+    assert repr(Literal(date(2016, 4, 25))) == "Literal(value=datetime.date(2016, 4, 25), unit=None)"
+    assert repr(Assertion(term, INSTANCE_OF, Literal(3))) == (
+        "Assertion(subject=TermId(name='AAUSat-4', kind=<TermKind.INSTANCE: 'instance'>), "
+        "predicate=TermId(name='instance_of', kind=<TermKind.OBJECT_PROPERTY: "
+        "'object_property'>), object=Literal(value=3, unit=None))")
+    assert Literal(Decimal("1.5")).unit is None and Literal(value="a").unit is None
+    assert Assertion(subject=term, predicate=INSTANCE_OF, object=term).object is term
+
+
+def test_value_types_are_frozen_and_pickle_round_trip():
+    for value in value_types():
+        for f in dataclasses.fields(value):
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(value, f.name, None)
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                delattr(value, f.name)
+        assert not hasattr(value, "__dict__")
+        again = pickle.loads(pickle.dumps(value))
+        assert again == value and hash(again) == hash(value) and repr(again) == repr(value)
+
+
+@pytest.mark.parametrize("kind", list(TermKind))
+def test_a_bad_name_of_each_kind_names_the_name_and_the_kind(kind):
+    for name in ("", "two words", "tab\there"):
+        with pytest.raises(InvalidTermName) as err:
+            TermId(name, kind)
+        assert str(err.value) == f"invalid term name {name!r} for kind {kind.value}"
+    if kind is not TermKind.INSTANCE:
+        with pytest.raises(InvalidTermName) as err:
+            TermId("AAUSat-4", kind)
+        assert str(err.value) == f"invalid term name 'AAUSat-4' for kind {kind.value}"

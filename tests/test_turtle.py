@@ -1,6 +1,6 @@
 import random
 import re
-from datetime import date
+from datetime import date, datetime
 from decimal import Decimal
 from itertools import zip_longest
 
@@ -503,6 +503,34 @@ def test_canonical_date_literal_imports():
     launches = [a.object.value for a in store.assertions()
                 if a.predicate.name == "has_Date_of_Launch"]
     assert launches == [date(2016, 4, 25)]
+
+
+def strptime_date(text: str):
+    """The date ``strptime`` reads from ``text``, or None when it rejects it."""
+    try:
+        return datetime.strptime(text, "%Y-%m-%d").date()
+    except ValueError:
+        return None
+
+
+@given(st.tuples(st.integers(0, 9999), st.integers(0, 13) | st.integers(0, 99),
+                 st.integers(0, 32) | st.integers(0, 99)))
+@settings(max_examples=300, deadline=None)
+def test_a_canonical_form_date_reads_as_strptime_reads_it(parts):
+    lexical = "%04d-%02d-%02d" % parts
+    golden = (FIXTURES / "one_satellite.ttl").read_text(encoding="utf-8")
+    head, found, tail = golden.partition(GOLDEN_LAUNCH)
+    assert found
+    text = head + f'"{lexical}"^^xsd:date' + tail
+    expected = strptime_date(lexical)
+    if expected is None:
+        with pytest.raises(TurtleParseError) as err:
+            import_turtle(text)
+        assert str(err.value) == f"line {head.count(chr(10)) + 1}: bad xsd:date literal {lexical!r}"
+    else:
+        launches = [a.object.value for a in import_turtle(text).assertions()
+                    if a.predicate.name == "has_Date_of_Launch"]
+        assert launches == [expected]
 
 
 @pytest.mark.parametrize(
