@@ -48,7 +48,7 @@ indexes (a typing is new exactly when ``_types`` does not list it):
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field, fields
+from dataclasses import FrozenInstanceError, dataclass, field, fields
 from functools import cached_property
 from datetime import date
 from decimal import Decimal
@@ -89,8 +89,14 @@ def _check_name(name: str, kind: TermKind) -> None:
         raise InvalidTermName(f"invalid term name {name!r} for kind {kind.value}")
 
 
+def _refuse(self, name: str, *value) -> None:
+    raise FrozenInstanceError(f"cannot {'assign to' if value else 'delete'} field {name!r}")
+
+
 def _slot_setters(cls: type) -> list:
-    """Each field slot's ``__set__``, which skips a frozen class's ``__setattr__``."""
+    """Each field slot's ``__set__``, which skips a frozen class's ``__setattr__``, now
+    refusing any name with ``__delattr__`` (the generated pair raise TypeError for a non-field)."""
+    cls.__setattr__ = cls.__delattr__ = _refuse
     return [getattr(cls, f.name).__set__ for f in fields(cls)]
 
 

@@ -6,20 +6,19 @@ datatype facets, alias links, and instance assertions.  Multiple
 ``rdfs:domain`` (or ``rdfs:range``) triples on one property are read
 disjunctively, matching the in-memory model.
 
-The reader is one token regex, a statement loop splitting at ``.``, ``;``
-and ``,``, and one table, ``_DECLARATIONS``: per declaration of a ``t:``
-term (class, object or data property, either maybe functional, or none for
-an alias), the predicates it may carry and the shape of their objects.
-Each distinct token, predicate, class and instance name is resolved once
-per file, and each instance triple goes to ``InstanceStore.insert`` as
-terms, which checks it.
-Anything else raises a ``SatkgError`` naming the term or the line, never
-dropped: blank nodes, collections, long strings, ``@base``, IRIs outside the
-declared namespaces, predicates or object shapes the table does not allow,
-and IRIs holding whitespace (RDF 1.1 Turtle's IRIREF; no IRI spans lines).
-
-Output is deterministic: terms appear in lexicographic order, so identical
-stores serialize byte-for-byte identically.
+The reader is one ``findall`` of plain-string tokens over the whole text
+(blanks and comments are read with the token before them, and a token's
+line is counted for an error only), a statement loop splitting at ``.``,
+``;`` and ``,``, and one table, ``_DECLARATIONS``: per declaration of a
+``t:`` term (class, object or data property, either maybe functional, or
+none for an alias), the predicates it may carry and the shape of their
+objects.  Each distinct token, predicate, class and instance name is
+resolved once per file, and each instance triple goes to
+``InstanceStore.insert`` as terms, which checks it.  Anything else raises a
+``SatkgError`` naming the term or the line, never dropped: blank nodes,
+collections, long strings, ``@base``, IRIs outside the declared namespaces
+or holding whitespace, and predicates or object shapes the table does not
+allow.  Output is deterministic: terms appear in lexicographic order.
 """
 
 from __future__ import annotations
@@ -29,7 +28,8 @@ from array import array
 from dataclasses import dataclass
 from datetime import date
 from decimal import Decimal
-from typing import Any, Iterator, Optional, Union
+from itertools import chain, islice
+from typing import Any, Callable, Iterator, Optional, Union
 from urllib.parse import quote, unquote
 
 from .core import (
@@ -64,12 +64,7 @@ class Namespaces:
     vocab: str = "https://satkg.example/vocab#"
 
 
-_XSD_OF_BASE = {
-    "decimal": "xsd:decimal",
-    "integer": "xsd:integer",
-    "string": "xsd:string",
-    "date": "xsd:date",
-}
+_XSD_OF_BASE = {base: f"xsd:{base}" for base in ("decimal", "integer", "string", "date")}
 
 _SAFE_LOCAL = re.compile(r"[A-Za-z0-9_][A-Za-z0-9_\-]*\Z")
 
@@ -95,18 +90,10 @@ def _literal_ref(literal: Literal) -> str:
     raise TypeError(f"unsupported literal value {value!r}")
 
 
-def _object_ref(obj: Union[TermId, Literal], ns: Namespaces) -> str:
-    if isinstance(obj, Literal):
-        return _literal_ref(obj)
-    if obj.kind is TermKind.INSTANCE:
-        return _instance_ref(obj.name, ns)
-    return f"t:{obj.name}"
-
-
 def export_turtle(store: InstanceStore, namespaces: Namespaces = Namespaces()) -> str:
     """Serialize a store (schema plus assertions) deterministically."""
     ns = namespaces
-    lines = [
+    blocks = ["\n".join([  # the prefixes, then a block per statement, a blank line apart
         f"@prefix rdf: <{RDF_NS}> .",
         f"@prefix rdfs: <{RDFS_NS}> .",
         f"@prefix owl: <{OWL_NS}> .",
@@ -114,42 +101,36 @@ def export_turtle(store: InstanceStore, namespaces: Namespaces = Namespaces()) -
         f"@prefix t: <{ns.terms}> .",
         f"@prefix i: <{ns.instances}> .",
         f"@prefix v: <{ns.vocab}> .",
-    ]
+    ])]
     ont = store.ontology
 
     for name in sorted(ont.classes):
         cdef = ont.classes[name]
-        lines.append("")
         parts = [f"t:{name} a owl:Class"]
         if cdef.parents:
             parents = ", ".join(f"t:{p}" for p in sorted(cdef.parents))
             parts.append(f"    rdfs:subClassOf {parents}")
         if cdef.definition is not None:
             parts.append(f'    rdfs:comment "{escape_string(cdef.definition)}"')
-        lines.append(" ;\n".join(parts) + " .")
+        blocks.append(" ;\n".join(parts) + " .")
 
     for alias in sorted(ont.aliases):
-        lines.append("")
-        lines.append(f"t:{alias} v:aliasFor t:{ont.aliases[alias]} .")
+        blocks.append(f"t:{alias} v:aliasFor t:{ont.aliases[alias]} .")
 
     for name in sorted(ont.properties):
         pdef = ont.properties[name]
-        lines.append("")
-        if pdef.kind is TermKind.OBJECT_PROPERTY:
-            decl = "owl:ObjectProperty"
-        else:
-            decl = "owl:DatatypeProperty"
+        link = pdef.kind is TermKind.OBJECT_PROPERTY
+        decl = "owl:ObjectProperty" if link else "owl:DatatypeProperty"
         if pdef.functional:
             decl += ", owl:FunctionalProperty"
         parts = [f"t:{name} a {decl}"]
         if pdef.domain:
             domain = ", ".join(f"t:{d}" for d in sorted(pdef.domain))
             parts.append(f"    rdfs:domain {domain}")
-        if pdef.kind is TermKind.OBJECT_PROPERTY:
-            if pdef.range_classes:
-                rng = ", ".join(f"t:{r}" for r in sorted(pdef.range_classes))
-                parts.append(f"    rdfs:range {rng}")
-        else:
+        if link and pdef.range_classes:
+            rng = ", ".join(f"t:{r}" for r in sorted(pdef.range_classes))
+            parts.append(f"    rdfs:range {rng}")
+        elif not link:
             spec = pdef.datatype
             assert spec is not None
             parts.append(f"    rdfs:range {_XSD_OF_BASE[spec.base]}")
@@ -164,48 +145,50 @@ def export_turtle(store: InstanceStore, namespaces: Namespaces = Namespaces()) -
                     parts.append(f"    v:maxValue {_literal_ref(Literal(r.upper))}")
                 parts.append(f"    v:maxInclusive {_literal_ref(Literal(r.upper_inclusive))}")
                 parts.append(f"    v:warnAtUpper {_literal_ref(Literal(r.warn_at_upper))}")
-        lines.append(" ;\n".join(parts) + " .")
+        blocks.append(" ;\n".join(parts) + " .")
 
-    for name in sorted(n.name for n in store.instances):
-        lines.append("")
+    # each instance's reference, built once; a fact's object is an instance or a literal
+    refs = {name: _instance_ref(name, ns) for name in sorted(n.name for n in store.instances)}
+    for name, ref in refs.items():
         types = sorted(store.types_of(name))
         type_refs = ", ".join(["owl:NamedIndividual"] + [f"t:{t}" for t in types])
-        parts = [f"{_instance_ref(name, ns)} a {type_refs}"]
+        parts = [f"{ref} a {type_refs}"]
         grouped: dict[str, list[str]] = {}
         for a in store.assertions_about(name):
-            if a.predicate.name == "instance_of":
-                continue
-            grouped.setdefault(a.predicate.name, []).append(_object_ref(a.object, ns))
+            o = a.object
+            if a.predicate.name != "instance_of":  # typings are written from types_of
+                grouped.setdefault(a.predicate.name, []).append(
+                    _literal_ref(o) if type(o) is Literal else refs[o.name])
         for predicate in sorted(grouped):
             objects = ", ".join(sorted(grouped[predicate]))
             parts.append(f"    t:{predicate} {objects}")
-        lines.append(" ;\n".join(parts) + " .")
+        blocks.append(" ;\n".join(parts) + " .")
 
-    return "\n".join(lines) + "\n"
+    del refs  # freed before the join, where the export peaks
+    return "\n\n".join(blocks) + "\n"
 
 
 # ------------------------------------------------------------------ reading
 
 _TOKEN_RE = re.compile(
     r"""
-    [ \t]*  # blanks before a token, read with it (a token is the text of its group)
-    (?:(?P<space>[ \t\r\n]+|\#[^\n]*)
-  | (?P<outside>[\[\]()]|_:|"{3})
-  | (?P<iri><[^\x00-\x20<>"{}|^`\\]*>)
-  | (?P<string>"(?P<body>(?:[^"\\\n]|\\.)*)"
-        (?:\^\^(?P<datatype>[A-Za-z][A-Za-z0-9_\-]*:[A-Za-z0-9_][A-Za-z0-9_\-]*))?)
-  | (?P<pname>(?:[A-Za-z][A-Za-z0-9_\-]*)?:(?:[A-Za-z0-9_][A-Za-z0-9_\-]*)?)
-  | (?P<word>@?[A-Za-z]+)
-  | (?P<punct>[.;,])
-  | (?P<bad>.))
+    [ \t\r\n]*  # blanks before a piece's first token
+    ( (?:[A-Za-z][A-Za-z0-9_\-]*)?:(?:[A-Za-z0-9_][A-Za-z0-9_\-]*)?  # prefixed name
+    | [.;,]  # punctuation
+    | @?[A-Za-z]+  # word
+    | <[^\x00-\x20<>"{}|^`\\]*>  # IRI
+    | [\[\]()]|_:|"{3}  # outside the fragment
+    | "(?:[^"\\\n]|\\.)*"(?:\^\^[A-Za-z][A-Za-z0-9_\-]*:[A-Za-z0-9_][A-Za-z0-9_\-]*)?  # string
+    | [^ \t\r\n\#] )  # any other character: bad
+    [ \t\r\n]*(?:\#[^\n]*[ \t\r\n]*)*  # blanks and comments after it
+  | (?:[ \t\r\n]|\#[^\n]*)+  # blanks and comments opening a piece, read as ""
     """,
     re.VERBOSE,
 )
-
+_WORDS = {"a": "rdf:type", "true": Literal(True), "false": Literal(False)}  # type: ignore[arg-type]
 _STANDARD = {RDF_NS: "rdf", RDFS_NS: "rdfs", OWL_NS: "owl", XSD_NS: "xsd"}
 
 _Node = Union[str, Literal]
-
 
 _READ_LITERAL = {"decimal": bounded_decimal, "integer": bounded_integer, "string": str,
                  "date": date.fromisoformat}
@@ -220,103 +203,96 @@ _BAD_START = {'"': "unterminated string",
               "<": "unterminated IRI, or one holding whitespace or <>\"{}|^`\\"}
 
 
-def _triples(text: str) -> Iterator[tuple[str, str, _Node, int]]:
-    """Yield each triple as (subject, predicate, object, line of the object):
-    a resource as ``"label:name"`` under the labels t, i, v, rdf, rdfs, owl
-    and xsd, whatever prefix the text used, and a literal as a :class:`Literal`.
+def _scan(text: str, find: Callable) -> Iterator:
+    """``find`` over ~64 KB pieces of whole lines, chained: no list holds a whole file's tokens."""
+    ends = [0]
+    while ends[-1] < len(text):
+        ends.append(text.find("\n", ends[-1] + 65536) + 1 or len(text))
+    return chain.from_iterable(find(text, a, b) for a, b in zip(ends, ends[1:]))
 
-    Each token is resolved to its node as it is read, through a memo kept
-    until the next ``@prefix``, so a repeated token costs one dict probe.  A
-    token that does not resolve is reported when its statement ends, after
-    the statement's shape is checked, as if the statement were read whole."""
+
+def _line(text: str, index: int) -> int:
+    """The line of the token at ``index`` of ``_scan(text, _TOKEN_RE.findall)``."""
+    m = next(islice(_scan(text, _TOKEN_RE.finditer), index, None))
+    return text.count("\n", 0, m.start(1)) + 1
+
+
+def _triples(text: str) -> Iterator[tuple[str, str, _Node, int]]:
+    """Yield each triple as (subject, predicate, object, index of the object's
+    token, which ``_line`` turns into a line): a resource as ``"label:name"``
+    under the labels t, i, v, rdf, rdfs, owl and xsd, whatever prefix the text
+    used, and a literal as a :class:`Literal`.  Tokens resolve to nodes through
+    a memo emptied at each ``@``-directive; the first of a statement that does
+    not resolve is reported when the statement ends, after its shape is
+    checked, as if the statement were read whole."""
     declared: dict[str, str] = {}  # prefix label -> namespace IRI
     spaces = dict(_STANDARD)  # namespace IRI -> label, the project ones first
-    resolved: dict[str, _Node] = {}  # token text -> its node, until the next @prefix
+    resolved: dict[str, _Node] = {}  # token text -> its node, until the next directive
     run: list[Optional[_Node]] = []  # nodes since the last punctuation
     failed: Optional[SatkgError] = None  # the first token of ``run`` that did not resolve
-    directive: Optional[list[tuple[str, str]]] = None  # (kind, text) of an @-directive
+    directive: Optional[list[str]] = None  # the tokens of an @-directive
     subject: Optional[_Node] = None
     predicate: Optional[_Node] = None
-    line = at = 1  # the current line, and that of the last node read
 
-    def pname(text: str, line: int) -> str:
-        label, _, name = text.partition(":")
+    def pname(token: str, n: int) -> str:
+        label, _, name = token.partition(":")
         space = spaces.get(declared.get(label, ""))
         if space is None:
-            raise TurtleParseError(f"unknown prefix {label!r}", line)
-        return text if space == label else f"{space}:{name}"
+            raise TurtleParseError(f"unknown prefix {label!r}", _line(text, n))
+        return token if space == label else f"{space}:{name}"
 
-    def node(kind: str, text: str, m: re.Match, line: int) -> _Node:
-        if kind == "pname":
-            return pname(text, line)
-        if kind == "iri":
+    def node(token: str, n: int) -> _Node:
+        if token[0] == "<":
             for base, label in spaces.items():
-                if text.startswith(base, 1):
-                    name = text[len(base) + 1 : -1]
+                if token.startswith(base, 1):
+                    name = token[len(base) + 1 : -1]
                     return f"{label}:{unquote(name) if label == 'i' else name}"
-            raise UnsupportedConstruct(f"line {line}: IRI outside the fragment: {text}")
-        if kind == "string":
-            body = unescape_string(m.group("body"))
-            if m.group("datatype") is None:
+            raise UnsupportedConstruct(f"line {_line(text, n)}: IRI outside the fragment: {token}")
+        if token[0] == '"':
+            body, _, datatype = token[1:].rpartition('"')  # a datatype holds no quote
+            body = unescape_string(body)
+            if not datatype:
                 return Literal(body)
-            datatype = pname(m.group("datatype"), line)
+            datatype = pname(datatype[2:], n)
             read = _READ_LITERAL.get(datatype[4:]) if datatype.startswith("xsd:") else None
             if read is None:
-                raise UnsupportedConstruct(f"line {line}: datatype {datatype}")
+                raise UnsupportedConstruct(f"line {_line(text, n)}: datatype {datatype}")
             form = _LEXICAL_FORMS.get(datatype[4:])
             try:
                 if form is not None and form.fullmatch(body) is None:
                     raise ValueError(body)
                 return Literal(read(body))
             except (ValueError, ArithmeticError):
-                raise TurtleParseError(f"bad {datatype} literal {body!r}", line) from None
-        if text in ("true", "false"):
-            return Literal(text == "true")  # type: ignore[arg-type]
-        if text == "a":
-            return "rdf:type"
-        raise TurtleParseError(f"unexpected {text!r}", line)
+                raise TurtleParseError(f"bad {datatype} literal {body!r}", _line(text, n)) from None
+        if ":" in token:
+            return pname(token, n)
+        if token in _WORDS:
+            return _WORDS[token]
+        raise TurtleParseError(f"unexpected {token!r}", _line(text, n))
 
-    for m in _TOKEN_RE.finditer(text):
-        kind = m.lastgroup or ""
-        token = m[kind]
-        if kind == "space":
-            line += token.count("\n")
-        elif kind == "outside":
-            raise UnsupportedConstruct(f"line {line}: {token!r} is outside the fragment")
-        elif kind == "bad":
-            problem = _BAD_START.get(token, f"unexpected character {token!r}")
-            raise TurtleParseError(problem, line)
-        elif kind != "punct":
-            if directive is not None:
-                directive.append((kind, token))
-            elif subject is None and not run and token[0] == "@":
-                directive = [(kind, token)]
-            else:
-                found = resolved.get(token)
-                if found is None:
-                    try:
-                        found = resolved[token] = node(kind, token, m, line)
-                    except SatkgError as exc:
-                        failed = failed or exc
-                run.append(found)
-                at = line
-        elif directive is not None:
-            words = [word for _, word in directive]
-            if words[0] != "@prefix":
-                raise UnsupportedConstruct(f"line {line}: {words[0]} is outside the fragment")
-            if ([kind for kind, _ in directive] != ["word", "pname", "iri"] or token != "."
-                    or not words[1].endswith(":")):
-                raise TurtleParseError("expected '@prefix label: <IRI> .'", line)
-            declared[words[1][:-1]] = words[2][1:-1]
+    for n, token in enumerate(_scan(text, _TOKEN_RE.findall)):
+        found = resolved.get(token)  # None in a directive, which empties the memo
+        if found is not None:
+            run.append(found)
+            at = n
+        elif not token:  # blanks and comments opening a piece
+            pass
+        elif directive is not None and token in ".;,":
+            if directive[0] != "@prefix":
+                raise UnsupportedConstruct(
+                    f"line {_line(text, n)}: {directive[0]} is outside the fragment")
+            if (len(directive) != 3 or not directive[1].endswith(":")  # a pname
+                    or directive[2][0] != "<" or token != "."):
+                raise TurtleParseError("expected '@prefix label: <IRI> .'", _line(text, n))
+            declared[directive[1][:-1]] = directive[2][1:-1]
             spaces = {declared[label]: label for label in ("t", "i", "v") if label in declared}
             spaces.update((iri, label) for iri, label in _STANDARD.items() if iri not in spaces)
-            resolved.clear()
             directive = None
-        else:
+        elif token in ".;,":
             want = 3 - (subject is not None) - (predicate is not None)
             if len(run) != want:
-                roles = ("subject", "predicate", "object")[3 - want:]
-                raise TurtleParseError(f"expected {' '.join(roles)} before {token!r}", line)
+                roles = " ".join(("subject", "predicate", "object")[3 - want:])
+                raise TurtleParseError(f"expected {roles} before {token!r}", _line(text, n))
             if failed is not None:
                 raise failed
             if subject is None:
@@ -324,15 +300,32 @@ def _triples(text: str) -> Iterator[tuple[str, str, _Node, int]]:
             if predicate is None:
                 predicate = run[-2]
             if not isinstance(subject, str) or not isinstance(predicate, str):
-                raise TurtleParseError("a literal as subject or predicate", line)
+                raise TurtleParseError("a literal as subject or predicate", _line(text, n))
             yield subject, predicate, run[-1], at  # type: ignore[misc]
             if token == ".":
                 subject = predicate = None
             elif token == ";":
                 predicate = None
             run = []
+        elif token in ("[", "]", "(", ")", "_:", '"""'):
+            raise UnsupportedConstruct(f"line {_line(text, n)}: {token!r} is outside the fragment")
+        elif len(token) == 1 and not (token == ":" or token.isascii() and token.isalpha()):
+            problem = _BAD_START.get(token, f"unexpected character {token!r}")
+            raise TurtleParseError(problem, _line(text, n))
+        elif directive is not None:
+            directive.append(token)
+        elif subject is None and not run and token[0] == "@":
+            directive, resolved = [token], {}
+        else:
+            if failed is None:  # later failures of the statement would not be reported
+                try:
+                    found = resolved[token] = node(token, n)
+                except SatkgError as exc:
+                    failed = exc
+            run.append(found)
+            at = n
     if run or subject is not None or directive is not None:
-        raise TurtleParseError("expected '.' at the end of the input", line)
+        raise TurtleParseError("expected '.' at the end of the input", text.count("\n") + 1)
 
 
 _OBJECT_PROPERTY = {"rdfs:domain": "term", "rdfs:range": "term"}
@@ -445,24 +438,25 @@ def import_turtle(data: Union[bytes, str]) -> InstanceStore:
     individuals: list[str] = []  # i: nodes
     typings: list[tuple[str, str]] = []  # (i: node, t: node)
     facts: list[tuple[str, str, _Node]] = []  # (i: node, t: node, object node)
-    typing_lines, fact_lines = array("L"), array("L")  # the line of each, unboxed
-    for s, p, o, line in _triples(text):
+    typing_at, fact_at = array("L"), array("L")  # the token index of each, unboxed
+    for s, p, o, at in _triples(text):
         if s.startswith("t:"):
             terms.setdefault(s[2:], {}).setdefault(p, []).append(o)
         elif not s.startswith("i:"):
-            raise UnsupportedConstruct(f"line {line}: subject outside the fragment: {s}")
+            raise UnsupportedConstruct(f"line {_line(text, at)}: subject outside the fragment: {s}")
         elif p != "rdf:type":
             if not p.startswith("t:"):
-                raise UnsupportedConstruct(f"line {line}: predicate {p} on instance {s[2:]}")
+                raise UnsupportedConstruct(
+                    f"line {_line(text, at)}: predicate {p} on instance {s[2:]}")
             facts.append((s, p, o))
-            fact_lines.append(line)
+            fact_at.append(at)
         elif o == "owl:NamedIndividual":
             individuals.append(s)
         elif isinstance(o, str) and o.startswith("t:"):
             typings.append((s, o))
-            typing_lines.append(line)
+            typing_at.append(at)
         else:
-            raise UnsupportedConstruct(f"line {line}: typing {o} on instance {s[2:]}")
+            raise UnsupportedConstruct(f"line {_line(text, at)}: typing {o} on instance {s[2:]}")
 
     # All typings before all other assertions, each in file order, as the
     # store's assertion order (and so the order of validate reports) expects.
@@ -482,11 +476,11 @@ def import_turtle(data: Union[bytes, str]) -> InstanceStore:
     classes: dict[str, TermId] = {}
     predicates = {"t:" + INSTANCE_OF.name: INSTANCE_OF}
     try:
-        for (s, o), line in zip(typings, typing_lines):
+        for (s, o), at in zip(typings, typing_at):
             subject = instances.get(s) or instance(s)
             cls = classes.get(o) or classes.setdefault(o, ont.class_id(o[2:]))
             store.insert(subject, INSTANCE_OF, cls)
-        for (s, p, o), line in zip(facts, fact_lines):
+        for (s, p, o), at in zip(facts, fact_at):
             subject = instances.get(s) or instance(s)
             if isinstance(o, str):
                 if not o.startswith("i:"):
@@ -497,5 +491,5 @@ def import_turtle(data: Union[bytes, str]) -> InstanceStore:
                 predicate = predicates[p] = ont.prop(p[2:]).id
             store.insert(subject, predicate, o)
     except SatkgError as exc:
-        raise type(exc)(f"line {line}: {exc}") from None
+        raise type(exc)(f"line {_line(text, at)}: {exc}") from None
     return store

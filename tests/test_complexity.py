@@ -10,6 +10,10 @@ The readers build each value once: counts ``Assertion`` and ``TermId``
 constructions inside ``ingest`` and ``import_turtle``, against the stored
 assertions and the distinct names.
 
+The writer builds each instance's reference once: counts
+``turtle._instance_ref`` calls inside ``export_turtle`` against the store's
+instances, which are named more often than that as subjects and objects.
+
 Each stored fact is hashed once: counts ``Assertion.__hash__`` calls inside
 ``import_turtle`` against the stored assertions, and the Python frames one
 ``TermId`` construction runs (its ``__init__`` alone).
@@ -62,7 +66,7 @@ from satkg import (
     parse_query,
     validate,
 )
-from satkg import query
+from satkg import query, turtle
 from satkg.core import lexical_form
 from satkg.ingest import resolve_record
 
@@ -169,6 +173,26 @@ def test_readers_build_one_assertion_per_stored_assertion_and_one_term_per_name(
     assert back == store
     assert built[Assertion] == back.assertion_count
     assert built[TermId] <= names
+
+
+def test_export_builds_one_reference_per_instance(monkeypatch):
+    store, _report = ingest(parse_csv(repeated_catalog(200)), ModelingMode.REIFIED,
+                            build_ucsso(ModelingMode.REIFIED))
+    links = sum(1 for a in store.assertions() if isinstance(a.object, TermId)
+                and a.object.kind is TermKind.INSTANCE)
+    count = [0]
+    instance_ref = turtle._instance_ref
+
+    def counted(name, ns):
+        count[0] += 1
+        return instance_ref(name, ns)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(turtle, "_instance_ref", counted)
+        text = export_turtle(store)
+    assert links > len(store.instances) > 0  # a reference per mention would be more calls
+    assert count[0] == len(store.instances), (count[0], len(store.instances))
+    assert import_turtle(text) == store
 
 
 def test_import_hashes_each_stored_assertion_once_and_a_term_runs_only_its_init(monkeypatch):

@@ -1,3 +1,4 @@
+import copy
 import dataclasses
 import os
 import pickle
@@ -553,6 +554,17 @@ def test_value_types_are_frozen_and_pickle_round_trip():
         assert not hasattr(value, "__dict__")
         again = pickle.loads(pickle.dumps(value))
         assert again == value and hash(again) == hash(value) and repr(again) == repr(value)
+
+
+def test_value_types_refuse_any_attribute_as_a_frozen_instance():
+    # any name, a field (_hash) or not
+    for value in value_types():
+        for name in ("extra", "__weakref__", "_hash"):
+            with pytest.raises(dataclasses.FrozenInstanceError, match=f"assign to field '{name}'"):
+                setattr(value, name, 1)
+            with pytest.raises(dataclasses.FrozenInstanceError, match=f"delete field '{name}'"):
+                delattr(value, name)
+        assert value == copy.copy(value) == copy.deepcopy(value)
 
 
 @pytest.mark.parametrize("kind", list(TermKind))
