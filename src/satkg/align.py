@@ -76,7 +76,7 @@ def apply_mapping(
         typed = {term for cls in subclasses for term in store.instances_of(cls)}
         reference_class = merged.cls(entry.reference.name).id
         for term in sorted(typed, key=position.__getitem__):
-            result.add(Assertion(term, INSTANCE_OF, reference_class))  # normal: stored as it is
+            result.add(Assertion(term, INSTANCE_OF, reference_class))
     return result
 
 

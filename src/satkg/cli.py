@@ -14,9 +14,9 @@ from typing import Optional
 
 from . import __version__
 from .align import apply_mapping, build_bridged_ontology
-from .core import InstanceStore, Ontology
+from .core import InstanceStore, Ontology, decode_utf8
 from .dot import export_dot
-from .errors import SatkgError
+from .errors import OverlayError, QuerySyntaxError, SatkgError
 from .ingest import ingest, parse_csv
 from .query import Semantics, evaluate, parse_query
 from .reasoner import classify_orbits, validate, violations_to_jsonl
@@ -153,7 +153,9 @@ def _cmd_load(args: argparse.Namespace, stdout) -> int:
     else:
         ontology = build_ucsso(mode)
     if args.overlay is not None:
-        apply_overlay(ontology, parse_overlay(args.overlay.read_text(encoding="utf-8")))
+        text = decode_utf8(args.overlay.read_bytes(), lambda message, line, column: OverlayError(
+            f"line {line}, column {column}: {message}"))
+        apply_overlay(ontology, parse_overlay(text))
     records = parse_csv(args.infile.read_bytes())
     store, report = ingest(records, mode, ontology)
     _write(args.out, export_turtle(store, _namespaces(args)))
@@ -201,7 +203,8 @@ def _cmd_query(args: argparse.Namespace, stdout, stderr) -> int:
     if (args.text is None) == (args.file is None):
         print("error: provide the query text either inline or via --file", file=stderr)
         return 2
-    text = args.text if args.text is not None else args.file.read_text(encoding="utf-8")
+    text = args.text if args.text is not None else decode_utf8(  # universal newlines, as read_text
+        args.file.read_bytes(), QuerySyntaxError).replace("\r\n", "\n").replace("\r", "\n")
     semantics = Semantics.OPEN_WORLD if args.semantics == "open" else Semantics.CLOSED_WORLD
     store = _load_store(args.store)
     ast = parse_query(text, store.ontology, semantics)

@@ -27,14 +27,13 @@ ancestor of the parent), so lookups only read and never fill a cache.
 Aliases are resolved before the sets are read, so adding one changes none.
 
 The store keeps each assertion once in one insertion-ordered dict, plus one
-index per access path.  Every write goes through one checked insert,
-``InstanceStore.insert(subject, predicate, object)``: ``add`` hands it an
-``Assertion``, ``assert_fact`` plain names, and the readers (Turtle import,
-CSV ingest) the terms they resolved once per name.  It resolves the
-predicate and, per object kind, a typing's class, a link's instance or a
-literal's coerced value, builds the stored ``Assertion`` once (or keeps the
-caller's, when already in normal form), hashes it once, and maintains the
-indexes (a typing is new exactly when ``_types`` does not list it):
+index per access path.  Every write goes through one checked batch write of
+(subject, predicate, object) names, ``InstanceStore.write``: ``ingest``
+writes a batch per row, ``import_turtle`` one per file, ``classify_orbits``
+one per store, and ``insert``, ``add`` and ``assert_fact`` one of one fact.
+It resolves each distinct predicate and class once per batch, builds each
+stored ``Assertion`` once, hashes it once, and maintains the indexes (a
+typing is new exactly when ``_types`` does not list it):
 
 * ``_by_subject``: subject name -> its assertions;
 * ``_by_predicate``: canonical predicate name -> its assertions;
@@ -53,7 +52,7 @@ from functools import cached_property
 from datetime import date
 from decimal import Decimal
 from enum import Enum
-from typing import Iterable, Iterator, Optional, Union
+from typing import Callable, Iterable, Iterator, Optional, Union
 
 from .errors import (
     CycleDetected,
@@ -62,6 +61,7 @@ from .errors import (
     InvalidDatatype,
     InvalidTermName,
     RestrictionViolation,
+    SatkgError,
     TypeMismatch,
     UnknownParent,
     UnknownTerm,
@@ -444,13 +444,6 @@ class Ontology:
         except KeyError:
             raise UnknownTerm(f"class {name!r} not defined") from None
 
-    def class_id(self, name: str) -> TermId:
-        """The class's own term when ``name`` is a class, else a new class term
-        for it (an alias or an unknown name, for the store to resolve or
-        reject)."""
-        cdef = self.classes.get(name)
-        return cdef.id if cdef is not None else TermId(name, TermKind.CLASS)
-
     def prop(self, name: str) -> PropertyDef:
         canonical = self.canonical_name(name)
         try:
@@ -506,6 +499,32 @@ class Ontology:
         return f"<Ontology {len(self.classes)} classes, {len(self.properties)} properties>"
 
 
+def _check_literal(pdef: PropertyDef, subject: str, literal: Literal, warned: list,
+                   position: int) -> Literal:
+    """The literal coerced to its property's datatype; a warned bound adds to ``warned``."""
+    spec = pdef.datatype
+    assert spec is not None
+    value = literal.value  # an in-range Decimal is already what ``coerce`` returns
+    if (type(value) is not Decimal or spec.base != "decimal" or not value.is_finite()
+            or abs(value.adjusted()) > MAX_DECIMAL_EXPONENT):
+        value = spec.coerce(value)
+    if literal.unit not in (None, spec.unit):
+        raise TypeMismatch(
+            f"unit {literal.unit!r} does not match declared unit {spec.unit!r} of {pdef.name!r}"
+        )
+    if spec.restriction is not None:
+        if not spec.restriction.allows(value):  # type: ignore[arg-type]
+            raise RestrictionViolation(
+                f"value {value} of {pdef.name!r} on {subject!r} outside permitted range"
+            )
+        if spec.restriction.warns(value):  # type: ignore[arg-type]
+            warned.append(
+                (position, f"{subject}: {pdef.name} = {value} sits on the permitted boundary"))
+    if value is literal.value and literal.unit == spec.unit:
+        return literal
+    return Literal(value, spec.unit)
+
+
 class InstanceStore:
     """Instances and assertions over one ontology.
 
@@ -557,70 +576,87 @@ class InstanceStore:
 
     def add(self, assertion: Assertion) -> bool:
         """Validate and store one assertion; return True when newly added."""
-        return self.insert(assertion.subject, assertion.predicate, assertion.object, assertion)
+        return self.insert(assertion.subject, assertion.predicate, assertion.object)
 
-    def insert(
-        self,
-        subject: TermId,
-        predicate: TermId,
-        obj: Union[TermId, Literal],
-        assertion: Optional[Assertion] = None,
-    ) -> bool:
-        """Validate and store the triple (subject, predicate, obj); return True
-        when newly added.  ``assertion``, the same triple as the caller's
-        Assertion, is stored as it is when already normal (canonical
-        predicate and class, coerced literal); else one is built here."""
-        name = subject.name
-        if subject.kind is not _INSTANCE or name not in self._instances:
-            raise UnknownTerm(f"assertion subject {name!r} is not a store instance")
+    def insert(self, subject: TermId, predicate: TermId, obj: Union[TermId, Literal]) -> bool:
+        """Validate and store the triple (subject, predicate, obj) as a batch of
+        one :meth:`write`; return True when newly added."""
+        if subject.kind is not _INSTANCE:
+            raise UnknownTerm(f"assertion subject {subject.name!r} is not a store instance")
+        named = _CLASS if predicate.name == INSTANCE_OF.name else _INSTANCE
+        if isinstance(obj, TermId) and obj.kind is named:
+            obj = obj.name
+        size = len(self._assertions)
+        for _position, exc in self.write([(subject.name, predicate.name, obj)])[0]:
+            raise exc
+        return len(self._assertions) > size
 
-        ont = self.ontology
-        if predicate.name == INSTANCE_OF.name:
-            if not isinstance(obj, TermId) or obj.kind is not _CLASS:
-                raise TypeMismatch("instance_of expects a class object")
-            obj = (ont.classes.get(obj.name) or ont.cls(obj.name)).id
-            types = self._types.setdefault(name, [])
-            if obj.name in types:  # one typing assertion per (instance, class)
-                return False
-            if (assertion is None or assertion.predicate is not INSTANCE_OF
-                    or assertion.object is not obj):
-                assertion = Assertion(subject, INSTANCE_OF, obj)
-            self._assertions[assertion] = None  # new: ``types`` lists every stored typing
-            self._by_predicate.setdefault(INSTANCE_OF.name, []).append(assertion)
-            self._by_subject.setdefault(name, []).append(assertion)
-            types.append(obj.name)
-            self._by_class.setdefault(obj.name, []).append(subject)
-            return True
-
-        pdef = ont.properties.get(predicate.name) or ont.prop(predicate.name)
-        predicate = pdef.id
-        link = pdef.kind is TermKind.OBJECT_PROPERTY
-        if link:
-            if not isinstance(obj, TermId) or obj.kind is not _INSTANCE:
-                raise TypeMismatch(f"object property {pdef.name!r} expects an instance object, "
-                                   f"got {obj!r}")
-            if obj.name not in self._instances:
-                raise UnknownTerm(f"assertion object {obj.name!r} is not a store instance")
-        elif isinstance(obj, Literal):
-            obj = self._check_literal(pdef, subject, obj)
-        else:
-            raise TypeMismatch(f"data property {pdef.name!r} expects a literal object, got {obj!r}")
-        if assertion is None or assertion.predicate is not predicate or assertion.object is not obj:
-            assertion = Assertion(subject, predicate, obj)
-        table = self._assertions
-        size = len(table)
-        table[assertion] = None  # one hash: a repeat keeps its key, place and the length
-        if len(table) == size:
-            return False
-        by_subject = self._by_subject.setdefault(name, [])
-        if pdef.functional and any(a.predicate.name == pdef.name for a in by_subject):
-            del table[assertion]
-            raise FunctionalViolation(f"{pdef.name!r} is functional; {name!r} already has a value")
-        self._by_predicate.setdefault(pdef.name, []).append(assertion)
-        by_subject.append(assertion)
-        if link:
-            self._by_object.setdefault(obj.name, []).append(assertion)  # type: ignore[union-attr]
-        return True
+    def write(self, facts: Iterable[tuple[str, str, Union[str, Literal]]]) -> tuple[list, list]:
+        """Validate and store (subject, predicate, object) facts in order: the
+        subject an instance's name, the object a class's for ``instance_of``,
+        an instance's for an object property, a :class:`Literal` for a data
+        property.  Returns the refused facts, which are skipped, and the
+        boundary warnings (also added to ``warnings``) with their positions."""
+        ont, instances, table, types = self.ontology, self._instances, self._assertions, self._types
+        classes: dict[str, TermId] = {}  # each resolved once per batch
+        properties: dict[str, PropertyDef] = {}
+        refused: list[tuple[int, SatkgError]] = []
+        warned: list[tuple[int, str]] = []
+        for position, (s, p, o) in enumerate(facts):
+            try:
+                subject = instances.get(s)
+                if subject is None:
+                    raise UnknownTerm(f"assertion subject {s!r} is not a store instance")
+                name = subject.name
+                if p == INSTANCE_OF.name:
+                    if not isinstance(o, str):
+                        raise TypeMismatch("instance_of expects a class object")
+                    obj = classes.get(o)
+                    if obj is None:
+                        if o not in ont.classes:  # a bad name raises as a new term's would
+                            _check_name(o, _CLASS)
+                        obj = classes[o] = ont.cls(o).id
+                    held = types.setdefault(name, [])
+                    if obj.name in held:  # one typing assertion per (instance, class)
+                        continue
+                    held.append(obj.name)
+                    self._by_class.setdefault(obj.name, []).append(subject)
+                    assertion = Assertion(subject, INSTANCE_OF, obj)
+                    table[assertion] = None  # new: ``held`` listed every stored typing
+                else:
+                    pdef = properties.get(p) or properties.setdefault(p, ont.prop(p))
+                    if pdef.kind is TermKind.OBJECT_PROPERTY:
+                        if not isinstance(o, str):
+                            raise TypeMismatch(f"object property {pdef.name!r} expects an "
+                                               f"instance object, got {o!r}")
+                        obj = instances.get(o)
+                        if obj is None:
+                            raise UnknownTerm(f"assertion object {o!r} is not a store instance")
+                    elif isinstance(o, Literal):
+                        obj = _check_literal(pdef, name, o, warned, position)
+                    else:  # an instance name is shown as its term
+                        o = TermId(o, _INSTANCE) if isinstance(o, str) else o
+                        raise TypeMismatch(f"data property {pdef.name!r} expects a literal "
+                                           f"object, got {o!r}")
+                    assertion, p = Assertion(subject, pdef.id, obj), pdef.name
+                    size = len(table)
+                    table[assertion] = None  # one hash: a repeat keeps its key, place and length
+                    if len(table) == size:
+                        continue
+                    if pdef.functional and any(a.predicate.name == p
+                                               for a in self._by_subject.get(name, ())):
+                        del table[assertion]
+                        raise FunctionalViolation(
+                            f"{p!r} is functional; {name!r} already has a value")
+                    if type(obj) is TermId:
+                        self._by_object.setdefault(obj.name, []).append(assertion)
+                self._by_predicate.setdefault(p, []).append(assertion)
+                self._by_subject.setdefault(name, []).append(assertion)
+            except SatkgError as exc:
+                refused.append((position, exc))
+        if warned:
+            self.warnings += [message for _position, message in warned]
+        return refused, warned
 
     def assert_fact(
         self,
@@ -637,40 +673,14 @@ class InstanceStore:
         sterm = self.instance(subject) if isinstance(subject, str) else subject
         pname = predicate if isinstance(predicate, str) else predicate.name
         pterm = INSTANCE_OF if pname == INSTANCE_OF.name else self.ontology.prop(pname).id
-        oterm: Union[TermId, Literal]
-        if isinstance(obj, (TermId, Literal)):
-            oterm = obj
-        elif pterm.kind is TermKind.DATA_PROPERTY:
-            oterm = Literal(obj)  # type: ignore[arg-type]
-        elif isinstance(obj, str):
-            oterm = self.ontology.class_id(obj) if pterm is INSTANCE_OF else self.instance(obj)
-        else:
-            raise TypeMismatch(f"{pname!r} expects a class or instance name, not {obj!r}")
-        return self.insert(sterm, pterm, oterm)
-
-    def _check_literal(self, pdef: PropertyDef, subject: TermId, literal: Literal) -> Literal:
-        spec = pdef.datatype
-        assert spec is not None
-        value = literal.value  # an in-range Decimal is already what ``coerce`` returns
-        if (type(value) is not Decimal or spec.base != "decimal" or not value.is_finite()
-                or abs(value.adjusted()) > MAX_DECIMAL_EXPONENT):
-            value = spec.coerce(value)
-        if literal.unit not in (None, spec.unit):
-            raise TypeMismatch(
-                f"unit {literal.unit!r} does not match declared unit {spec.unit!r} of {pdef.name!r}"
-            )
-        if spec.restriction is not None:
-            if not spec.restriction.allows(value):  # type: ignore[arg-type]
-                raise RestrictionViolation(
-                    f"value {value} of {pdef.name!r} on {subject.name!r} outside permitted range"
-                )
-            if spec.restriction.warns(value):  # type: ignore[arg-type]
-                self.warnings.append(
-                    f"{subject.name}: {pdef.name} = {value} sits on the permitted boundary"
-                )
-        if value is literal.value and literal.unit == spec.unit:
-            return literal
-        return Literal(value, spec.unit)
+        if not isinstance(obj, (TermId, Literal)):
+            if pterm.kind is TermKind.DATA_PROPERTY:
+                obj = Literal(obj)  # type: ignore[arg-type]
+            elif not isinstance(obj, str):
+                raise TypeMismatch(f"{pname!r} expects a class or instance name, not {obj!r}")
+            elif pterm is not INSTANCE_OF:  # a class name goes to the store as it is
+                obj = self.instance(obj)
+        return self.insert(sterm, pterm, obj)
 
     # --------------------------------------------------------------- access
 
@@ -783,3 +793,14 @@ def unescape_string(text: str) -> str:
     if "\\" not in text:
         return text
     return _ESCAPE.sub(lambda m: _UNESCAPES.get(m[1], m[1]), text)
+
+
+def decode_utf8(data: bytes, error: Callable[[str, int, int], Exception]) -> str:
+    """``data`` read as UTF-8; the first byte that is not raises each reader's
+    ``error(message, line, column)``, the column counted in characters."""
+    try:
+        return data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        before = data[:exc.start].decode("utf-8")
+        raise error(f"byte {data[exc.start]:#04x} is not UTF-8 ({exc.reason})",
+                    before.count("\n") + 1, len(before) - before.rfind("\n")) from None

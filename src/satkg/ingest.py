@@ -34,6 +34,8 @@ from .core import (
     TermId,
     TermKind,
     bounded_decimal,
+    class_term,
+    decode_utf8,
     instance_term,
 )
 from .countries import is_country
@@ -181,7 +183,8 @@ def parse_csv(data: Union[bytes, str, io.IOBase]) -> list[RawRecord]:
     if isinstance(data, io.IOBase):
         data = data.read()
     if isinstance(data, bytes):
-        text = data.decode("utf-8-sig")
+        text = decode_utf8(data, lambda message, line, column: MalformedCsv(
+            f"line {line}, column {column}: {message}")).removeprefix("﻿")
     else:
         text = data.lstrip("﻿")
 
@@ -357,11 +360,17 @@ def resolve_record(
     unknown orbit class) are recorded there and the rest of the row is
     still resolved; without it the first failure raises.
     """
-    facts = _resolve_facts(record, mode, ont, satellite_name, issues, notes, instance_term)
-    return [Assertion(s, p, o) for _fieldname, s, p, o in facts]
-
-
-_Fact = tuple[str, TermId, TermId, Union[TermId, Literal]]
+    out = []
+    for _fieldname, s, p, o in _resolve_facts(record, mode, ont, satellite_name, issues, notes,
+                                               instance_term):
+        if p == "instance_of":
+            pred, o = INSTANCE_OF, class_term(o)
+        elif isinstance(o, Literal):
+            pred = TermId(p, TermKind.DATA_PROPERTY)
+        else:
+            pred, o = TermId(p, TermKind.OBJECT_PROPERTY), instance_term(o)
+        out.append(Assertion(instance_term(s), pred, o))
+    return out
 
 
 def _resolve_facts(
@@ -372,28 +381,17 @@ def _resolve_facts(
     issues: Optional[list[IngestViolation]],
     notes: Optional[list[IngestWarning]],
     instance: Callable[[str], TermId],
-) -> list[_Fact]:
-    """One row's facts as (field, subject, predicate, object) terms: each
-    instance term from ``instance``, each class and property term the
-    ontology's own when it defines that name (else a new term, for the store
-    to resolve or reject)."""
+) -> list[tuple[str, str, str, Union[str, Literal]]]:
+    """One row's facts as (field, subject, predicate, object) in the format of
+    ``InstanceStore.write``, calling ``instance`` on each instance it names."""
     name_cell = record.get("Name of Satellite")
     if name_cell is None:
         raise ValueError(f"row {record.row_number}: Name of Satellite is empty")
     if satellite_name is None:
         satellite_name = instance_name(name_cell)
-    sat = instance(satellite_name)
-    resolved: list[_Fact] = []
-
-    def emit(fieldname: str, subject: TermId, predicate: str, obj) -> None:
-        """Record one fact; the object of ``instance_of`` is a class name."""
-        if predicate == "instance_of":
-            pred, obj = INSTANCE_OF, ont.class_id(obj)
-        else:
-            kind = TermKind.DATA_PROPERTY if isinstance(obj, Literal) else TermKind.OBJECT_PROPERTY
-            pdef = ont.properties.get(predicate)
-            pred = pdef.id if pdef is not None and pdef.kind is kind else TermId(predicate, kind)
-        resolved.append((fieldname, subject, pred, obj))
+    sat = instance(satellite_name).name
+    resolved: list = []
+    add = resolved.append
 
     def fail(fieldname: str, exc: SatkgError) -> None:
         if issues is None:
@@ -408,19 +406,19 @@ def _resolve_facts(
         classes, links, separator, country_column = _ENTITY_COLUMNS[column]
         countries = _split(record.get(country_column) or "", "/") if country_column else []
         for entity_name in _split(cell, separator) if separator else [cell]:
-            entity = instance(instance_name(entity_name))
+            entity = instance(instance_name(entity_name)).name
             for cls in classes:
-                emit(column, entity, "instance_of", cls)
+                add((column, entity, "instance_of", cls))
             for link in links:
-                emit(column, sat, link, entity)
+                add((column, sat, link, entity))
             for country in countries:
-                c_inst = instance(instance_name(country))
-                emit(country_column, c_inst, "instance_of", "Country")
-                emit(country_column, entity, "has_Country_of_Origin", c_inst)
+                c_inst = instance(instance_name(country)).name
+                add((country_column, c_inst, "instance_of", "Country"))
+                add((country_column, entity, "has_Country_of_Origin", c_inst))
 
     # (a) satellite typed by catalog membership and, when the purpose maps to
     # a function subclass, by that subclass as well
-    emit("Name of Satellite", sat, "instance_of", "Artificial_Satellite")
+    add(("Name of Satellite", sat, "instance_of", "Artificial_Satellite"))
     purpose_cell = record.get("Purpose")
     purpose_class = None
     if purpose_cell is not None:
@@ -428,27 +426,27 @@ def _resolve_facts(
         if purpose_class is None:
             warn("Purpose", f"unrecognized purpose {purpose_cell!r}; kept generic Purpose")
         elif purpose_class in FUNCTION_SATELLITE_CLASSES:
-            emit("Purpose", sat, "instance_of", FUNCTION_SATELLITE_CLASSES[purpose_class])
+            add(("Purpose", sat, "instance_of", FUNCTION_SATELLITE_CLASSES[purpose_class]))
 
     # (a/b) identifier instances for the primary and alternate names
-    name_inst = instance(f"{satellite_name}_Name")
-    emit("Name of Satellite", name_inst, "instance_of", "Satellite_Name")
-    emit("Name of Satellite", sat, "has_Identifier", name_inst)
-    emit("Name of Satellite", name_inst, "has_Identifier_value", Literal(name_cell))
+    name_inst = instance(f"{satellite_name}_Name").name
+    add(("Name of Satellite", name_inst, "instance_of", "Satellite_Name"))
+    add(("Name of Satellite", sat, "has_Identifier", name_inst))
+    add(("Name of Satellite", name_inst, "has_Identifier_value", Literal(name_cell)))
     for alt in _split(record.get("Alternate Names") or "", ","):
-        alt_inst = instance(f"{instance_name(alt)}_Name")
-        emit("Alternate Names", alt_inst, "instance_of", "Alternate_Satellite_Name")
-        emit("Alternate Names", sat, "has_Identifier", alt_inst)
-        emit("Alternate Names", alt_inst, "has_Identifier_value", Literal(alt))
+        alt_inst = instance(f"{instance_name(alt)}_Name").name
+        add(("Alternate Names", alt_inst, "instance_of", "Alternate_Satellite_Name"))
+        add(("Alternate Names", sat, "has_Identifier", alt_inst))
+        add(("Alternate Names", alt_inst, "has_Identifier_value", Literal(alt)))
 
     # (c) UN registry: countries and organizations split by gazetteer lookup
     registry = record.get("Country/Org of UN Registry")
     if registry is not None:
-        entity = instance(instance_name(registry))
+        entity = instance(instance_name(registry)).name
         kind = "Country" if is_country(registry) else "Organization"
-        emit("Country/Org of UN Registry", entity, "instance_of", kind)
-        emit("Country/Org of UN Registry", entity,
-             f"is_registered_{kind}_in_UN_Register_of_Space_Objects_for", sat)
+        add(("Country/Org of UN Registry", entity, "instance_of", kind))
+        add(("Country/Org of UN Registry", entity,
+             f"is_registered_{kind}_in_UN_Register_of_Space_Objects_for", sat))
 
     # (d) operators/owners
     if (opown_cell := record.get("Operator/Owner")) is not None:
@@ -460,9 +458,9 @@ def _resolve_facts(
         if user_class is None:
             user_class = "User"
             warn("Users", f"unrecognized user sector {user!r}; typed as User")
-        user_inst = instance(f"{satellite_name}_{user_class}")
-        emit("Users", user_inst, "instance_of", user_class)
-        emit("Users", sat, "has_User", user_inst)
+        user_inst = instance(f"{satellite_name}_{user_class}").name
+        add(("Users", user_inst, "instance_of", user_class))
+        add(("Users", sat, "has_User", user_inst))
 
     # (f) purpose instance; the detailed purpose takes precedence when it
     # names a more specific class
@@ -475,12 +473,12 @@ def _resolve_facts(
     final_purpose = detailed_class or purpose_class or ("Purpose" if purpose_cell else None)
     if final_purpose is not None:
         fieldname = "Detailed Purpose" if detailed_class else "Purpose"
-        p_inst = instance(f"{satellite_name}_Purpose")
-        emit(fieldname, p_inst, "instance_of", final_purpose)
-        emit(fieldname, sat, "has_Purpose", p_inst)
+        p_inst = instance(f"{satellite_name}_Purpose").name
+        add((fieldname, p_inst, "instance_of", final_purpose))
+        add((fieldname, sat, "has_Purpose", p_inst))
 
     # (g) orbit: class and type cells merge onto one subtree class
-    orbit_inst: Optional[TermId] = None
+    orbit_inst: Optional[str] = None
     orbit_class_cell = record.get("Class of Orbit")
     if orbit_class_cell is not None:
         try:
@@ -492,9 +490,9 @@ def _resolve_facts(
         else:
             if merge_warning:
                 warn("Type of Orbit", merge_warning)
-            orbit_inst = instance(f"{satellite_name}_Orbit")
-            emit("Class of Orbit", orbit_inst, "instance_of", orbit_class)
-            emit("Class of Orbit", sat, "has_Orbit", orbit_inst)
+            orbit_inst = instance(f"{satellite_name}_Orbit").name
+            add(("Class of Orbit", orbit_inst, "instance_of", orbit_class))
+            add(("Class of Orbit", sat, "has_Orbit", orbit_inst))
 
     # (h) numeric orbital parameters
     owner = orbit_inst if orbit_inst is not None else sat
@@ -511,12 +509,12 @@ def _resolve_facts(
         parsed_params[param_class] = value
         literal = Literal(value)
         if mode is ModelingMode.REIFIED:
-            param_inst = instance(f"{owner.name}_{param_class}")
-            emit(column, param_inst, "instance_of", param_class)
-            emit(column, owner, f"has_{param_class}", param_inst)
-            emit(column, param_inst, f"has_{param_class}_value", literal)
+            param_inst = instance(f"{owner}_{param_class}").name
+            add((column, param_inst, "instance_of", param_class))
+            add((column, owner, f"has_{param_class}", param_inst))
+            add((column, param_inst, f"has_{param_class}_value", literal))
         else:
-            emit(column, owner, f"has_{param_class}_value", literal)
+            add((column, owner, f"has_{param_class}_value", literal))
     perigee, apogee = parsed_params.get("Perigee"), parsed_params.get("Apogee")
     if perigee is not None and apogee is not None and perigee > apogee:
         warn("Perigee (km)", f"perigee {perigee} exceeds apogee {apogee}")
@@ -531,7 +529,7 @@ def _resolve_facts(
             link_entities(column, cell)
             continue
         try:
-            emit(column, sat, prop, Literal(read(cell)))
+            add((column, sat, prop, Literal(read(cell))))
         except (UnparsableNumber, UnparsableDate) as exc:
             fail(column, exc)
     return resolved
@@ -566,19 +564,15 @@ def ingest(
             name = f"{name}_row{record.row_number}"
         satellite_names.add(name)
 
-        # the store interns every instance term as the row resolves: each
-        # subject and instance object enters the store before its fact does
+        # the store interns each instance as the row resolves, before its batch
         facts = _resolve_facts(record, mode, ont, name, report.violations, report.warnings,
                                store.add_instance)
         report.rows_ingested += 1
-        for fieldname, subject, predicate, obj in facts:
-            before_warnings = len(store.warnings)
-            try:
-                if store.insert(subject, predicate, obj):
-                    report.assertions_created += 1
-            except SatkgError as exc:
-                code = _CODES.get(type(exc), "error")
-                report.violations.append(IngestViolation(record.row_number, fieldname, code, str(exc)))
-            for message in store.warnings[before_warnings:]:
-                report.warnings.append(IngestWarning(record.row_number, fieldname, message))
+        refused, warned = store.write([fact[1:] for fact in facts])
+        for position, exc in refused:
+            report.violations.append(IngestViolation(
+                record.row_number, facts[position][0], _CODES.get(type(exc), "error"), str(exc)))
+        for position, message in warned:
+            report.warnings.append(IngestWarning(record.row_number, facts[position][0], message))
+    report.assertions_created = store.assertion_count
     return store, report

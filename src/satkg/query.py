@@ -250,11 +250,9 @@ class _Parser:
             return Literal(unescape_string(string[1:-1]))
         if not typing:
             return TermId(name, TermKind.INSTANCE)
-        if self.ontology is None:
-            return TermId(name, TermKind.CLASS)
-        if not self.ontology.has_class(name):
+        if self.ontology is not None and not self.ontology.has_class(name):
             raise UnknownTermInQuery(f"class {name!r} not in ontology")
-        return self.ontology.class_id(name)
+        return TermId(name, TermKind.CLASS)  # an alias stays as written
 
     def parse_filter(self) -> NumericFilter:
         variable = self.tok[_VAR]

@@ -34,7 +34,7 @@ NEARLY_CIRCULAR_MAX_ECCENTRICITY = Decimal("0.14")
 class Violation:
     subject: TermId
     #: domain | range | rule_conflict | completeness; out-of-range values and
-    #: second functional values never reach a store (``InstanceStore.insert``
+    #: second functional values never reach a store (``InstanceStore.write``
     #: rejects them), so validation has no code for them
     code: str
     detail: str
@@ -81,26 +81,14 @@ def _reach(store: InstanceStore, param_class: str, mode: Optional[ModelingMode])
     return reach
 
 
-def parameter_values(store: InstanceStore, instance: str, param_class: str,
-                     mode: Optional[ModelingMode] = None) -> list[Union[Decimal, int]]:
-    """Numbers of ``param_class`` reachable from ``instance`` and from the
-    satellites linking to it: one hop under ``DIRECT``, two hops through a
-    parameter instance typed by ``param_class`` under ``REIFIED``, and both
-    under ``None`` (completeness checking).
-
-    Each call reads the whole store, building the reach of every instance,
-    so a loop over many instances costs instances times store size."""
-    return _reach(store, param_class, mode).get(instance, [])
-
-
 # ------------------------------------------------------------ classification
 
 def _classification(store: InstanceStore, mode: ModelingMode) -> tuple[list[Violation], list]:
-    """The rule conflicts and the (orbit, class) typings the eccentricity
-    rule gives under ``mode``, orbit by orbit in store order."""
+    """The rule conflicts and the typings the eccentricity rule gives under
+    ``mode``, orbit by orbit in store order, as a batch for ``InstanceStore.write``."""
     reach = _reach(store, "Orbital_Eccentricity", mode)
     conflicts: list[Violation] = []
-    typings: list[tuple[TermId, str]] = []
+    typings: list[tuple[str, str, str]] = []
     for term in store.instances:
         values = reach.get(term.name, ())
         types = store.all_types_of(term.name) if values else ()
@@ -116,7 +104,7 @@ def _classification(store: InstanceStore, mode: ModelingMode) -> tuple[list[Viol
             (target,) = computed
             (other,) = {"Nearly_Circular_Orbit", "Elliptical_Orbit"} - computed
             if other not in types:
-                typings.append((term, target))
+                typings.append((term.name, "instance_of", target))
                 continue
             conflicting = store.ontology.subclasses_of(other).intersection(store.types_of(term.name))
             detail = (f"computed {target} contradicts asserted "
@@ -141,8 +129,8 @@ def classify_orbits(store: InstanceStore, mode: ModelingMode) -> InstanceStore:
         )
     conflicts, typings = _classification(store, mode)
     result = store.copy()
-    for term, target in typings:
-        result.assert_fact(term, "instance_of", target)
+    for _position, exc in result.write(typings)[0]:  # a class the ontology lacks
+        raise exc
     result.rule_conflicts = conflicts
     return result
 
@@ -167,10 +155,8 @@ def realize(store: InstanceStore, instance: Union[str, TermId]) -> set[TermId]:
 def materialize(store: InstanceStore) -> InstanceStore:
     """Make superclass typing explicit for every typing assertion; idempotent."""
     result = store.copy()
-    for term in store.instances:
-        for t in store.types_of(term.name):
-            for ancestor in store.ontology.ancestors(t):
-                result.assert_fact(term.name, "instance_of", ancestor)
+    result.write([(term.name, "instance_of", ancestor) for term in store.instances  # all defined
+                  for t in store.types_of(term.name) for ancestor in store.ontology.ancestors(t)])
     return result
 
 

@@ -12,9 +12,9 @@ line is counted for an error only), a statement loop splitting at ``.``,
 ``;`` and ``,``, and one table, ``_DECLARATIONS``: per declaration of a
 ``t:`` term (class, object or data property, either maybe functional, or
 none for an alias), the predicates it may carry and the shape of their
-objects.  Each distinct token, predicate, class and instance name is
-resolved once per file, and each instance triple goes to
-``InstanceStore.insert`` as terms, which checks it.  Anything else raises a
+objects.  Each distinct token is resolved once per file, and the instance
+triples go to ``InstanceStore.write`` as one batch of names, which checks
+them; the first it refuses is raised with its line.  Anything else raises a
 ``SatkgError`` naming the term or the line, never dropped: blank nodes,
 collections, long strings, ``@base``, IRIs outside the declared namespaces
 or holding whitespace, and predicates or object shapes the table does not
@@ -24,7 +24,6 @@ allow.  Output is deterministic: terms appear in lexicographic order.
 from __future__ import annotations
 
 import re
-from array import array
 from dataclasses import dataclass
 from datetime import date
 from decimal import Decimal
@@ -43,6 +42,7 @@ from .core import (
     TermKind,
     bounded_decimal,
     bounded_integer,
+    decode_utf8,
     escape_string,
     lexical_form,
     unescape_string,
@@ -165,7 +165,8 @@ def export_turtle(store: InstanceStore, namespaces: Namespaces = Namespaces()) -
         blocks.append(" ;\n".join(parts) + " .")
 
     del refs  # freed before the join, where the export peaks
-    return "\n\n".join(blocks) + "\n"
+    blocks[-1] += "\n"  # the text's last newline, so the joined text is not copied for it
+    return "\n\n".join(blocks)
 
 
 # ------------------------------------------------------------------ reading
@@ -433,12 +434,12 @@ def _ontology(terms: dict[str, dict[str, list[_Node]]]) -> Ontology:
 
 def import_turtle(data: Union[bytes, str]) -> InstanceStore:
     """Rebuild a store from the fragment; inverse of :func:`export_turtle`."""
-    text = data.decode("utf-8") if isinstance(data, bytes) else data
+    text = data if isinstance(data, str) else decode_utf8(data, lambda message, line, column: (
+        TurtleParseError(f"column {column}: {message}", line)))
     terms: dict[str, dict[str, list[_Node]]] = {}  # t: subject -> predicate -> objects
     individuals: list[str] = []  # i: nodes
-    typings: list[tuple[str, str]] = []  # (i: node, t: node)
-    facts: list[tuple[str, str, _Node]] = []  # (i: node, t: node, object node)
-    typing_at, fact_at = array("L"), array("L")  # the token index of each, unboxed
+    typings: list[tuple[str, str, _Node, int]] = []  # (i: node, rdf:type, t: node, token index)
+    facts: list[tuple[str, str, _Node, int]] = []  # (i: node, t: node, object node, token index)
     for s, p, o, at in _triples(text):
         if s.startswith("t:"):
             terms.setdefault(s[2:], {}).setdefault(p, []).append(o)
@@ -448,48 +449,43 @@ def import_turtle(data: Union[bytes, str]) -> InstanceStore:
             if not p.startswith("t:"):
                 raise UnsupportedConstruct(
                     f"line {_line(text, at)}: predicate {p} on instance {s[2:]}")
-            facts.append((s, p, o))
-            fact_at.append(at)
+            facts.append((s, p, o, at))
         elif o == "owl:NamedIndividual":
             individuals.append(s)
         elif isinstance(o, str) and o.startswith("t:"):
-            typings.append((s, o))
-            typing_at.append(at)
+            typings.append((s, p, o, at))
         else:
             raise UnsupportedConstruct(f"line {_line(text, at)}: typing {o} on instance {s[2:]}")
 
-    # All typings before all other assertions, each in file order, as the
-    # store's assertion order (and so the order of validate reports) expects.
-    # Each distinct node becomes a term once: an instance through the store,
-    # a class or predicate through its definition.
+    # One batch: the typings, then the other facts, each in file order, as the
+    # order of validate's reports expects; each instance made where first named.
     store = InstanceStore(_ontology(terms))
-    ont = store.ontology
-    instances: dict[str, TermId] = {}
-
-    def instance(node: str) -> TermId:
-        term = instances[node] = store.add_instance(node[2:])
-        return term
-
     for s in individuals:
-        if s not in instances:
-            instance(s)
-    classes: dict[str, TermId] = {}
-    predicates = {"t:" + INSTANCE_OF.name: INSTANCE_OF}
-    try:
-        for (s, o), at in zip(typings, typing_at):
-            subject = instances.get(s) or instance(s)
-            cls = classes.get(o) or classes.setdefault(o, ont.class_id(o[2:]))
-            store.insert(subject, INSTANCE_OF, cls)
-        for (s, p, o), at in zip(facts, fact_at):
-            subject = instances.get(s) or instance(s)
-            if isinstance(o, str):
-                if not o.startswith("i:"):
-                    raise UnsupportedConstruct(f"object {o} of {p} on instance {s[2:]}")
-                o = instances.get(o) or instance(o)
-            predicate = predicates.get(p)
-            if predicate is None:
-                predicate = predicates[p] = ont.prop(p[2:]).id
-            store.insert(subject, predicate, o)
-    except SatkgError as exc:
+        store.add_instance(s[2:])
+    stopped: list[tuple[int, SatkgError]] = []  # the token index and error ending the batch
+    names: dict[str, str] = {}  # i: node -> its instance's name, made where first named
+
+    def batch() -> Iterator[tuple[str, str, Union[str, TermId, Literal]]]:
+        for s, p, o, at in chain(typings, facts):
+            try:
+                subject = names.get(s) or names.setdefault(s, store.add_instance(s[2:]).name)
+                if p == "rdf:type":
+                    yield subject, INSTANCE_OF.name, o[2:]  # type: ignore[index]
+                    continue
+                if isinstance(o, str):
+                    if not o.startswith("i:"):
+                        raise UnsupportedConstruct(f"object {o} of {p} on instance {s[2:]}")
+                    o = names.get(o) or names.setdefault(o, store.add_instance(o[2:]).name)
+                    if p == "t:" + INSTANCE_OF.name:  # its term, which instance_of refuses
+                        o = store.instance(o)
+                yield subject, p[2:], o
+            except SatkgError as exc:
+                stopped.append((at, exc))
+                return
+
+    # the first refused fact comes before the fact, if any, that stopped the batch
+    failed = [(next(islice(chain(typings, facts), position, None))[3], exc)
+              for position, exc in store.write(batch())[0][:1]] + stopped
+    for at, exc in failed[:1]:
         raise type(exc)(f"line {_line(text, at)}: {exc}") from None
     return store

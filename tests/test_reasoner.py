@@ -17,7 +17,7 @@ from satkg import (
     validate,
 )
 from satkg.errors import ModeMismatch, UnknownTerm
-from satkg.reasoner import NEARLY_CIRCULAR_MAX_ECCENTRICITY, parameter_values
+from satkg.reasoner import NEARLY_CIRCULAR_MAX_ECCENTRICITY
 
 
 def orbit_store(mode: ModelingMode) -> InstanceStore:
@@ -290,15 +290,6 @@ def test_rule_conflicts_surface_through_validate():
     classified = classify_orbits(store, ModelingMode.DIRECT)
     codes = [v.code for v in validate(classified)]
     assert "rule_conflict" in codes
-
-
-def test_parameter_values_reaches_both_patterns(direct_store, reified_store):
-    assert parameter_values(direct_store, "AAUSat-4_Orbit", "Orbital_Eccentricity") == [
-        Decimal("0.02")
-    ]
-    assert parameter_values(reified_store, "AAUSat-4_Orbit", "Orbital_Eccentricity") == [
-        Decimal("0.02")
-    ]
 
 
 @pytest.mark.parametrize("mode", list(ModelingMode))
