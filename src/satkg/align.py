@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from typing import Optional
 
-from .core import INSTANCE_OF, Assertion, InstanceStore, Ontology
+from .core import INSTANCE_OF, Assertion, InstanceStore, Ontology, nogc
 from .errors import DanglingMapping, DuplicateTerm
 from .schema import (
     MappingEntry,
@@ -46,6 +46,7 @@ def merge_ontologies(base: Ontology, extra: Ontology) -> Ontology:
     return merged
 
 
+@nogc
 def apply_mapping(
     store: InstanceStore,
     entries: list[MappingEntry],

@@ -42,10 +42,19 @@ typing is new exactly when ``_types`` does not list it):
 * ``_by_class``: class name -> the instances directly typed with it;
 * ``_types``: instance name -> its directly asserted classes, which also
   finds a repeated typing before any ``Assertion`` is built for it.
+
+The five functions that build a store (``ingest``, ``import_turtle``,
+``classify_orbits``, ``materialize`` and ``apply_mapping``) run under
+:func:`nogc`: automatic cyclic garbage collection is paused for the call, as
+a store holds only acyclic values, and is turned back on only when it was on
+before.  The pause is process-wide, so while a builder runs, the cyclic
+garbage of other threads waits for the next collection too.
 """
 
 from __future__ import annotations
 
+import functools
+import gc
 import re
 from dataclasses import FrozenInstanceError, dataclass, field, fields
 from functools import cached_property
@@ -87,6 +96,21 @@ def _check_name(name: str, kind: TermKind) -> None:
     pattern = _INSTANCE_NAME if kind is TermKind.INSTANCE else _SCHEMA_NAME
     if not pattern.match(name):
         raise InvalidTermName(f"invalid term name {name!r} for kind {kind.value}")
+
+
+def nogc(func: Callable) -> Callable:
+    """``func`` with automatic garbage collection paused while it runs, and left
+    off after it when the caller had turned it off; a store holds no cycles."""
+    @functools.wraps(func)
+    def paused(*args, **kwargs):
+        if not gc.isenabled():
+            return func(*args, **kwargs)
+        gc.disable()
+        try:
+            return func(*args, **kwargs)
+        finally:
+            gc.enable()
+    return paused
 
 
 def _refuse(self, name: str, *value) -> None:
@@ -653,7 +677,10 @@ class InstanceStore:
                 self._by_predicate.setdefault(p, []).append(assertion)
                 self._by_subject.setdefault(name, []).append(assertion)
             except SatkgError as exc:
-                refused.append((position, exc))
+                # kept without a traceback, which would hold this frame and so the list
+                # in a cycle; a context here is always one ``raise ... from None`` hides
+                exc.__context__ = None
+                refused.append((position, exc.with_traceback(None)))
         if warned:
             self.warnings += [message for _position, message in warned]
         return refused, warned

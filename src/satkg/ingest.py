@@ -37,6 +37,7 @@ from .core import (
     class_term,
     decode_utf8,
     instance_term,
+    nogc,
 )
 from .countries import is_country
 from .errors import (
@@ -535,6 +536,7 @@ def _resolve_facts(
     return resolved
 
 
+@nogc
 def ingest(
     records: list[RawRecord],
     mode: ModelingMode,

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from decimal import Decimal
 from typing import Iterable, Optional, Union
 
-from .core import InstanceStore, Literal, TermId, TermKind, class_term
+from .core import InstanceStore, Literal, TermId, TermKind, class_term, nogc
 from .errors import ModeMismatch, UnknownTerm
 from .schema import ModelingMode, mode_of
 
@@ -113,6 +113,7 @@ def _classification(store: InstanceStore, mode: ModelingMode) -> tuple[list[Viol
     return conflicts, typings
 
 
+@nogc
 def classify_orbits(store: InstanceStore, mode: ModelingMode) -> InstanceStore:
     """Materialize the eccentricity typing; conflicts are reported, not repaired.
 
@@ -152,6 +153,7 @@ def realize(store: InstanceStore, instance: Union[str, TermId]) -> set[TermId]:
     return {class_term(t) for t in most_specific}
 
 
+@nogc
 def materialize(store: InstanceStore) -> InstanceStore:
     """Make superclass typing explicit for every typing assertion; idempotent."""
     result = store.copy()

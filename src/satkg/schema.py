@@ -20,7 +20,7 @@ from decimal import Decimal
 from enum import Enum
 
 from .core import DatatypeSpec, NumericRestriction, Ontology, TermId, TermKind, class_term
-from .errors import InvalidTermName, OverlayError
+from .errors import CycleDetected, InvalidTermName, OverlayError, UnknownParent
 
 
 class ModelingMode(Enum):
@@ -320,11 +320,18 @@ def unmapped_classes(ont: Ontology, entries: list[MappingEntry]) -> set[str]:
 
 # ------------------------------------------------------------------ overlay
 
+class _Edge(tuple):
+    """A (class, parent) pair, equal to the plain pair, with its overlay ``line``."""
+
+    line: int
+
+
 def parse_overlay(text: str) -> list[tuple[str, str]]:
     """Parse the line-oriented schema overlay format.
 
     Each non-blank, non-comment line reads ``class <Name> < <Parent>`` and
-    adds a leaf class beneath an existing one.
+    adds a leaf class beneath an existing one.  Each pair remembers its line
+    for :func:`apply_overlay`'s errors.
     """
     out: list[tuple[str, str]] = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -335,15 +342,26 @@ def parse_overlay(text: str) -> list[tuple[str, str]]:
         if len(parts) != 4 or parts[0] != "class" or parts[2] != "<":
             raise OverlayError(f"line {lineno}: expected 'class <Name> < <Parent>', got {raw!r}")
         try:
-            out.append((class_term(parts[1]).name, class_term(parts[3]).name))
+            out.append(_Edge((class_term(parts[1]).name, class_term(parts[3]).name)))
+            out[-1].line = lineno
         except InvalidTermName as exc:
             raise OverlayError(f"line {lineno}: {exc}") from None
     return out
 
 
 def apply_overlay(ont: Ontology, entries: list[tuple[str, str]]) -> None:
-    """Add overlay classes to an ontology in place."""
-    parents: dict[str, list[str]] = {}
-    for child, parent in entries:
-        parents.setdefault(child, []).append(parent)
-    ont.add_classes(parents)
+    """Add overlay classes to an ontology in place, as ``Ontology.add_classes``
+    does; a missing parent or a cycle names the first line declaring its edge
+    when the entries come from :func:`parse_overlay`."""
+    edges: dict[str, list[tuple[str, str]]] = {}  # child -> its edges
+    for edge in entries:
+        edges.setdefault(edge[0], []).append(edge)
+    ont.add_classes(dict.fromkeys(edges, ()))
+    for child in edges:
+        for edge in sorted(edges[child]):  # by parent; a repeat after its first line
+            try:
+                ont.add_parent(*edge)
+            except (UnknownParent, CycleDetected) as exc:
+                if not hasattr(edge, "line"):
+                    raise
+                raise type(exc)(f"line {edge.line}: {exc}") from None

@@ -45,6 +45,7 @@ from .core import (
     decode_utf8,
     escape_string,
     lexical_form,
+    nogc,
     unescape_string,
 )
 from .errors import InvalidDatatype, SatkgError, TurtleParseError, UnsupportedConstruct
@@ -432,14 +433,15 @@ def _ontology(terms: dict[str, dict[str, list[_Node]]]) -> Ontology:
     return ont
 
 
+@nogc
 def import_turtle(data: Union[bytes, str]) -> InstanceStore:
     """Rebuild a store from the fragment; inverse of :func:`export_turtle`."""
     text = data if isinstance(data, str) else decode_utf8(data, lambda message, line, column: (
         TurtleParseError(f"column {column}: {message}", line)))
     terms: dict[str, dict[str, list[_Node]]] = {}  # t: subject -> predicate -> objects
     individuals: list[str] = []  # i: nodes
-    typings: list[tuple[str, str, _Node, int]] = []  # (i: node, rdf:type, t: node, token index)
-    facts: list[tuple[str, str, _Node, int]] = []  # (i: node, t: node, object node, token index)
+    typings: list[tuple[str, str, _Node]] = []  # (i: node, rdf:type, t: node)
+    facts: list[tuple[str, str, _Node]] = []  # (i: node, t: node, object node)
     for s, p, o, at in _triples(text):
         if s.startswith("t:"):
             terms.setdefault(s[2:], {}).setdefault(p, []).append(o)
@@ -449,11 +451,11 @@ def import_turtle(data: Union[bytes, str]) -> InstanceStore:
             if not p.startswith("t:"):
                 raise UnsupportedConstruct(
                     f"line {_line(text, at)}: predicate {p} on instance {s[2:]}")
-            facts.append((s, p, o, at))
+            facts.append((s, p, o))
         elif o == "owl:NamedIndividual":
             individuals.append(s)
         elif isinstance(o, str) and o.startswith("t:"):
-            typings.append((s, p, o, at))
+            typings.append((s, p, o))
         else:
             raise UnsupportedConstruct(f"line {_line(text, at)}: typing {o} on instance {s[2:]}")
 
@@ -462,11 +464,11 @@ def import_turtle(data: Union[bytes, str]) -> InstanceStore:
     store = InstanceStore(_ontology(terms))
     for s in individuals:
         store.add_instance(s[2:])
-    stopped: list[tuple[int, SatkgError]] = []  # the token index and error ending the batch
+    stopped: list[tuple[int, SatkgError]] = []  # the position and error ending the batch
     names: dict[str, str] = {}  # i: node -> its instance's name, made where first named
 
     def batch() -> Iterator[tuple[str, str, Union[str, TermId, Literal]]]:
-        for s, p, o, at in chain(typings, facts):
+        for position, (s, p, o) in enumerate(chain(typings, facts)):
             try:
                 subject = names.get(s) or names.setdefault(s, store.add_instance(s[2:]).name)
                 if p == "rdf:type":
@@ -480,12 +482,20 @@ def import_turtle(data: Union[bytes, str]) -> InstanceStore:
                         o = store.instance(o)
                 yield subject, p[2:], o
             except SatkgError as exc:
-                stopped.append((at, exc))
+                stopped.append((position, exc))
                 return
 
     # the first refused fact comes before the fact, if any, that stopped the batch
-    failed = [(next(islice(chain(typings, facts), position, None))[3], exc)
-              for position, exc in store.write(batch())[0][:1]] + stopped
-    for at, exc in failed[:1]:
+    for position, exc in (store.write(batch())[0] + stopped)[:1]:
+        typing = position < len(typings)
+        at = _fact_token(text, typing, position if typing else position - len(typings))
         raise type(exc)(f"line {_line(text, at)}: {exc}") from None
     return store
+
+
+def _fact_token(text: str, typing: bool, index: int) -> int:
+    """The token index of the ``index``-th instance typing, or other instance
+    fact, of a text ``import_turtle`` has read: found again for an error only."""
+    found = (at for s, p, o, at in _triples(text) if s.startswith("i:")
+             and (p == "rdf:type") is typing and o != "owl:NamedIndividual")
+    return next(islice(found, index, None))

@@ -247,6 +247,25 @@ def test_bad_input_exits_1_with_an_error_line(tmp_path, command, text):
     assert err.startswith("error: ") and err.count("\n") == 1
 
 
+@pytest.mark.parametrize(
+    "text, expected",
+    [
+        ("class Drift_Orbit < Orbit\n# a comment\nclass Foo < Nope\n",
+         "error: line 3: parent class 'Nope' not defined\n"),
+        ("class A < Orbit\n\nclass Orbit < A\nclass Orbit < A\n",
+         "error: line 3: edge 'Orbit' -> 'A' would create a subsumption cycle\n"),
+    ],
+    ids=["unknown-parent", "cycle"],
+)
+def test_an_overlay_edge_error_names_its_line(tmp_path, text, expected):
+    overlay = tmp_path / "overlay.txt"
+    overlay.write_text(text, encoding="utf-8")
+    code, _out, err = run("load", "--overlay", overlay, "--in", CSV,
+                          "--out", tmp_path / "out.ttl")
+    assert code == 1
+    assert err == expected
+
+
 @pytest.mark.parametrize("mode", ["direct", "reified"])
 def test_rule_conflict_survives_the_cli_chain(tmp_path, mode):
     header, *rows = CSV.read_text(encoding="utf-8").splitlines()

@@ -40,9 +40,18 @@ times: counts the calls of the store's index reads (``object_values``,
 ``assertions_with_predicate``) inside ``classify_orbits`` and ``validate`` on
 catalogs of 200 and 800 rows.  A read per orbit would make the count grow
 with the catalog.
+
+The five store builders run with automatic garbage collection paused: counts
+the collections that start inside each (through ``gc.callbacks``) on a
+catalog of 200 rows, where the unpaused function starts at least one; checks
+that each leaves ``gc.isenabled()`` as it found it, on success and on error;
+and counts what ``gc.collect()`` finds after each pipeline stage run with
+collection off, on a catalog whose rows refuse facts.
 """
 
 import csv
+import gc
+import inspect
 import io
 import sys
 from contextlib import contextmanager
@@ -52,16 +61,23 @@ import pytest
 from satkg import (
     Assertion,
     InstanceStore,
+    MappingEntry,
+    MappingKind,
     ModelingMode,
+    Ontology,
     Semantics,
     TermId,
     TermKind,
+    apply_mapping,
+    build_mapping,
     build_ucsso,
+    class_term,
     classify_orbits,
     evaluate,
     export_turtle,
     import_turtle,
     ingest,
+    materialize,
     parse_csv,
     parse_query,
     validate,
@@ -361,3 +377,101 @@ def reasoner_reads(monkeypatch, mode: ModelingMode, rows: int) -> dict:
 def test_reasoner_index_reads_do_not_grow_with_rows(monkeypatch, mode):
     small, large = reasoner_reads(monkeypatch, mode, 200), reasoner_reads(monkeypatch, mode, 800)
     assert small == large, (small, large)
+
+
+def builder_calls(rows: int) -> list:
+    """Each of the five store builders with good arguments, on a catalog of ``rows`` rows."""
+    mode = ModelingMode.REIFIED
+    records = parse_csv(repeated_catalog(rows))
+    store, _report = ingest(records, mode, build_ucsso(mode))
+    classified = classify_orbits(store, mode)
+    return [
+        (ingest, (records, mode, build_ucsso(mode))),
+        (import_turtle, (export_turtle(classified),)),
+        (classify_orbits, (store, mode)),
+        (materialize, (classified,)),
+        (apply_mapping, (classified, build_mapping())),
+    ]
+
+
+@contextmanager
+def collections_started():
+    """Count the automatic garbage collections that start inside the block."""
+    count = [0]
+
+    def counted(phase, _info):
+        count[0] += phase == "start"
+
+    gc.collect(0)  # the young generation starts the block empty
+    gc.callbacks.append(counted)
+    try:
+        yield count
+    finally:
+        gc.callbacks.remove(counted)
+
+
+def test_no_collection_starts_inside_a_store_builder():
+    assert gc.isenabled()
+    for builder, args in builder_calls(200):
+        with collections_started() as unpaused:  # the function ``functools.wraps`` wrapped
+            getattr(builder, "__wrapped__", builder)(*args)
+        with collections_started() as paused:
+            builder(*args)
+        # the catalog is large enough that the unpaused builder collects
+        assert unpaused[0] > 0, builder.__name__
+        assert paused[0] == 0, (builder.__name__, paused[0])
+
+
+def test_a_store_builder_leaves_automatic_collection_as_it_found_it():
+    calls = builder_calls(11)
+    records, store = calls[0][1][0], calls[2][1][0]  # ingest's records, classify's store
+    dangling = MappingEntry(class_term("Nope"), class_term("Satellite"), MappingKind.EQUIVALENT)
+    failing = [
+        (ingest, (records, ModelingMode.REIFIED, Ontology())),  # no class it names
+        (import_turtle, ("@prefix t: <https://satkg.example/terms#> .\nt:A t:B .\n",)),
+        (classify_orbits, (store, ModelingMode.DIRECT)),  # the mode of another schema
+        (materialize, (None,)),
+        (apply_mapping, (store, [dangling])),
+    ]
+    assert [list(inspect.signature(builder).parameters) for builder, _args in calls] == [
+        ["records", "mode", "ont"], ["data"], ["store", "mode"], ["store"],
+        ["store", "entries", "reference"]]
+    assert all(builder.__doc__ for builder, _args in calls)
+    try:
+        for enabled in (True, False):
+            (gc.enable if enabled else gc.disable)()
+            for builder, args in calls:
+                builder(*args)
+                assert gc.isenabled() is enabled, builder.__name__
+            for builder, args in failing:
+                with pytest.raises(Exception):
+                    builder(*args)
+                assert gc.isenabled() is enabled, builder.__name__
+    finally:
+        gc.enable()
+
+
+def test_a_paused_pipeline_leaves_no_cyclic_garbage():
+    mode = ModelingMode.REIFIED
+    data = repeated_catalog(200)
+    left: list = []  # (stage, what gc.collect() found after it)
+
+    def stage(name, value):
+        left.append((name, gc.collect()))
+        return value
+
+    gc.collect()
+    gc.disable()
+    try:
+        records = stage("parse_csv", parse_csv(data))
+        store, report = stage("ingest", ingest(records, mode, build_ucsso(mode)))
+        loaded = stage("import_turtle", import_turtle(stage("export_turtle", export_turtle(store))))
+        classified = stage("classify_orbits", classify_orbits(loaded, mode))
+        stage("validate", validate(classified))
+        stage("materialize", materialize(classified))
+        mapped = stage("apply_mapping", apply_mapping(classified, build_mapping()))
+        stage("export_turtle", export_turtle(mapped))
+    finally:
+        gc.enable()
+    assert report.violations  # ingest refused facts, each kept with its error
+    assert all(found == 0 for _name, found in left), left
