@@ -442,22 +442,13 @@ def import_turtle(data: Union[bytes, str]) -> InstanceStore:
     individuals: list[str] = []  # i: nodes
     typings: list[tuple[str, str, _Node]] = []  # (i: node, rdf:type, t: node)
     facts: list[tuple[str, str, _Node]] = []  # (i: node, t: node, object node)
-    for s, p, o, at in _triples(text):
-        if s.startswith("t:"):
+    for kind, s, p, o, at in _sorted_triples(text):
+        if kind == "term":
             terms.setdefault(s[2:], {}).setdefault(p, []).append(o)
-        elif not s.startswith("i:"):
-            raise UnsupportedConstruct(f"line {_line(text, at)}: subject outside the fragment: {s}")
-        elif p != "rdf:type":
-            if not p.startswith("t:"):
-                raise UnsupportedConstruct(
-                    f"line {_line(text, at)}: predicate {p} on instance {s[2:]}")
-            facts.append((s, p, o))
-        elif o == "owl:NamedIndividual":
+        elif kind == "individual":
             individuals.append(s)
-        elif isinstance(o, str) and o.startswith("t:"):
-            typings.append((s, p, o))
         else:
-            raise UnsupportedConstruct(f"line {_line(text, at)}: typing {o} on instance {s[2:]}")
+            (typings if kind == "typing" else facts).append((s, p, o))
 
     # One batch: the typings, then the other facts, each in file order, as the
     # order of validate's reports expects; each instance made where first named.
@@ -487,15 +478,30 @@ def import_turtle(data: Union[bytes, str]) -> InstanceStore:
 
     # the first refused fact comes before the fact, if any, that stopped the batch
     for position, exc in (store.write(batch())[0] + stopped)[:1]:
-        typing = position < len(typings)
-        at = _fact_token(text, typing, position if typing else position - len(typings))
+        kind, index = ("typing", position) if position < len(typings) else ("fact", position - len(typings))
+        at = next(islice((at for k, _, _, _, at in _sorted_triples(text) if k == kind), index, None))
         raise type(exc)(f"line {_line(text, at)}: {exc}") from None
     return store
 
 
-def _fact_token(text: str, typing: bool, index: int) -> int:
-    """The token index of the ``index``-th instance typing, or other instance
-    fact, of a text ``import_turtle`` has read: found again for an error only."""
-    found = (at for s, p, o, at in _triples(text) if s.startswith("i:")
-             and (p == "rdf:type") is typing and o != "owl:NamedIndividual")
-    return next(islice(found, index, None))
+def _sorted_triples(text: str) -> Iterator[tuple[str, str, str, _Node, int]]:
+    """Each triple of ``_triples(text)`` led by its kind, the one rule
+    :func:`import_turtle` reads by: "term" (a t: subject), "individual",
+    "typing" or "fact" (an i: subject); raises for a triple outside the fragment."""
+    for s, p, o, at in _triples(text):
+        if s.startswith("t:"):
+            kind = "term"
+        elif not s.startswith("i:"):
+            raise UnsupportedConstruct(f"line {_line(text, at)}: subject outside the fragment: {s}")
+        elif p != "rdf:type":
+            if not p.startswith("t:"):
+                raise UnsupportedConstruct(
+                    f"line {_line(text, at)}: predicate {p} on instance {s[2:]}")
+            kind = "fact"
+        elif o == "owl:NamedIndividual":
+            kind = "individual"
+        elif isinstance(o, str) and o.startswith("t:"):
+            kind = "typing"
+        else:
+            raise UnsupportedConstruct(f"line {_line(text, at)}: typing {o} on instance {s[2:]}")
+        yield kind, s, p, o, at

@@ -555,3 +555,19 @@ def test_store_error_while_reading_names_the_statements_line(golden_text, bad_te
         import_turtle(head + bad_text + tail)
     assert type(err.value) is error
     assert str(err.value).startswith(f"line {head.count(chr(10)) + 1}: "), str(err.value)
+
+
+@pytest.mark.parametrize(
+    "predicate, golden_object, subject",
+    [("t:has_Orbit", "i:AAUSat-4_Orbit ;", "AAUSat-4"),  # another fact follows
+     ("t:is_registered_Country_in_UN_Register_of_Space_Objects_for", "i:AAUSat-4 .", "Denmark")],
+    ids=["followed-by-a-fact", "last-fact"],
+)
+def test_fact_on_owl_named_individual_names_its_own_line(predicate, golden_object, subject):
+    golden = (FIXTURES / "one_satellite.ttl").read_text(encoding="utf-8")
+    head, found, tail = golden.partition(f"{predicate} {golden_object}")
+    assert found
+    with pytest.raises(UnsupportedConstruct) as err:
+        import_turtle(f"{head}{predicate} owl:NamedIndividual {golden_object[-1]}{tail}")
+    assert str(err.value) == (f"line {head.count(chr(10)) + 1}: object owl:NamedIndividual of "
+                              f"{predicate} on instance {subject}")
