@@ -50,7 +50,6 @@ from .reasoner import (
     Violation,
     classify_orbits,
     materialize,
-    realize,
     validate,
 )
 from .schema import (

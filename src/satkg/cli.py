@@ -10,7 +10,6 @@ from __future__ import annotations
 import argparse
 import sys
 from pathlib import Path
-from typing import Optional
 
 from . import __version__
 from .align import apply_mapping, build_bridged_ontology
@@ -55,7 +54,6 @@ def _build_parser() -> argparse.ArgumentParser:
 
     cls = sub.add_parser("classify", help="materialize orbit classification rules")
     cls.add_argument("--store", type=Path, required=True)
-    cls.add_argument("--mode", choices=["reified", "direct", "auto"], default="auto")
     cls.add_argument("--out", type=Path, required=True)
     cls.add_argument("--report", type=Path)
     _add_ns_flags(cls)
@@ -102,13 +100,6 @@ def _write(path: Path, text: str) -> None:
     path.write_text(text, encoding="utf-8")
 
 
-def _emit(text: str, out: Optional[Path], stdout) -> None:
-    if out is None:
-        stdout.write(text)
-    else:
-        _write(out, text)
-
-
 def run_cli(argv: list[str], stdout=None, stderr=None) -> int:
     stdout = stdout or sys.stdout
     stderr = stderr or sys.stderr
@@ -119,34 +110,13 @@ def run_cli(argv: list[str], stdout=None, stderr=None) -> int:
         return int(exc.code or 0)
 
     try:
-        return _dispatch(args, stdout, stderr)
-    except SatkgError as exc:
-        print(f"error: {exc}", file=stderr)
-        return 1
-    except OSError as exc:
+        return _COMMANDS[args.command](args, stdout, stderr)
+    except (SatkgError, OSError) as exc:
         print(f"error: {exc}", file=stderr)
         return 1
 
 
-def _dispatch(args: argparse.Namespace, stdout, stderr) -> int:
-    if args.command == "load":
-        return _cmd_load(args, stdout)
-    if args.command == "validate":
-        return _cmd_validate(args, stdout)
-    if args.command == "classify":
-        return _cmd_classify(args, stdout)
-    if args.command == "query":
-        return _cmd_query(args, stdout, stderr)
-    if args.command == "export":
-        return _cmd_export(args)
-    if args.command == "map":
-        return _cmd_map(args, stdout)
-    if args.command == "stats":
-        return _cmd_stats(args, stdout)
-    raise AssertionError(f"unhandled command {args.command!r}")
-
-
-def _cmd_load(args: argparse.Namespace, stdout) -> int:
+def _cmd_load(args: argparse.Namespace, stdout, stderr) -> int:
     mode = ModelingMode(args.mode)
     if args.schema == "ssao":
         ontology: Ontology = build_bridged_ontology(mode)
@@ -170,7 +140,7 @@ def _cmd_load(args: argparse.Namespace, stdout) -> int:
     return 0
 
 
-def _cmd_validate(args: argparse.Namespace, stdout) -> int:
+def _cmd_validate(args: argparse.Namespace, stdout, stderr) -> int:
     store = _load_store(args.store)
     violations = validate(store)
     if args.report is not None:
@@ -183,9 +153,9 @@ def _cmd_validate(args: argparse.Namespace, stdout) -> int:
     return 0
 
 
-def _cmd_classify(args: argparse.Namespace, stdout) -> int:
+def _cmd_classify(args: argparse.Namespace, stdout, stderr) -> int:
     store = _load_store(args.store)
-    mode = mode_of(store.ontology) if args.mode == "auto" else ModelingMode(args.mode)
+    mode = mode_of(store.ontology)
     classified = classify_orbits(store, mode)
     _write(args.out, export_turtle(classified, _namespaces(args)))
     if args.report is not None:
@@ -210,11 +180,14 @@ def _cmd_query(args: argparse.Namespace, stdout, stderr) -> int:
     ast = parse_query(text, store.ontology, semantics)
     result = evaluate(ast, store)
     rendered = result.to_csv() if args.format == "csv" else result.to_json() + "\n"
-    _emit(rendered, args.out, stdout)
+    if args.out is None:
+        stdout.write(rendered)
+    else:
+        _write(args.out, rendered)
     return 0
 
 
-def _cmd_export(args: argparse.Namespace) -> int:
+def _cmd_export(args: argparse.Namespace, stdout, stderr) -> int:
     store = _load_store(args.store)
     if args.format == "ttl":
         _write(args.out, export_turtle(store, _namespaces(args)))
@@ -223,7 +196,7 @@ def _cmd_export(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_map(args: argparse.Namespace, stdout) -> int:
+def _cmd_map(args: argparse.Namespace, stdout, stderr) -> int:
     store = _load_store(args.store)
     mapped = apply_mapping(store, build_mapping())
     _write(args.out, export_turtle(mapped, _namespaces(args)))
@@ -232,13 +205,17 @@ def _cmd_map(args: argparse.Namespace, stdout) -> int:
     return 0
 
 
-def _cmd_stats(args: argparse.Namespace, stdout) -> int:
+def _cmd_stats(args: argparse.Namespace, stdout, stderr) -> int:
     store = _load_store(args.store)
     print(f"classes: {len(store.ontology.classes)}", file=stdout)
     print(f"properties: {len(store.ontology.properties)}", file=stdout)
     print(f"instances: {len(store.instances)}", file=stdout)
     print(f"assertions: {store.assertion_count}", file=stdout)
     return 0
+
+
+_COMMANDS = {"load": _cmd_load, "validate": _cmd_validate, "classify": _cmd_classify,
+             "query": _cmd_query, "export": _cmd_export, "map": _cmd_map, "stats": _cmd_stats}
 
 
 def main() -> None:

@@ -30,7 +30,7 @@ The store keeps each assertion once in one insertion-ordered dict, plus one
 index per access path.  Every write goes through one checked batch write of
 (subject, predicate, object) names, ``InstanceStore.write``: ``ingest``
 writes a batch per row, ``import_turtle`` one per file, ``classify_orbits``
-one per store, and ``insert``, ``add`` and ``assert_fact`` one of one fact.
+one per store, and ``add`` and ``assert_fact`` one of one fact.
 It resolves each distinct predicate and class once per batch, builds each
 stored ``Assertion`` once, hashes it once, and maintains the indexes (a
 typing is new exactly when ``_types`` does not list it):
@@ -583,9 +583,6 @@ class InstanceStore:
             self._instances[name] = term
         return term
 
-    def has_instance(self, name: str) -> bool:
-        return name in self._instances
-
     def instance(self, name: str) -> TermId:
         try:
             return self._instances[name]
@@ -599,19 +596,16 @@ class InstanceStore:
     # ----------------------------------------------------------- assertions
 
     def add(self, assertion: Assertion) -> bool:
-        """Validate and store one assertion; return True when newly added."""
-        return self.insert(assertion.subject, assertion.predicate, assertion.object)
-
-    def insert(self, subject: TermId, predicate: TermId, obj: Union[TermId, Literal]) -> bool:
-        """Validate and store the triple (subject, predicate, obj) as a batch of
-        one :meth:`write`; return True when newly added."""
+        """Validate and store one assertion as a batch of one :meth:`write`;
+        return True when newly added."""
+        subject, predicate, obj = assertion.subject, assertion.predicate.name, assertion.object
         if subject.kind is not _INSTANCE:
             raise UnknownTerm(f"assertion subject {subject.name!r} is not a store instance")
-        named = _CLASS if predicate.name == INSTANCE_OF.name else _INSTANCE
+        named = _CLASS if predicate == INSTANCE_OF.name else _INSTANCE
         if isinstance(obj, TermId) and obj.kind is named:
             obj = obj.name
         size = len(self._assertions)
-        for _position, exc in self.write([(subject.name, predicate.name, obj)])[0]:
+        for _position, exc in self.write([(subject.name, predicate, obj)])[0]:
             raise exc
         return len(self._assertions) > size
 
@@ -691,7 +685,7 @@ class InstanceStore:
         predicate: Union[str, TermId],
         obj: Union[str, TermId, Literal, LiteralValue],
     ) -> bool:
-        """Convenience wrapper around :meth:`insert` accepting plain names.
+        """Convenience wrapper around :meth:`add` accepting plain names.
 
         A string object names an instance for object properties and a class
         for ``instance_of``, and is taken as a string literal for data
@@ -707,7 +701,7 @@ class InstanceStore:
                 raise TypeMismatch(f"{pname!r} expects a class or instance name, not {obj!r}")
             elif pterm is not INSTANCE_OF:  # a class name goes to the store as it is
                 obj = self.instance(obj)
-        return self.insert(sterm, pterm, obj)
+        return self.add(Assertion(sterm, pterm, obj))
 
     # --------------------------------------------------------------- access
 
@@ -747,14 +741,6 @@ class InstanceStore:
         for t in self._types.get(name, ()):
             out |= up[t]
         return out
-
-    def object_values(self, subject: str, predicate: str) -> list[Union[TermId, Literal]]:
-        canonical = self.ontology.canonical_name(predicate)
-        return [
-            a.object
-            for a in self._by_subject.get(subject, ())
-            if a.predicate.name == canonical
-        ]
 
     # ----------------------------------------------------------------- misc
 

@@ -22,8 +22,8 @@ from dataclasses import dataclass
 from decimal import Decimal
 from typing import Iterable, Optional, Union
 
-from .core import InstanceStore, Literal, TermId, TermKind, class_term, nogc
-from .errors import ModeMismatch, UnknownTerm
+from .core import InstanceStore, Literal, TermId, TermKind, nogc
+from .errors import ModeMismatch
 from .schema import ModelingMode, mode_of
 
 #: Catalog bound separating nearly circular from elliptical orbits.
@@ -134,23 +134,6 @@ def classify_orbits(store: InstanceStore, mode: ModelingMode) -> InstanceStore:
         raise exc
     result.rule_conflicts = conflicts
     return result
-
-
-# ---------------------------------------------------------------- realization
-
-def realize(store: InstanceStore, instance: Union[str, TermId]) -> set[TermId]:
-    """Most-specific classes: asserted typing minus subsumed entries."""
-    name = instance if isinstance(instance, str) else instance.name
-    if not store.has_instance(name):
-        raise UnknownTerm(f"instance {name!r} not in store")
-    types = set(store.types_of(name))
-    ont = store.ontology
-    most_specific = {
-        t
-        for t in types
-        if not any(other != t and ont.is_subclass_of(other, t) for other in types)
-    }
-    return {class_term(t) for t in most_specific}
 
 
 @nogc

@@ -20,7 +20,7 @@ from decimal import Decimal
 from enum import Enum
 
 from .core import DatatypeSpec, NumericRestriction, Ontology, TermId, TermKind, class_term
-from .errors import CycleDetected, InvalidTermName, OverlayError, UnknownParent
+from .errors import InvalidTermName, OverlayError, SatkgError
 
 
 class ModelingMode(Enum):
@@ -312,12 +312,6 @@ def build_mapping() -> list[MappingEntry]:
     return entries
 
 
-def unmapped_classes(ont: Ontology, entries: list[MappingEntry]) -> set[str]:
-    """Catalog classes without a mapping entry (should equal UNMAPPED_CLASSES)."""
-    mapped = {e.local.name for e in entries}
-    return {name for name in ont.classes if name not in mapped}
-
-
 # ------------------------------------------------------------------ overlay
 
 class _Edge(tuple):
@@ -351,17 +345,19 @@ def parse_overlay(text: str) -> list[tuple[str, str]]:
 
 def apply_overlay(ont: Ontology, entries: list[tuple[str, str]]) -> None:
     """Add overlay classes to an ontology in place, as ``Ontology.add_classes``
-    does; a missing parent or a cycle names the first line declaring its edge
-    when the entries come from :func:`parse_overlay`."""
+    does; an error names the first line declaring its class or edge when the
+    entries come from :func:`parse_overlay`."""
     edges: dict[str, list[tuple[str, str]]] = {}  # child -> its edges
     for edge in entries:
         edges.setdefault(edge[0], []).append(edge)
-    ont.add_classes(dict.fromkeys(edges, ()))
-    for child in edges:
-        for edge in sorted(edges[child]):  # by parent; a repeat after its first line
-            try:
-                ont.add_parent(*edge)
-            except (UnknownParent, CycleDetected) as exc:
-                if not hasattr(edge, "line"):
-                    raise
-                raise type(exc)(f"line {edge.line}: {exc}") from None
+    steps = [(ont.define_class, group[0], (child,))  # each new class, then the edges
+             for child, group in edges.items() if child not in ont.classes]
+    steps += [(ont.add_parent, edge, edge)  # by parent; a repeat after its first line
+              for child in edges for edge in sorted(edges[child])]
+    for step, edge, args in steps:
+        try:
+            step(*args)
+        except SatkgError as exc:
+            if not hasattr(edge, "line"):
+                raise
+            raise type(exc)(f"line {edge.line}: {exc}") from None

@@ -138,8 +138,12 @@ def test_criterion_3_mode_equivalence(fixture_records):
 # --- criterion 4: every catalog field maps onto the declared class(es) and
 # the fixture produces the documented assertion shape -----------------------
 
+def _objects(store, subject, prop):
+    return [a.object for a in store.assertions_about(subject) if a.predicate.name == prop]
+
+
 def _values(store, subject, prop):
-    return {o.value for o in store.object_values(subject, prop)}
+    return {o.value for o in _objects(store, subject, prop)}
 
 
 def _typed(store, subject, cls):
@@ -148,7 +152,7 @@ def _typed(store, subject, cls):
 
 def _linked(store, subject, prop, obj):
     return any(
-        getattr(o, "name", None) == obj for o in store.object_values(subject, prop)
+        getattr(o, "name", None) == obj for o in _objects(store, subject, prop)
     )
 
 

@@ -3,7 +3,7 @@ import json
 
 import pytest
 
-from satkg import import_turtle
+from satkg import ModelingMode, classify_orbits, export_turtle, import_turtle
 from satkg.cli import run_cli
 
 from conftest import FIXTURES
@@ -96,6 +96,24 @@ def test_classify_roundtrip(tmp_path, store_file):
     assert "direct mode" in out
     classified = import_turtle(out_path.read_bytes())
     assert "Nearly_Circular_Orbit" in classified.types_of("AAUSat-4_Orbit")
+
+
+def test_classify_reads_the_mode_from_the_store(tmp_path, capsys):
+    loaded, classified = tmp_path / "loaded.ttl", tmp_path / "classified.ttl"
+    code, _out, err = run("load", "--mode", "reified", "--in", CSV, "--out", loaded)
+    assert code == 0, err
+    code, out, err = run("classify", "--store", loaded, "--out", classified)
+    assert code == 0, err
+    store = import_turtle(loaded.read_bytes())
+    expected = classify_orbits(store, ModelingMode.REIFIED)
+    added = expected.assertion_count - store.assertion_count
+    assert added > 0
+    assert out.startswith(f"classified under reified mode: {added} typings added")
+    assert classified.read_text(encoding="utf-8") == export_turtle(expected)
+    # the mode is not an option: the store's schema decides it
+    code, _out, _err = run("classify", "--store", loaded, "--mode", "direct", "--out", classified)
+    assert code == 2
+    assert "unrecognized arguments: --mode direct" in capsys.readouterr().err
 
 
 def test_validate_reports_warnings(tmp_path, store_file):
@@ -254,8 +272,12 @@ def test_bad_input_exits_1_with_an_error_line(tmp_path, command, text):
          "error: line 3: parent class 'Nope' not defined\n"),
         ("class A < Orbit\n\nclass Orbit < A\nclass Orbit < A\n",
          "error: line 3: edge 'Orbit' -> 'A' would create a subsumption cycle\n"),
+        ("class Drift_Orbit < Orbit\nclass has_Orbit < Orbit\nclass has_Orbit < Drift_Orbit\n",
+         "error: line 2: class 'has_Orbit' names an existing term\n"),
+        ("class Drift_Orbit < Orbit\nclass Function < Orbit\n",
+         "error: line 2: class 'Function' names an existing term\n"),
     ],
-    ids=["unknown-parent", "cycle"],
+    ids=["unknown-parent", "cycle", "property-name", "alias-name"],
 )
 def test_an_overlay_edge_error_names_its_line(tmp_path, text, expected):
     overlay = tmp_path / "overlay.txt"

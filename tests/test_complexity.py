@@ -35,9 +35,8 @@ subclasses, whose instances typed by two of them are kept once, and the
 sorted by their texts.
 
 Classification and validation read each predicate index a fixed number of
-times: counts the calls of the store's index reads (``object_values``,
-``assertions_about``, ``assertions_with_object``,
-``assertions_with_predicate``) inside ``classify_orbits`` and ``validate`` on
+times: counts the calls of the store's index reads (``assertions_about``,
+``assertions_with_object``, ``assertions_with_predicate``) inside ``classify_orbits`` and ``validate`` on
 catalogs of 200 and 800 rows.  A read per orbit would make the count grow
 with the catalog.
 
@@ -350,8 +349,7 @@ def test_a_range_query_computes_one_lexical_form_per_answer_row(monkeypatch):
     assert count[0] <= len(answer), (count[0], len(answer))
 
 
-STORE_READS = ("object_values", "assertions_about", "assertions_with_object",
-               "assertions_with_predicate")
+STORE_READS = ("assertions_about", "assertions_with_object", "assertions_with_predicate")
 
 
 def reasoner_reads(monkeypatch, mode: ModelingMode, rows: int) -> dict:

@@ -353,9 +353,9 @@ def test_fixture_ingest_reified_counts(fixture_records):
 def test_rejected_eccentricity_drops_only_that_assertion(direct_store):
     # Probe-X row ingested minus the out-of-range value
     assert "Probe-X" in {t.name for t in direct_store.instances}
-    values = direct_store.object_values("Probe-X_Orbit", "has_Orbital_Eccentricity_value")
-    assert values == []
-    assert direct_store.object_values("Probe-X_Orbit", "has_Perigee_value")
+    predicates = [a.predicate.name for a in direct_store.assertions_about("Probe-X_Orbit")]
+    assert "has_Orbital_Eccentricity_value" not in predicates
+    assert "has_Perigee_value" in predicates
 
 
 def test_duplicate_satellite_names_get_row_suffix(direct_store):

@@ -8,15 +8,13 @@ from satkg import (
     InstanceStore,
     ModelingMode,
     build_ucsso,
-    class_term,
     classify_orbits,
     export_turtle,
     import_turtle,
     materialize,
-    realize,
     validate,
 )
-from satkg.errors import ModeMismatch, UnknownTerm
+from satkg.errors import ModeMismatch
 from satkg.reasoner import NEARLY_CIRCULAR_MAX_ECCENTRICITY
 
 
@@ -165,36 +163,6 @@ def test_boundary_exactness_property(e):
     else:
         assert "Elliptical_Orbit" in types
         assert "Nearly_Circular_Orbit" not in types
-
-
-# -------------------------------------------------------------- realization
-
-def test_realize_prunes_superclasses():
-    store = orbit_store(ModelingMode.DIRECT)
-    store.add_instance("o")
-    store.assert_fact("o", "instance_of", "Orbit")
-    store.assert_fact("o", "instance_of", "Nearly_Circular_Orbit")
-    assert realize(store, "o") == {class_term("Nearly_Circular_Orbit")}
-
-
-def test_realize_keeps_incomparable_classes():
-    store = orbit_store(ModelingMode.DIRECT)
-    store.add_instance("s")
-    store.assert_fact("s", "instance_of", "Earth_Observing_Satellite")
-    store.assert_fact("s", "instance_of", "Artificial_Satellite")
-    store.assert_fact("s", "instance_of", "Operator")
-    assert realize(store, "s") == {
-        class_term("Earth_Observing_Satellite"),
-        class_term("Operator"),
-    }
-
-
-def test_realize_untyped_and_unknown():
-    store = orbit_store(ModelingMode.DIRECT)
-    store.add_instance("bare")
-    assert realize(store, "bare") == set()
-    with pytest.raises(UnknownTerm):
-        realize(store, "ghost")
 
 
 # -------------------------------------------------------------- materialize

@@ -1,3 +1,5 @@
+import re
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -13,7 +15,7 @@ from satkg import (
     parse_overlay,
 )
 from satkg.errors import OverlayError, SatkgError
-from satkg.schema import UNMAPPED_CLASSES, unmapped_classes
+from satkg.schema import UNMAPPED_CLASSES
 
 from conftest import mangled
 
@@ -156,7 +158,8 @@ def test_mapping_key_links():
 
 def test_unmapped_classes_are_the_declared_remainder():
     ucsso = build_ucsso(ModelingMode.REIFIED)
-    assert unmapped_classes(ucsso, build_mapping()) == set(UNMAPPED_CLASSES)
+    mapped = {entry.local.name for entry in build_mapping()}
+    assert set(ucsso.classes) - mapped == set(UNMAPPED_CLASSES)
 
 
 def test_overlay_grows_a_taxonomy():
@@ -196,3 +199,25 @@ def test_any_overlay_text_applies_or_raises_a_satkg_error(text):
         apply_overlay(ont, parse_overlay(text))
     except SatkgError:
         pass
+
+
+# New names, existing classes, a property, a class alias, a property alias
+# and a missing parent, on either side of the edge.
+_OVERLAY_NAMES = ("New_A", "New_B", "Orbit", "GEO_Orbit", "has_Orbit", "Function",
+                  "has_Function", "Nope")
+_overlay_lines = st.tuples(st.sampled_from(_OVERLAY_NAMES), st.sampled_from(_OVERLAY_NAMES)).map(
+    lambda edge: "class {} < {}".format(*edge)
+) | st.sampled_from(["", "   ", "# a comment", "class New_A", "class a-b < Orbit",
+                     "klass New_A < Orbit"])
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from(list(ModelingMode)), st.lists(_overlay_lines, max_size=8))
+def test_every_overlay_error_names_a_line_of_the_text(mode, lines):
+    try:
+        apply_overlay(build_ucsso(mode), parse_overlay("\n".join(lines)))
+    except SatkgError as exc:
+        located = re.match(r"line (\d+): ", str(exc))
+        assert located and 1 <= int(located[1]) <= len(lines), str(exc)
+        line = lines[int(located[1]) - 1].strip()
+        assert line and not line.startswith("#"), (str(exc), lines)

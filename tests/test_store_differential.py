@@ -3,7 +3,7 @@
 ``ReferenceStore`` keeps the earlier ``add``, which checked each assertion
 and then built a normalised copy of it, hashing that copy once to find a
 repeat and once to store it; ``InstanceStore`` now routes ``add`` and
-``assert_fact`` through one checked ``insert``.  Random sequences of valid
+``assert_fact`` through one checked batch ``write``.  Random sequences of valid
 and invalid writes (unknown subjects and objects, wrong object kinds, class
 and predicate aliases, unit mismatches, out-of-range and boundary values,
 functional repeats and duplicates, fresh and canonical terms) must give the
@@ -42,7 +42,7 @@ OBJECT, DATA = TermKind.OBJECT_PROPERTY, TermKind.DATA_PROPERTY
 
 
 class ReferenceStore(InstanceStore):
-    """The write path as it was before ``InstanceStore.insert``."""
+    """The write path as it was before the checked batch ``write``."""
 
     def add(self, assertion):
         subject = assertion.subject
@@ -191,8 +191,6 @@ def _write(store, method, subject, predicate, obj):
     try:
         if method == "add":
             return store.add(Assertion(subject, predicate, obj))
-        if method == "insert" and not isinstance(store, ReferenceStore):
-            return store.insert(subject, predicate, obj)
         if method == "assert_fact":
             plain = obj.name if isinstance(obj, TermId) and obj.kind is not INSTANCE else obj
             return store.assert_fact(subject, predicate.name, plain)
