@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 from . import __version__
@@ -104,9 +105,10 @@ def run_cli(argv: list[str], stdout=None, stderr=None) -> int:
     stdout = stdout or sys.stdout
     stderr = stderr or sys.stderr
     parser = _build_parser()
-    try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:  # argparse reports usage errors itself
+    try:  # argparse writes usage errors and --help to sys's streams, then exits
+        with redirect_stdout(stdout), redirect_stderr(stderr):
+            args = parser.parse_args(argv)
+    except SystemExit as exc:
         return int(exc.code or 0)
 
     try:

@@ -19,11 +19,17 @@ them; the first it refuses is raised with its line.  Anything else raises a
 collections, long strings, ``@base``, IRIs outside the declared namespaces
 or holding whitespace, and predicates or object shapes the table does not
 allow.  Output is deterministic: terms appear in lexicographic order.
+
+A process reads a file's declarations, up to its first line opening with ``i:`` or
+``<`` (``export_turtle``'s first instance), once: a locked memo of the last
+``_MEMO_SIZE`` distinct texts keeps the reader's state after them, their terms and
+``Ontology`` (copied per store); any that do not read or build alone are an empty prefix.
 """
 
 from __future__ import annotations
 
 import re
+import threading
 from dataclasses import dataclass
 from datetime import date
 from decimal import Decimal
@@ -205,11 +211,13 @@ _BAD_START = {'"': "unterminated string",
               "<": "unterminated IRI, or one holding whitespace or <>\"{}|^`\\"}
 
 
-def _scan(text: str, find: Callable) -> Iterator:
-    """``find`` over ~64 KB pieces of whole lines, chained: no list holds a whole file's tokens."""
+def _scan(text: str, find: Callable, start: int = 0) -> Iterator:
+    """``find`` over ~64 KB pieces of whole lines, chained: no list holds a whole file's tokens.
+    From ``start``, a line start opening with a token, it goes on with the scan from 0."""
     ends = [0]
     while ends[-1] < len(text):
         ends.append(text.find("\n", ends[-1] + 65536) + 1 or len(text))
+    ends = [start] + [end for end in ends if end > start]
     return chain.from_iterable(find(text, a, b) for a, b in zip(ends, ends[1:]))
 
 
@@ -219,17 +227,17 @@ def _line(text: str, index: int) -> int:
     return text.count("\n", 0, m.start(1)) + 1
 
 
-def _triples(text: str) -> Iterator[tuple[str, str, _Node, int]]:
+def _triples(text: str, state: Optional[list] = None) -> Iterator[tuple[str, str, _Node, int]]:
     """Yield each triple as (subject, predicate, object, index of the object's
     token, which ``_line`` turns into a line): a resource as ``"label:name"``
     under the labels t, i, v, rdf, rdfs, owl and xsd, whatever prefix the text
     used, and a literal as a :class:`Literal`.  Tokens resolve to nodes through
     a memo emptied at each ``@``-directive; the first of a statement that does
     not resolve is reported when the statement ends, after its shape is
-    checked, as if the statement were read whole."""
-    declared: dict[str, str] = {}  # prefix label -> namespace IRI
-    spaces = dict(_STANDARD)  # namespace IRI -> label, the project ones first
-    resolved: dict[str, _Node] = {}  # token text -> its node, until the next directive
+    checked, as if the statement were read whole.  It resumes from ``state``
+    as a read of ``text[:start]`` ended it at a line start, and leaves its own."""
+    # label -> IRI, IRI -> label (project ones first), token -> node (until a directive)
+    declared, spaces, resolved, n, start = state or [{}, dict(_STANDARD), {}, -1, 0]
     run: list[Optional[_Node]] = []  # nodes since the last punctuation
     failed: Optional[SatkgError] = None  # the first token of ``run`` that did not resolve
     directive: Optional[list[str]] = None  # the tokens of an @-directive
@@ -272,7 +280,7 @@ def _triples(text: str) -> Iterator[tuple[str, str, _Node, int]]:
             return _WORDS[token]
         raise TurtleParseError(f"unexpected {token!r}", _line(text, n))
 
-    for n, token in enumerate(_scan(text, _TOKEN_RE.findall)):
+    for n, token in enumerate(_scan(text, _TOKEN_RE.findall, start), n + 1):
         found = resolved.get(token)  # None in a directive, which empties the memo
         if found is not None:
             run.append(found)
@@ -328,6 +336,8 @@ def _triples(text: str) -> Iterator[tuple[str, str, _Node, int]]:
             at = n
     if run or subject is not None or directive is not None:
         raise TurtleParseError("expected '.' at the end of the input", text.count("\n") + 1)
+    if state is not None:
+        state[:] = declared, spaces, resolved, n, len(text)
 
 
 _OBJECT_PROPERTY = {"rdfs:domain": "term", "rdfs:range": "term"}
@@ -394,7 +404,7 @@ def _ontology(terms: dict[str, dict[str, list[_Node]]]) -> Ontology:
     aliases: dict[str, list[str]] = {}
     properties: list[tuple[str, frozenset, dict[str, Any]]] = []
     for name in sorted(terms):
-        declared, values = _declaration(name, terms[name])
+        declared, values = _declaration(name, dict(terms[name]))
         if "owl:Class" in declared:
             parents[name] = values.get("rdfs:subClassOf", [])
             comments[name] = values.get("rdfs:comment")
@@ -433,17 +443,48 @@ def _ontology(terms: dict[str, dict[str, list[_Node]]]) -> Ontology:
     return ont
 
 
+_INSTANCES = re.compile(r"\n(?=i:|<)")  # the line export_turtle writes its first instance on
+_MEMO_SIZE = 4  # declaration texts kept, the oldest evicted first
+_memo: dict[str, tuple] = {}  # declarations' text -> (reader state after it, terms, ontology)
+_memo_lock = threading.Lock()
+
+
+def _declarations(prefix: str) -> Optional[tuple]:
+    """The memo entry of ``prefix``, read and built on a miss; None when the
+    prefix is not whole t: and @prefix statements or does not build."""
+    entry = _memo.get(prefix)
+    if entry is None:
+        state, terms = [{}, dict(_STANDARD), {}, -1, 0], {}  # type: ignore[var-annotated]
+        try:
+            for kind, s, p, o, _ in _sorted_triples(prefix, state):
+                if kind != "term":
+                    return None
+                terms.setdefault(s[2:], {}).setdefault(p, []).append(o)
+            entry = state, terms, _ontology(terms)
+        except SatkgError:
+            return None
+        with _memo_lock:
+            _memo[prefix] = entry
+            if len(_memo) > _MEMO_SIZE:
+                del _memo[next(iter(_memo))]
+    return entry
+
+
 @nogc
 def import_turtle(data: Union[bytes, str]) -> InstanceStore:
     """Rebuild a store from the fragment; inverse of :func:`export_turtle`."""
     text = data if isinstance(data, str) else decode_utf8(data, lambda message, line, column: (
         TurtleParseError(f"column {column}: {message}", line)))
-    terms: dict[str, dict[str, list[_Node]]] = {}  # t: subject -> predicate -> objects
+    entry = _declarations(text[:found.end()] if (found := _INSTANCES.search(text)) else text)
+    state, groups, ontology = entry or _declarations("")  # else read all: the empty prefix
+    state, terms = [*map(dict, state[:3]), *state[3:]], groups  # groups copied before they grow
     individuals: list[str] = []  # i: nodes
     typings: list[tuple[str, str, _Node]] = []  # (i: node, rdf:type, t: node)
     facts: list[tuple[str, str, _Node]] = []  # (i: node, t: node, object node)
-    for kind, s, p, o, at in _sorted_triples(text):
+    for kind, s, p, o, at in _sorted_triples(text, state):
         if kind == "term":
+            if terms is groups:
+                terms = {name: {q: list(v) for q, v in g.items()} for name, g in groups.items()}
             terms.setdefault(s[2:], {}).setdefault(p, []).append(o)
         elif kind == "individual":
             individuals.append(s)
@@ -452,7 +493,7 @@ def import_turtle(data: Union[bytes, str]) -> InstanceStore:
 
     # One batch: the typings, then the other facts, each in file order, as the
     # order of validate's reports expects; each instance made where first named.
-    store = InstanceStore(_ontology(terms))
+    store = InstanceStore(ontology.copy() if terms is groups else _ontology(terms))
     for s in individuals:
         store.add_instance(s[2:])
     stopped: list[tuple[int, SatkgError]] = []  # the position and error ending the batch
@@ -484,11 +525,12 @@ def import_turtle(data: Union[bytes, str]) -> InstanceStore:
     return store
 
 
-def _sorted_triples(text: str) -> Iterator[tuple[str, str, str, _Node, int]]:
-    """Each triple of ``_triples(text)`` led by its kind, the one rule
+def _sorted_triples(text: str, state: Optional[list] = None,
+                    ) -> Iterator[tuple[str, str, str, _Node, int]]:
+    """Each triple of ``_triples(text, state)`` led by its kind, the one rule
     :func:`import_turtle` reads by: "term" (a t: subject), "individual",
     "typing" or "fact" (an i: subject); raises for a triple outside the fragment."""
-    for s, p, o, at in _triples(text):
+    for s, p, o, at in _triples(text, state):
         if s.startswith("t:"):
             kind = "term"
         elif not s.startswith("i:"):

@@ -98,7 +98,7 @@ def test_classify_roundtrip(tmp_path, store_file):
     assert "Nearly_Circular_Orbit" in classified.types_of("AAUSat-4_Orbit")
 
 
-def test_classify_reads_the_mode_from_the_store(tmp_path, capsys):
+def test_classify_reads_the_mode_from_the_store(tmp_path):
     loaded, classified = tmp_path / "loaded.ttl", tmp_path / "classified.ttl"
     code, _out, err = run("load", "--mode", "reified", "--in", CSV, "--out", loaded)
     assert code == 0, err
@@ -111,9 +111,19 @@ def test_classify_reads_the_mode_from_the_store(tmp_path, capsys):
     assert out.startswith(f"classified under reified mode: {added} typings added")
     assert classified.read_text(encoding="utf-8") == export_turtle(expected)
     # the mode is not an option: the store's schema decides it
-    code, _out, _err = run("classify", "--store", loaded, "--mode", "direct", "--out", classified)
+    code, _out, err = run("classify", "--store", loaded, "--mode", "direct", "--out", classified)
     assert code == 2
-    assert "unrecognized arguments: --mode direct" in capsys.readouterr().err
+    assert "unrecognized arguments: --mode direct" in err
+
+
+def test_argparse_writes_to_the_given_streams(capsys):
+    buf = io.StringIO()
+    assert run_cli(["load", "--in"], stderr=buf) == 2
+    assert buf.getvalue().startswith("usage: satkg load ")
+    assert "argument --in: expected one argument" in buf.getvalue()
+    code, out, err = run("--help")
+    assert code == 0 and out.startswith("usage: satkg ") and err == ""
+    assert capsys.readouterr() == ("", "")  # nothing reached the process's own streams
 
 
 def test_validate_reports_warnings(tmp_path, store_file):
