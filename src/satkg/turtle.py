@@ -234,9 +234,10 @@ def _triples(text: str, state: Optional[list] = None) -> Iterator[tuple[str, str
     used, and a literal as a :class:`Literal`.  Tokens resolve to nodes through
     a memo emptied at each ``@``-directive; the first of a statement that does
     not resolve is reported when the statement ends, after its shape is
-    checked, as if the statement were read whole.  It resumes from ``state``
-    as a read of ``text[:start]`` ended it at a line start, and leaves its own."""
-    # label -> IRI, IRI -> label (project ones first), token -> node (until a directive)
+    checked, as if the statement were read whole.  A read resumes from ``state`` as
+    a read of ``text[:start]`` left it at a line start, and leaves its own state there."""
+    # label -> IRI; IRI -> label, project ones first; token -> node, until a directive;
+    # the index of the last token read; the offset reading starts at
     declared, spaces, resolved, n, start = state or [{}, dict(_STANDARD), {}, -1, 0]
     run: list[Optional[_Node]] = []  # nodes since the last punctuation
     failed: Optional[SatkgError] = None  # the first token of ``run`` that did not resolve
@@ -520,13 +521,12 @@ def import_turtle(data: Union[bytes, str]) -> InstanceStore:
     # the first refused fact comes before the fact, if any, that stopped the batch
     for position, exc in (store.write(batch())[0] + stopped)[:1]:
         kind, index = ("typing", position) if position < len(typings) else ("fact", position - len(typings))
-        at = next(islice((at for k, _, _, _, at in _sorted_triples(text) if k == kind), index, None))
+        at = next(islice((at for k, _, _, _, at in _sorted_triples(text, None) if k == kind), index, None))
         raise type(exc)(f"line {_line(text, at)}: {exc}") from None
     return store
 
 
-def _sorted_triples(text: str, state: Optional[list] = None,
-                    ) -> Iterator[tuple[str, str, str, _Node, int]]:
+def _sorted_triples(text: str, state: Optional[list]) -> Iterator[tuple[str, str, str, _Node, int]]:
     """Each triple of ``_triples(text, state)`` led by its kind, the one rule
     :func:`import_turtle` reads by: "term" (a t: subject), "individual",
     "typing" or "fact" (an i: subject); raises for a triple outside the fragment."""

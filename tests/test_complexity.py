@@ -46,6 +46,14 @@ catalog of 200 rows, where the unpaused function starts at least one; checks
 that each leaves ``gc.isenabled()`` as it found it, on success and on error;
 and counts what ``gc.collect()`` finds after each pipeline stage run with
 collection off, on a catalog whose rows refuse facts.
+
+A process reads each declaration block once: counts ``turtle._ontology``
+calls over two imports of one file, and a third of the file with one facet
+edited, which misses.  The memo stays bounded: after six distinct declaration
+blocks it holds the last four.  Its entries are not shared with the stores:
+changing a store's ontology (``apply_overlay``) leaves the next import of the
+file as it was.  Four threads importing both modes' exports at once get the
+stores and exports of reads with the memo emptied.
 """
 
 import csv
@@ -53,6 +61,7 @@ import gc
 import inspect
 import io
 import sys
+import threading
 from contextlib import contextmanager
 
 import pytest
@@ -68,6 +77,7 @@ from satkg import (
     TermId,
     TermKind,
     apply_mapping,
+    apply_overlay,
     build_mapping,
     build_ucsso,
     class_term,
@@ -78,6 +88,7 @@ from satkg import (
     ingest,
     materialize,
     parse_csv,
+    parse_overlay,
     parse_query,
     validate,
 )
@@ -85,7 +96,7 @@ from satkg import query, turtle
 from satkg.core import lexical_form
 from satkg.ingest import resolve_record
 
-from conftest import FIXTURES
+from conftest import FIXTURES, ingest_fixture
 
 
 def repeated_catalog(rows: int) -> bytes:
@@ -473,3 +484,75 @@ def test_a_paused_pipeline_leaves_no_cyclic_garbage():
         gc.enable()
     assert report.violations  # ingest refused facts, each kept with its error
     assert all(found == 0 for _name, found in left), left
+
+
+def fixture_export(mode: ModelingMode) -> str:
+    return export_turtle(ingest_fixture(parse_csv((FIXTURES / "ucs_sample.csv").read_bytes()),
+                                        mode)[0])
+
+
+def test_a_process_builds_each_declaration_block_once(monkeypatch):
+    text = fixture_export(ModelingMode.DIRECT)
+    calls = [0]
+    build = turtle._ontology
+
+    def counted(terms):
+        calls[0] += 1
+        return build(terms)
+
+    monkeypatch.setattr(turtle, "_ontology", counted)
+    turtle._memo.clear()
+    first, second = import_turtle(text), import_turtle(text)
+    assert calls[0] == 1
+    assert first == second and first.ontology is not second.ontology
+    edited = text.replace('v:maxValue "1"^^xsd:decimal', 'v:maxValue "2"^^xsd:decimal', 1)
+    assert edited != text
+    assert import_turtle(edited).ontology != first.ontology
+    assert calls[0] == 2
+
+
+def test_the_memo_keeps_the_last_four_declaration_blocks():
+    head, gap, tail = fixture_export(ModelingMode.DIRECT).partition("\n\n")
+    texts = [f"{head}{gap}t:Extra_{k} a owl:Class .{gap}{tail}" for k in range(6)]
+    turtle._memo.clear()
+    for k, text in enumerate(texts):
+        assert f"Extra_{k}" in import_turtle(text).ontology.classes
+    kept = [k for key in turtle._memo for k in range(6) if f"t:Extra_{k} a" in key]
+    assert turtle._MEMO_SIZE == 4 and kept == [2, 3, 4, 5]
+
+
+def test_changing_a_stores_ontology_leaves_the_next_import_as_it_was():
+    text = fixture_export(ModelingMode.REIFIED)
+    first = import_turtle(text)
+    apply_overlay(first.ontology, parse_overlay("class Drift_Orbit < Orbit\n"))
+    first.ontology.define_alias("Track", "Orbit")
+    second = import_turtle(text)
+    assert "Drift_Orbit" not in second.ontology.subclasses_of("Orbit")
+    assert "Track" not in second.ontology.aliases
+    assert export_turtle(second) == text
+
+
+def test_concurrent_imports_equal_cold_reads():
+    texts = [fixture_export(mode) for mode in ModelingMode] * 3
+    cold = []
+    for text in texts:
+        turtle._memo.clear()
+        cold.append(import_turtle(text))
+    turtle._memo.clear()
+    start = threading.Barrier(4)
+    results: dict = {}
+
+    def read(worker: int) -> None:
+        start.wait()
+        results[worker] = [import_turtle(text) for text in texts[worker % 2:] + texts[:worker % 2]]
+
+    threads = [threading.Thread(target=read, args=(worker,)) for worker in range(4)]
+    for thread in threads:
+        thread.start()
+    for thread in threads:
+        thread.join()
+    assert gc.isenabled() and sorted(results) == [0, 1, 2, 3]
+    for worker, stores in results.items():
+        expected = cold[worker % 2:] + cold[:worker % 2]
+        assert stores == expected
+        assert [export_turtle(s) for s in stores] == [export_turtle(s) for s in expected]
