@@ -141,7 +141,7 @@ def test_an_unedited_export_hits_and_reads_the_same():
 @example(EXPORTS[ModelingMode.DIRECT] + APPENDED[0] + "\n")
 @example(EXPORTS[ModelingMode.REIFIED].replace("\ni:", "\ni:AAUSat-4 u:x .\ni:", 1))
 @example(EXPORTS[ModelingMode.DIRECT][:cut_of(EXPORTS[ModelingMode.DIRECT]) - 3])
-@example(EXPORTS[ModelingMode.DIRECT].replace("\n\ni:", "\n\n i:", 1))  # an instance in the cut
+@example(EXPORTS[ModelingMode.DIRECT].replace("\n\ni:", "\n\n i:", 1))  # an instance before the cut
 @example(EXPORTS[ModelingMode.DIRECT].replace("@prefix t: <https://satkg.example/terms#>",
                                               "@prefix t: <https://satkg.example/terms/>"))
 def test_a_warm_read_equals_a_cold_read(text):
@@ -151,7 +151,7 @@ def test_a_warm_read_equals_a_cold_read(text):
 
 def test_a_warm_read_of_many_pieces_names_the_same_lines():
     # the reader scans pieces of about 64 KB that end at a newline; one piece
-    # holds the cut, and pieces after it open with a comment line
+    # holds the cut, and one after it opens with a comment line
     text = EXPORTS[ModelingMode.REIFIED]
     cut = cut_of(text)
     body = text[cut:].replace(" .\n\n", " . # after\n# a line of comment\n\n   \n\t\r\n", 40)
