@@ -26,22 +26,18 @@ answer the cycle check (an edge closes a cycle when the child is already an
 ancestor of the parent), so lookups only read and never fill a cache.
 Aliases are resolved before the sets are read, so adding one changes none.
 
-The store keeps each assertion once in one insertion-ordered dict, plus one
-index per access path.  Every write goes through one checked batch write of
-(subject, predicate, object) names, ``InstanceStore.write``: ``ingest``
-writes a batch per row, ``import_turtle`` one per file, ``classify_orbits``
-one per store, and ``add`` and ``assert_fact`` one of one fact.
-It resolves each distinct predicate and class once per batch, builds each
-stored ``Assertion`` once, hashes it once, and maintains the indexes (a
-typing is new exactly when ``_types`` does not list it):
-
-* ``_by_subject``: subject name -> its assertions;
-* ``_by_predicate``: canonical predicate name -> its assertions;
-* ``_by_object``: object instance name -> the object-property assertions
-  pointing at it (typing and literal-valued assertions are not included);
-* ``_by_class``: class name -> the instances directly typed with it;
-* ``_types``: instance name -> its directly asserted classes, which also
-  finds a repeated typing before any ``Assertion`` is built for it.
+The store keeps each fact once as the (subject name, predicate name, object)
+tuple ``InstanceStore.write`` takes (the object a class name, an instance name
+or a checked ``Literal``): the key of one insertion-ordered dict and the entry
+of each index, stored and found with one hash of strings that cache theirs.
+Every write is a batch: ``ingest`` writes one per row, ``import_turtle`` one
+per file, ``classify_orbits`` one per store, and ``add`` one of one fact.  A
+batch resolves each distinct predicate and class once and keeps the indexes
+``_by_subject``, ``_by_predicate`` (canonical) and ``_by_object`` (object
+properties) of facts, ``_by_class`` of instances and ``_types`` (an instance's
+asserted classes, which also finds a repeated typing).  The library reads the
+tuples (``facts`` and ``facts_*``); ``assertions`` and ``assertions_*`` build
+``Assertion`` values.
 
 The five functions that build a store (``ingest``, ``import_turtle``,
 ``classify_orbits``, ``materialize`` and ``apply_mapping``) run under
@@ -55,6 +51,7 @@ from __future__ import annotations
 
 import functools
 import gc
+from collections import defaultdict
 import re
 from dataclasses import FrozenInstanceError, dataclass, field, fields
 from functools import cached_property
@@ -147,7 +144,7 @@ class TermId:
         return self.name
 
 
-_INSTANCE, _CLASS = TermKind.INSTANCE, TermKind.CLASS
+_INSTANCE, _CLASS, _OBJECT = TermKind.INSTANCE, TermKind.CLASS, TermKind.OBJECT_PROPERTY
 _set_name, _set_kind, _set_hash = _slot_setters(TermId)
 
 
@@ -182,6 +179,7 @@ class Literal:
 
 
 _set_value, _set_unit = _slot_setters(Literal)
+Fact = tuple[str, str, Union[str, Literal]]  # as :meth:`InstanceStore.write` takes it
 
 #: The largest power of ten, either way, a decimal literal may reach; it
 #: bounds the positional text ``lexical_form`` writes for a value.
@@ -560,13 +558,14 @@ class InstanceStore:
     def __init__(self, ontology: Ontology):
         self.ontology = ontology
         self._instances: dict[str, TermId] = {}
-        #: every assertion once, in insertion order (the values are unused)
-        self._assertions: dict[Assertion, None] = {}
-        self._types: dict[str, list[str]] = {}
-        self._by_predicate: dict[str, list[Assertion]] = {}
-        self._by_subject: dict[str, list[Assertion]] = {}
-        self._by_object: dict[str, list[Assertion]] = {}
-        self._by_class: dict[str, list[TermId]] = {}
+        #: every fact once, in insertion order (the values are unused)
+        self._facts: dict[Fact, None] = {}
+        # the indexes: read with ``get``, so no read adds a key
+        self._types: dict[str, list[str]] = defaultdict(list)
+        self._by_predicate: dict[str, list[Fact]] = defaultdict(list)
+        self._by_subject: dict[str, list[Fact]] = defaultdict(list)
+        self._by_object: dict[str, list[Fact]] = defaultdict(list)
+        self._by_class: dict[str, list[TermId]] = defaultdict(list)
         #: Non-fatal messages produced while adding assertions (e.g. values
         #: sitting exactly on a warned numeric bound).
         self.warnings: list[str] = []
@@ -604,19 +603,20 @@ class InstanceStore:
         named = _CLASS if predicate == INSTANCE_OF.name else _INSTANCE
         if isinstance(obj, TermId) and obj.kind is named:
             obj = obj.name
-        size = len(self._assertions)
+        size = len(self._facts)
         for _position, exc in self.write([(subject.name, predicate, obj)])[0]:
             raise exc
-        return len(self._assertions) > size
+        return len(self._facts) > size
 
-    def write(self, facts: Iterable[tuple[str, str, Union[str, Literal]]]) -> tuple[list, list]:
+    def write(self, facts: Iterable[Fact]) -> tuple[list, list]:
         """Validate and store (subject, predicate, object) facts in order: the
         subject an instance's name, the object a class's for ``instance_of``,
         an instance's for an object property, a :class:`Literal` for a data
         property.  Returns the refused facts, which are skipped, and the
         boundary warnings (also added to ``warnings``) with their positions."""
-        ont, instances, table, types = self.ontology, self._instances, self._assertions, self._types
-        classes: dict[str, TermId] = {}  # each resolved once per batch
+        ont, instances, table, types = self.ontology, self._instances, self._facts, self._types
+        by_subject, by_predicate, by_object = self._by_subject, self._by_predicate, self._by_object
+        classes: dict[str, str] = {}  # each resolved once per batch
         properties: dict[str, PropertyDef] = {}
         refused: list[tuple[int, SatkgError]] = []
         warned: list[tuple[int, str]] = []
@@ -629,47 +629,47 @@ class InstanceStore:
                 if p == INSTANCE_OF.name:
                     if not isinstance(o, str):
                         raise TypeMismatch("instance_of expects a class object")
-                    obj = classes.get(o)
-                    if obj is None:
+                    cls = classes.get(o)
+                    if cls is None:
                         if o not in ont.classes:  # a bad name raises as a new term's would
                             _check_name(o, _CLASS)
-                        obj = classes[o] = ont.cls(o).id
-                    held = types.setdefault(name, [])
-                    if obj.name in held:  # one typing assertion per (instance, class)
+                        cls = classes[o] = ont.cls(o).name
+                    held = types[name]
+                    if cls in held:  # one typing per (instance, class)
                         continue
-                    held.append(obj.name)
-                    self._by_class.setdefault(obj.name, []).append(subject)
-                    assertion = Assertion(subject, INSTANCE_OF, obj)
-                    table[assertion] = None  # new: ``held`` listed every stored typing
+                    held.append(cls)
+                    self._by_class[cls].append(subject)
+                    fact = (name, INSTANCE_OF.name, cls)
+                    table[fact] = None  # new: ``held`` listed every stored typing
                 else:
                     pdef = properties.get(p) or properties.setdefault(p, ont.prop(p))
-                    if pdef.kind is TermKind.OBJECT_PROPERTY:
+                    p = pdef.name
+                    if pdef.kind is _OBJECT:
                         if not isinstance(o, str):
-                            raise TypeMismatch(f"object property {pdef.name!r} expects an "
+                            raise TypeMismatch(f"object property {p!r} expects an "
                                                f"instance object, got {o!r}")
                         obj = instances.get(o)
                         if obj is None:
                             raise UnknownTerm(f"assertion object {o!r} is not a store instance")
+                        fact = (name, p, obj.name)
                     elif isinstance(o, Literal):
-                        obj = _check_literal(pdef, name, o, warned, position)
+                        fact = (name, p, _check_literal(pdef, name, o, warned, position))
                     else:  # an instance name is shown as its term
                         o = TermId(o, _INSTANCE) if isinstance(o, str) else o
-                        raise TypeMismatch(f"data property {pdef.name!r} expects a literal "
+                        raise TypeMismatch(f"data property {p!r} expects a literal "
                                            f"object, got {o!r}")
-                    assertion, p = Assertion(subject, pdef.id, obj), pdef.name
                     size = len(table)
-                    table[assertion] = None  # one hash: a repeat keeps its key, place and length
+                    table[fact] = None  # one hash: a repeat keeps its key, place and length
                     if len(table) == size:
                         continue
-                    if pdef.functional and any(a.predicate.name == p
-                                               for a in self._by_subject.get(name, ())):
-                        del table[assertion]
+                    if pdef.functional and any(f[1] == p for f in by_subject.get(name, ())):
+                        del table[fact]
                         raise FunctionalViolation(
                             f"{p!r} is functional; {name!r} already has a value")
-                    if type(obj) is TermId:
-                        self._by_object.setdefault(obj.name, []).append(assertion)
-                self._by_predicate.setdefault(p, []).append(assertion)
-                self._by_subject.setdefault(name, []).append(assertion)
+                    if type(fact[2]) is str:
+                        by_object[fact[2]].append(fact)
+                by_predicate[fact[1]].append(fact)
+                by_subject[name].append(fact)
             except SatkgError as exc:
                 # kept without a traceback, which would hold this frame and so the list
                 # in a cycle; a context here is always one ``raise ... from None`` hides
@@ -705,26 +705,51 @@ class InstanceStore:
 
     # --------------------------------------------------------------- access
 
+    def facts(self) -> Iterator[Fact]:
+        return iter(self._facts)
+
+    def facts_about(self, subject: str) -> list[Fact]:
+        return self._by_subject.get(subject, [])
+
+    def facts_with_predicate(self, name: str) -> list[Fact]:
+        return self._by_predicate.get(self.ontology.canonical_name(name), [])
+
+    def facts_with_object(self, name: str) -> list[Fact]:
+        """Object-property facts whose object is the named instance."""
+        return self._by_object.get(name, [])
+
+    def pairs(self, facts: Iterable[Fact]) -> list[tuple[TermId, Union[TermId, Literal]]]:
+        """The subject and object of each property fact (not a typing) as terms."""
+        terms = self._instances
+        return [(terms[s], terms[o] if type(o) is str else o) for s, _, o in facts]
+
+    def _assertion(self, fact: Fact) -> Assertion:
+        s, p, o = fact  # its names as terms
+        if p == INSTANCE_OF.name:
+            return Assertion(self._instances[s], INSTANCE_OF, self.ontology.classes[o].id)
+        return Assertion(self._instances[s], self.ontology.properties[p].id,
+                         self._instances[o] if type(o) is str else o)
+
     def assertions(self) -> Iterator[Assertion]:
-        return iter(self._assertions)
+        return map(self._assertion, self._facts)
 
     @property
     def assertion_count(self) -> int:
-        return len(self._assertions)
+        return len(self._facts)
 
     def assertions_with_predicate(self, name: str) -> list[Assertion]:
-        return self._by_predicate.get(self.ontology.canonical_name(name), [])
+        return list(map(self._assertion, self.facts_with_predicate(name)))
 
     @property
     def instance_count(self) -> int:
         return len(self._instances)
 
     def assertions_about(self, subject: str) -> list[Assertion]:
-        return self._by_subject.get(subject, [])
+        return list(map(self._assertion, self.facts_about(subject)))
 
     def assertions_with_object(self, name: str) -> list[Assertion]:
         """Object-property assertions whose object is the named instance."""
-        return self._by_object.get(name, [])
+        return list(map(self._assertion, self.facts_with_object(name)))
 
     def instances_of(self, cls: str) -> list[TermId]:
         """Instances directly typed with the class (subclasses not included)."""
@@ -747,12 +772,9 @@ class InstanceStore:
     def copy(self) -> "InstanceStore":
         dup = InstanceStore(self.ontology)
         dup._instances = dict(self._instances)
-        dup._assertions = dict(self._assertions)
-        dup._types = {k: list(v) for k, v in self._types.items()}
-        dup._by_predicate = {k: list(v) for k, v in self._by_predicate.items()}
-        dup._by_subject = {k: list(v) for k, v in self._by_subject.items()}
-        dup._by_object = {k: list(v) for k, v in self._by_object.items()}
-        dup._by_class = {k: list(v) for k, v in self._by_class.items()}
+        dup._facts = dict(self._facts)
+        for index in ("_types", "_by_predicate", "_by_subject", "_by_object", "_by_class"):
+            setattr(dup, index, defaultdict(list, {k: list(v) for k, v in getattr(self, index).items()}))
         dup.warnings = list(self.warnings)
         dup.rule_conflicts = list(self.rule_conflicts)
         return dup
@@ -760,17 +782,11 @@ class InstanceStore:
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, InstanceStore):
             return NotImplemented
-        return (
-            self.ontology == other.ontology
-            and set(self._instances) == set(other._instances)
-            and self._assertions.keys() == other._assertions.keys()
-        )
+        return (self.ontology == other.ontology and set(self._instances) == set(other._instances)
+                and self._facts.keys() == other._facts.keys())
 
     def __repr__(self) -> str:
-        return (
-            f"<InstanceStore {len(self._instances)} instances, "
-            f"{len(self._assertions)} assertions>"
-        )
+        return f"<InstanceStore {len(self._instances)} instances, {len(self._facts)} assertions>"
 
 
 def lexical_form(value: LiteralValue) -> str:
@@ -785,8 +801,8 @@ def lexical_form(value: LiteralValue) -> str:
     return str(value)
 
 
-_UNESCAPES = {"n": "\n", "r": "\r", "t": "\t", '"': '"', "\\": "\\"}
-_ESCAPE = re.compile(r"\\(.)", re.DOTALL)  # a backslash and the character it escapes
+_UNESCAPES = {"t": "\t", "b": "\b", "n": "\n", "r": "\r", "f": "\f", '"': '"', "'": "'", "\\": "\\"}  # ECHAR
+_ESCAPE = re.compile(r"\\(u[0-9A-Fa-f]{4}|U[0-9A-Fa-f]{8}|.)", re.DOTALL)  # or UCHAR (W3C Turtle 6.4)
 
 
 def escape_string(text: str) -> str:
@@ -800,12 +816,18 @@ def escape_string(text: str) -> str:
     )
 
 
-def unescape_string(text: str) -> str:
-    """Inverse of :func:`escape_string`, read left to right; an unknown escape
-    such as ``\\q`` stands for the escaped character itself."""
-    if "\\" not in text:
-        return text
-    return _ESCAPE.sub(lambda m: _UNESCAPES.get(m[1], m[1]), text)
+def unescape_string(text: str, error: Optional[Callable[[str], Exception]] = None) -> str:
+    """Inverse of :func:`escape_string`: Turtle's ECHAR and UCHAR escapes, read left
+    to right.  Any other escape, or a UCHAR that is a surrogate or above U+10FFFF,
+    raises ``error(message)``; without ``error`` it stands for the escaped text."""
+    def one(m: re.Match) -> str:
+        code, point = m[1], int(m[1][1:], 16) if len(m[1]) > 1 else -1  # a UCHAR's code point
+        if 0 <= point <= 0x10FFFF and not 0xD800 <= point <= 0xDFFF:
+            return chr(point)
+        if code not in _UNESCAPES and error is not None:
+            raise error(f"bad escape \\{code} in a string")
+        return _UNESCAPES.get(code, code)
+    return _ESCAPE.sub(one, text) if "\\" in text else text
 
 
 def decode_utf8(data: bytes, error: Callable[[str, int, int], Exception]) -> str:

@@ -8,9 +8,9 @@ Grammar::
     filter  := var ("<" | "<=" | "=" | ">=" | ">") number
     term    := "?"ident | ident | number | quoted-string
 
-Quoted strings take the escapes of the Turtle fragment (``\\"``, ``\\\\``,
-``\\n``, ``\\r``, ``\\t``), read left to right; any other escaped character
-stands for itself, so ``\\q`` reads as ``q``.
+Quoted strings take Turtle's escapes (ECHAR such as ``\\b`` and UCHAR such as
+``\\u0041``), read left to right; any other escaped text stands for itself, so
+``\\q`` reads as ``q``.
 
 Typing patterns (`?x instance_of C`) match through the subsumption closure,
 so instances of subclasses answer superclass queries.  Negation blocks are
@@ -30,7 +30,7 @@ its constants, then the one written first.  A pattern that shares variables
 with the rows is hash-joined: its candidates are read once through its
 constants and keyed by term identity.  When they outnumber the rows more than
 five times over, and always for a typing with a variable class, each row
-probes the narrowest index instead: the subject's assertions, else the object
+probes the narrowest index instead: the subject's facts, else the object
 instance's, else the predicate's, or for a typing the instance's types or the
 class's instances.  Filters run on the joined rows; each negation then drops
 the rows it matches by the same rule, as a hash anti-join or a probe per row.
@@ -376,7 +376,6 @@ def _render(value: Value) -> str:
 
 _NAME = operator.attrgetter("name")
 _VALUE = operator.attrgetter("value")
-_SUBJECT_OBJECT = operator.attrgetter("subject", "object")
 _NUMBERS = (Decimal, int)  # the filterable value types; bool is not one
 
 
@@ -406,24 +405,24 @@ def _pairs(store: InstanceStore, pattern: TriplePattern,
     object matches only the same term."""
     if subject is not None and not _is_instance(subject):
         return []  # a class or literal can never stand in subject position
-    if pattern.predicate.name == "instance_of":
-        pairs = _typing_pairs(store, subject, obj)
-    else:
-        predicate = store.ontology.canonical_name(pattern.predicate.name)
-        if subject is not None or _is_instance(obj):
-            read = (store.assertions_about(subject.name) if subject is not None
-                    else store.assertions_with_object(obj.name))
-            candidates = [a for a in read if a.predicate.name == predicate]
-        else:  # the predicate's own index
-            candidates = store.assertions_with_predicate(predicate)
-        pairs = list(map(_SUBJECT_OBJECT, candidates))
-        written = pattern.object
-        if type(written) is Literal and written.unit is None:
-            pairs = [p for p in pairs if type(p[1]) is Literal and p[1].value == written.value]
-        elif obj is not None:
-            key = _term_key(obj)
-            pairs = [p for p in pairs if _term_key(p[1]) == key]
-    return [p for p in pairs if p[0] == p[1]] if same else pairs
+    if pattern.predicate.name == "instance_of":  # an instance is never its own class
+        return [] if same else _typing_pairs(store, subject, obj)
+    predicate = store.ontology.canonical_name(pattern.predicate.name)
+    if subject is not None or _is_instance(obj):
+        read = (store.facts_about(subject.name) if subject is not None
+                else store.facts_with_object(obj.name))
+        facts = [f for f in read if f[1] == predicate]
+    else:  # the predicate's own index
+        facts = store.facts_with_predicate(predicate)
+    written = pattern.object
+    if type(written) is Literal and written.unit is None:
+        facts = [f for f in facts if type(f[2]) is Literal and f[2].value == written.value]
+    elif type(obj) is Literal:
+        key = _term_key(obj)
+        facts = [f for f in facts if type(f[2]) is Literal and _term_key(f[2]) == key]
+    elif obj is not None:  # an instance; a class is never a property's object
+        facts = [f for f in facts if f[2] == obj.name] if _is_instance(obj) else []
+    return store.pairs([f for f in facts if f[0] == f[2]] if same else facts)
 
 
 def _typing_pairs(store: InstanceStore, subject: Optional[TermId],
@@ -462,11 +461,11 @@ def _estimate(store: InstanceStore, pattern: TriplePattern, bound: Container[str
         else:
             size = store.instance_count
     elif isinstance(subject, TermId):
-        size = len(store.assertions_about(subject.name))
+        size = len(store.facts_about(subject.name))
     elif _is_instance(obj):
-        size = len(store.assertions_with_object(obj.name))
+        size = len(store.facts_with_object(obj.name))
     else:
-        size = len(store.assertions_with_predicate(pattern.predicate.name))
+        size = len(store.facts_with_predicate(pattern.predicate.name))
     return (-positions, size)
 
 

@@ -64,20 +64,19 @@ def _reach(store: InstanceStore, param_class: str, mode: Optional[ModelingMode])
     one-hop values, its parameter instances', then its linking satellites'),
     for each instance that reaches any."""
     held: dict[str, list[Union[Decimal, int]]] = {}
-    for a in store.assertions_with_predicate(f"has_{param_class}_value"):
-        if isinstance(a.object, Literal) and isinstance(a.object.value, (Decimal, int)):
-            held.setdefault(a.subject.name, []).append(a.object.value)
+    for s, _, o in store.facts_with_predicate(f"has_{param_class}_value"):
+        if type(o) is Literal and isinstance(o.value, (Decimal, int)):
+            held.setdefault(s, []).append(o.value)
     own = {} if mode is ModelingMode.REIFIED else {k: list(v) for k, v in held.items()}
     if mode is not ModelingMode.DIRECT:
-        for a in store.assertions_with_predicate(f"has_{param_class}"):
-            param = a.object.name if isinstance(a.object, TermId) else None
-            if param in held and param_class in store.all_types_of(param):
-                own.setdefault(a.subject.name, []).extend(held[param])
+        for s, _, o in store.facts_with_predicate(f"has_{param_class}"):
+            if type(o) is str and o in held and param_class in store.all_types_of(o):
+                own.setdefault(s, []).extend(held[o])
     reach = {name: list(values) for name, values in own.items()}
     for link in ("has_Orbit", "has_Orbit_type"):
-        for a in store.assertions_with_predicate(link):
-            if a.subject.name in own and isinstance(a.object, TermId):
-                reach.setdefault(a.object.name, []).extend(own[a.subject.name])
+        for s, _, o in store.facts_with_predicate(link):
+            if s in own and type(o) is str:
+                reach.setdefault(o, []).extend(own[s])
     return reach
 
 
@@ -178,18 +177,17 @@ def validate(store: InstanceStore) -> list[Violation]:
     out: list[Violation] = []
     ont = store.ontology
 
-    for a in store.assertions():
-        if a.predicate.name == "instance_of":
+    for s, p, o in store.facts():
+        if p == "instance_of":
             continue
-        pdef = ont.prop(a.predicate.name)
-        if pdef.domain and _conforms(store, a.subject.name, pdef.domain) is False:
-            detail = f"{a.subject.name!r} is not typed within the domain of {pdef.name!r}"
-            out.append(Violation(a.subject, "domain", detail))
+        pdef = ont.prop(p)
+        if pdef.domain and _conforms(store, s, pdef.domain) is False:
+            detail = f"{s!r} is not typed within the domain of {p!r}"
+            out.append(Violation(store.instance(s), "domain", detail))
         if pdef.kind is TermKind.OBJECT_PROPERTY:
-            assert isinstance(a.object, TermId)
-            if pdef.range_classes and _conforms(store, a.object.name, pdef.range_classes) is False:
-                detail = f"object {a.object.name!r} of {pdef.name!r} is not typed within its range"
-                out.append(Violation(a.subject, "range", detail))
+            if pdef.range_classes and _conforms(store, o, pdef.range_classes) is False:
+                detail = f"object {o!r} of {p!r} is not typed within its range"
+                out.append(Violation(store.instance(s), "range", detail))
 
     # Completeness: every orbit should expose the core parameter set.
     reached = [(p, set(_reach(store, p, None))) for p in CORE_ORBIT_PARAMETERS]

@@ -12,11 +12,12 @@ line is counted for an error only), a statement loop splitting at ``.``,
 ``;`` and ``,``, and one table, ``_DECLARATIONS``: per declaration of a
 ``t:`` term (class, object or data property, either maybe functional, or
 none for an alias), the predicates it may carry and the shape of their
-objects.  Each distinct token is resolved once per file, and the instance
-triples go to ``InstanceStore.write`` as one batch of names, which checks
-them; the first it refuses is raised with its line.  Anything else raises a
-``SatkgError`` naming the term or the line, never dropped: blank nodes,
-collections, long strings, ``@base``, IRIs outside the declared namespaces
+objects.  Each distinct token and node is resolved once per file, and
+``_read`` routes the instance triples straight into one batch of name tuples
+for ``InstanceStore.write``, which checks them; the first it refuses is raised
+with its line.  Anything else raises a ``SatkgError`` naming the term or the
+line, never dropped: blank nodes, collections, long strings, escapes other
+than Turtle's ECHAR and UCHAR, ``@base``, IRIs outside the declared namespaces
 or holding whitespace, and predicates or object shapes the table does not
 allow.  Output is deterministic: terms appear in lexicographic order.
 
@@ -38,13 +39,11 @@ from typing import Any, Callable, Iterator, Optional, Union
 from urllib.parse import quote, unquote
 
 from .core import (
-    INSTANCE_OF,
     DatatypeSpec,
     InstanceStore,
     Literal,
     NumericRestriction,
     Ontology,
-    TermId,
     TermKind,
     bounded_decimal,
     bounded_integer,
@@ -161,11 +160,9 @@ def export_turtle(store: InstanceStore, namespaces: Namespaces = Namespaces()) -
         type_refs = ", ".join(["owl:NamedIndividual"] + [f"t:{t}" for t in types])
         parts = [f"{ref} a {type_refs}"]
         grouped: dict[str, list[str]] = {}
-        for a in store.assertions_about(name):
-            o = a.object
-            if a.predicate.name != "instance_of":  # typings are written from types_of
-                grouped.setdefault(a.predicate.name, []).append(
-                    _literal_ref(o) if type(o) is Literal else refs[o.name])
+        for _, p, o in store.facts_about(name):
+            if p != "instance_of":  # typings are written from types_of
+                grouped.setdefault(p, []).append(_literal_ref(o) if type(o) is Literal else refs[o])
         for predicate in sorted(grouped):
             objects = ", ".join(sorted(grouped[predicate]))
             parts.append(f"    t:{predicate} {objects}")
@@ -261,7 +258,7 @@ def _triples(text: str, state: Optional[list] = None) -> Iterator[tuple[str, str
             raise UnsupportedConstruct(f"line {_line(text, n)}: IRI outside the fragment: {token}")
         if token[0] == '"':
             body, _, datatype = token[1:].rpartition('"')  # a datatype holds no quote
-            body = unescape_string(body)
+            body = unescape_string(body, lambda message: TurtleParseError(message, _line(text, n)))
             if not datatype:
                 return Literal(body)
             datatype = pname(datatype[2:], n)
@@ -455,12 +452,11 @@ def _declarations(prefix: str) -> Optional[tuple]:
     prefix is not whole t: and @prefix statements or does not build."""
     entry = _memo.get(prefix)
     if entry is None:
-        state, terms = [{}, dict(_STANDARD), {}, -1, 0], {}  # type: ignore[var-annotated]
+        state = [{}, dict(_STANDARD), {}, -1, 0]
         try:
-            for kind, s, p, o, _ in _sorted_triples(prefix, state):
-                if kind != "term":
-                    return None
-                terms.setdefault(s[2:], {}).setdefault(p, []).append(o)
+            terms, _, *instances = _read(prefix, state, {})
+            if any(instances):
+                return None
             entry = state, terms, _ontology(terms)
         except SatkgError:
             return None
@@ -478,72 +474,82 @@ def import_turtle(data: Union[bytes, str]) -> InstanceStore:
         TurtleParseError(f"column {column}: {message}", line)))
     entry = _declarations(text[:found.end()] if (found := _INSTANCES.search(text)) else text)
     state, groups, ontology = entry or _declarations("")  # else read all: the empty prefix
-    state, terms = [*map(dict, state[:3]), *state[3:]], groups  # groups copied before they grow
-    individuals: list[str] = []  # i: nodes
-    typings: list[tuple[str, str, _Node]] = []  # (i: node, rdf:type, t: node)
-    facts: list[tuple[str, str, _Node]] = []  # (i: node, t: node, object node)
-    for kind, s, p, o, at in _sorted_triples(text, state):
-        if kind == "term":
-            if terms is groups:
-                terms = {name: {q: list(v) for q, v in g.items()} for name, g in groups.items()}
-            terms.setdefault(s[2:], {}).setdefault(p, []).append(o)
-        elif kind == "individual":
-            individuals.append(s)
-        else:
-            (typings if kind == "typing" else facts).append((s, p, o))
-
-    # One batch: the typings, then the other facts, each in file order, as the
-    # order of validate's reports expects; each instance made where first named.
+    terms, nodes, individuals, typings, facts, swaps, stop = _read(
+        text, [*map(dict, state[:3]), *state[3:]], groups)
+    # One batch: the typings, then the other facts, each in file order, as validate's
+    # reports expect; the individuals made first, any other instance where first named.
     store = InstanceStore(ontology.copy() if terms is groups else _ontology(terms))
-    for s in individuals:
-        store.add_instance(s[2:])
-    stopped: list[tuple[int, SatkgError]] = []  # the position and error ending the batch
-    names: dict[str, str] = {}  # i: node -> its instance's name, made where first named
-
-    def batch() -> Iterator[tuple[str, str, Union[str, TermId, Literal]]]:
-        for position, (s, p, o) in enumerate(chain(typings, facts)):
+    stop = [(len(typings) + i, exc) for i, exc in stop]  # the fact ending the batch
+    for name in individuals:
+        store.add_instance(name)
+    if store.instance_count < len(nodes):
+        for position, (s, _, o) in enumerate(chain(typings, facts)):
             try:
-                subject = names.get(s) or names.setdefault(s, store.add_instance(s[2:]).name)
-                if p == "rdf:type":
-                    yield subject, INSTANCE_OF.name, o[2:]  # type: ignore[index]
-                    continue
-                if isinstance(o, str):
-                    if not o.startswith("i:"):
-                        raise UnsupportedConstruct(f"object {o} of {p} on instance {s[2:]}")
-                    o = names.get(o) or names.setdefault(o, store.add_instance(o[2:]).name)
-                    if p == "t:" + INSTANCE_OF.name:  # its term, which instance_of refuses
-                        o = store.instance(o)
-                yield subject, p[2:], o
+                store.add_instance(s)
+                if type(o) is str and position >= len(typings):
+                    store.add_instance(o)
             except SatkgError as exc:
-                stopped.append((position, exc))
-                return
-
-    # the first refused fact comes before the fact, if any, that stopped the batch
-    for position, exc in (store.write(batch())[0] + stopped)[:1]:
-        kind, index = ("typing", position) if position < len(typings) else ("fact", position - len(typings))
-        at = next(islice((at for k, _, _, _, at in _sorted_triples(text, None) if k == kind), index, None))
-        raise type(exc)(f"line {_line(text, at)}: {exc}") from None
+                stop = [(position, exc)]
+                break
+    for i in swaps:  # no class name, which instance_of refuses
+        facts[i] = (*facts[i][:2], None)
+    batch = chain(typings, facts)
+    # the first refused fact comes before the fact, if any, that ends the batch
+    for position, exc in (store.write(islice(batch, stop[0][0]) if stop else batch)[0] + stop)[:1]:
+        _read(text, None, {}, ats := ([], []))
+        raise type(exc)(f"line {_line(text, (ats[0] + ats[1])[position])}: {exc}") from None
     return store
 
 
-def _sorted_triples(text: str, state: Optional[list]) -> Iterator[tuple[str, str, str, _Node, int]]:
-    """Each triple of ``_triples(text, state)`` led by its kind, the one rule
-    :func:`import_turtle` reads by: "term" (a t: subject), "individual",
-    "typing" or "fact" (an i: subject); raises for a triple outside the fragment."""
+def _read(text: str, state: Optional[list], groups: dict, ats: Optional[tuple] = None) -> tuple:
+    """``_triples(text, state)`` routed by one rule into the t: subjects' groups
+    (``groups``, or a grown copy), the i: node -> name map, the individuals, the typings
+    and other facts in ``InstanceStore.write``'s format, the indexes of the facts on
+    instance_of, and the index and error of a fact whose object is no instance or
+    literal, the last kept; ``ats`` gets each typing's and fact's object token index."""
+    terms, inodes, tnodes = groups, _Names("i:"), _Names("t:")
+    individuals, typings, facts, swaps, stop = [], [], [], [], []  # type: ignore[var-annotated]
     for s, p, o, at in _triples(text, state):
-        if s.startswith("t:"):
-            kind = "term"
-        elif not s.startswith("i:"):
-            raise UnsupportedConstruct(f"line {_line(text, at)}: subject outside the fragment: {s}")
+        subject = inodes[s]
+        if subject is None:
+            if s[:2] != "t:":
+                raise UnsupportedConstruct(f"line {_line(text, at)}: subject outside the fragment: {s}")
+            if terms is groups:
+                terms = {name: {q: list(v) for q, v in g.items()} for name, g in groups.items()}
+            terms.setdefault(s[2:], {}).setdefault(p, []).append(o)
         elif p != "rdf:type":
-            if not p.startswith("t:"):
-                raise UnsupportedConstruct(
-                    f"line {_line(text, at)}: predicate {p} on instance {s[2:]}")
-            kind = "fact"
+            predicate = tnodes[p]
+            if predicate is None:
+                raise UnsupportedConstruct(f"line {_line(text, at)}: predicate {p} on instance {subject}")
+            if ats is not None:
+                ats[1].append(at)
+            if stop:
+                continue
+            if type(o) is str:
+                name = inodes[o]
+                if name is None:
+                    stop = [(len(facts), UnsupportedConstruct(f"object {o} of {p} on instance {subject}"))]
+                elif predicate == "instance_of":
+                    swaps.append(len(facts))
+                o = name
+            facts.append((subject, predicate, o))
         elif o == "owl:NamedIndividual":
-            kind = "individual"
-        elif isinstance(o, str) and o.startswith("t:"):
-            kind = "typing"
+            individuals.append(subject)
+        elif type(o) is str and tnodes[o] is not None:
+            typings.append((subject, "instance_of", tnodes[o]))
+            if ats is not None:
+                ats[0].append(at)
         else:
-            raise UnsupportedConstruct(f"line {_line(text, at)}: typing {o} on instance {s[2:]}")
-        yield kind, s, p, o, at
+            raise UnsupportedConstruct(f"line {_line(text, at)}: typing {o} on instance {subject}")
+    return terms, inodes, individuals, typings, facts, swaps, stop
+
+
+class _Names(dict):
+    """Node -> its name under ``label``, made once; None for a node under another label."""
+
+    def __init__(self, label: str):
+        self.label = label
+
+    def __missing__(self, node: str) -> Optional[str]:
+        self[node] = name = node[2:] if node[:2] == self.label else None
+        return name

@@ -362,6 +362,11 @@ def test_unknown_escape_reads_as_the_escaped_character():
     assert ast.patterns[0].object == Literal("q")
 
 
+def test_turtle_escapes_decode_and_a_surrogate_reads_as_its_text():
+    ast = parse_query(r'select ?s where { ?s has_Satellite_Comment "\u0041\U00000042\b\'\uD800" }', ONT)
+    assert ast.patterns[0].object == Literal("AB\b'uD800")
+
+
 @example("a\\nb")
 @given(st.text())
 def test_printer_round_trip_keeps_any_string_constant(text):

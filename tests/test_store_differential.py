@@ -1,13 +1,18 @@
 """Differential test of the store's write path.
 
-``ReferenceStore`` keeps the earlier ``add``, which checked each assertion
-and then built a normalised copy of it, hashing that copy once to find a
-repeat and once to store it; ``InstanceStore`` now routes ``add`` and
-``assert_fact`` through one checked batch ``write``.  Random sequences of valid
-and invalid writes (unknown subjects and objects, wrong object kinds, class
-and predicate aliases, unit mismatches, out-of-range and boundary values,
+``ReferenceStore`` is an independent model: it keeps the earlier ``add``,
+which checked each assertion and then built a normalised copy of it, over a
+plain list of the stored assertions, and answers each public read by
+scanning that list.  ``InstanceStore`` routes ``add`` and ``assert_fact``
+through one checked batch ``write`` and keeps (subject, predicate, object)
+name tuples with an index per read.  Random sequences of valid and invalid
+writes (unknown subjects and objects, wrong object kinds, class and
+predicate aliases, unit mismatches, out-of-range and boundary values,
 functional repeats and duplicates, fresh and canonical terms) must give the
-same return values, exceptions, assertion order, warnings and indexes.
+same return values and exceptions, and then the same answer from every
+public read: ``assertions()``, ``facts()``, the ``assertions_*`` and
+``facts_*`` reads and ``types_of`` and ``instances_of`` of every name,
+``instances`` and ``warnings``.
 """
 
 from datetime import date
@@ -41,12 +46,31 @@ CLASS, INSTANCE = TermKind.CLASS, TermKind.INSTANCE
 OBJECT, DATA = TermKind.OBJECT_PROPERTY, TermKind.DATA_PROPERTY
 
 
-class ReferenceStore(InstanceStore):
-    """The write path as it was before the checked batch ``write``."""
+class ReferenceStore:
+    """The write path as it was before the checked batch ``write``, over its
+    own model: the stored assertions in one list, each read a scan of it."""
+
+    def __init__(self, ontology):
+        self.ontology = ontology
+        self._terms = {}  # instance name -> its term, in the order made
+        self._stored = []  # each assertion once, in the order stored
+        self.warnings = []
+
+    def add_instance(self, name):
+        return self._terms.setdefault(name, instance_term(name))
+
+    def instance(self, name):
+        if name not in self._terms:
+            raise UnknownTerm(f"instance {name!r} not in store")
+        return self._terms[name]
+
+    @property
+    def instances(self):
+        return list(self._terms.values())
 
     def add(self, assertion):
         subject = assertion.subject
-        if subject.kind is not TermKind.INSTANCE or subject.name not in self._instances:
+        if subject.kind is not TermKind.INSTANCE or subject.name not in self._terms:
             raise UnknownTerm(f"assertion subject {subject.name!r} is not a store instance")
 
         predicate = assertion.predicate
@@ -65,7 +89,7 @@ class ReferenceStore(InstanceStore):
                     raise TypeMismatch(
                         f"object property {pdef.name!r} expects an instance object, got {obj!r}"
                     )
-                if obj.name not in self._instances:
+                if obj.name not in self._terms:
                     raise UnknownTerm(f"assertion object {obj.name!r} is not a store instance")
             else:
                 if not isinstance(obj, Literal):
@@ -75,21 +99,14 @@ class ReferenceStore(InstanceStore):
                 obj = self._reference_literal(pdef, subject, obj)
 
         normalized = Assertion(subject, predicate, obj)
-        if normalized in self._assertions:
+        if normalized in self._stored:
             return False
-        by_subject = self._by_subject.setdefault(subject.name, [])
-        if functional and any(a.predicate.name == predicate.name for a in by_subject):
+        if functional and any(a.predicate.name == predicate.name
+                               for a in self.assertions_about(subject.name)):
             raise FunctionalViolation(
                 f"{predicate.name!r} is functional; {subject.name!r} already has a value"
             )
-        self._assertions[normalized] = None
-        self._by_predicate.setdefault(predicate.name, []).append(normalized)
-        by_subject.append(normalized)
-        if predicate is INSTANCE_OF:
-            self._types.setdefault(subject.name, []).append(obj.name)
-            self._by_class.setdefault(obj.name, []).append(subject)
-        elif isinstance(obj, TermId):
-            self._by_object.setdefault(obj.name, []).append(normalized)
+        self._stored.append(normalized)
         return True
 
     def assert_fact(self, subject, predicate, obj):
@@ -105,6 +122,45 @@ class ReferenceStore(InstanceStore):
         else:
             raise TypeMismatch(f"{pname!r} expects a class or instance name, not {obj!r}")
         return self.add(Assertion(sterm, pterm, oterm))
+
+    # the public reads, each a scan of the stored list
+
+    def assertions(self):
+        return iter(self._stored)
+
+    def assertions_about(self, subject):
+        return [a for a in self._stored if a.subject.name == subject]
+
+    def assertions_with_predicate(self, name):
+        return [a for a in self._stored if a.predicate.name == self.ontology.canonical_name(name)]
+
+    def assertions_with_object(self, name):
+        return [a for a in self._stored if isinstance(a.object, TermId)
+                and a.object.kind is TermKind.INSTANCE and a.object.name == name]
+
+    def facts(self):
+        return iter(map(_fact, self._stored))
+
+    def facts_about(self, subject):
+        return list(map(_fact, self.assertions_about(subject)))
+
+    def facts_with_predicate(self, name):
+        return list(map(_fact, self.assertions_with_predicate(name)))
+
+    def facts_with_object(self, name):
+        return list(map(_fact, self.assertions_with_object(name)))
+
+    def types_of(self, name):
+        return [a.object.name for a in self.assertions_about(name) if a.predicate == INSTANCE_OF]
+
+    def instances_of(self, cls):
+        return [a.subject for a in self.assertions_with_predicate(INSTANCE_OF.name)
+                if a.object.name == self.ontology.canonical_name(cls)]
+
+    def __eq__(self, other):
+        return (self.ontology == other.ontology
+                and {t.name for t in self.instances} == {t.name for t in other.instances}
+                and set(self.assertions()) == set(other.assertions()))
 
     def _reference_literal(self, pdef, subject, literal):
         spec = pdef.datatype
@@ -199,18 +255,28 @@ def _write(store, method, subject, predicate, obj):
         return type(exc), str(exc)
 
 
+def _fact(assertion):
+    """An assertion in the format ``InstanceStore.write`` takes."""
+    obj = assertion.object
+    return assertion.subject.name, assertion.predicate.name, obj.name if isinstance(obj, TermId) else obj
+
+
+#: every name a read may be given: instances, classes, properties and aliases, known or not
+READ_NAMES = NAMES + ("z", "instance_of", "missing", "Missing", *ONT.classes, *ONT.properties,
+                      *ONT.aliases)
+
+
 def _state(store):
-    return (
-        [str(a) for a in store.assertions()],
-        list(store.assertions()),
-        store.warnings,
-        store._instances,
-        store._types,
-        store._by_predicate,
-        store._by_subject,
-        store._by_object,
-        store._by_class,
-    )
+    """Everything the store's public reads return, terms and values compared
+    by name, kind and value; ``facts()`` must be ``assertions()`` in write's format."""
+    assertions = list(store.assertions())
+    assert list(store.facts()) == list(map(_fact, assertions))
+    reads = {name: (store.assertions_about(name), store.assertions_with_predicate(name),
+                    store.assertions_with_object(name), store.facts_about(name),
+                    store.facts_with_predicate(name), store.facts_with_object(name),
+                    store.types_of(name), store.instances_of(name))
+             for name in READ_NAMES}
+    return [str(a) for a in assertions], assertions, store.warnings, store.instances, reads
 
 
 @settings(max_examples=500, deadline=None)

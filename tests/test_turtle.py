@@ -571,3 +571,32 @@ def test_fact_on_owl_named_individual_names_its_own_line(predicate, golden_objec
         import_turtle(f"{head}{predicate} owl:NamedIndividual {golden_object[-1]}{tail}")
     assert str(err.value) == (f"line {head.count(chr(10)) + 1}: object owl:NamedIndividual of "
                               f"{predicate} on instance {subject}")
+
+
+GOLDEN_COSPAR = 't:has_COSPAR_number "2016-025E"'
+
+
+@pytest.mark.parametrize(
+    "escaped, value",
+    [(r"\u0041x", "Ax"), (r"\U00000041x", "Ax"), (r"a\bx", "a\bx"),
+     (r"\t\b\n\r\f\"\'\\", "\t\b\n\r\f\"'\\"), (r"é\U0001F6F0\\u0041", "é\U0001F6F0\\u0041")],
+    ids=["uchar-4", "uchar-8", "backspace", "every-echar", "non-bmp-and-escaped-backslash"],
+)
+def test_a_string_reads_turtles_escapes(escaped, value):
+    golden = (FIXTURES / "one_satellite.ttl").read_text(encoding="utf-8")
+    head, found, tail = golden.partition(GOLDEN_COSPAR)
+    assert found
+    store = import_turtle(f'{head}t:has_COSPAR_number "{escaped}"{tail}')
+    assert [a.object.value for a in store.assertions()
+            if a.predicate.name == "has_COSPAR_number"] == [value]
+
+
+@pytest.mark.parametrize("escaped", [r"a\qx", r"\a", r"\uD800", r"\U0000DFFF", r"\U00110000",
+                                     r"\u004", r"\x41"])
+def test_any_other_escape_names_the_line(escaped):
+    golden = (FIXTURES / "one_satellite.ttl").read_text(encoding="utf-8")
+    head, found, tail = golden.partition(GOLDEN_COSPAR)
+    assert found
+    with pytest.raises(TurtleParseError, match=r"bad escape \\") as err:
+        import_turtle(f'{head}t:has_COSPAR_number "{escaped}"{tail}')
+    assert err.value.line == head.count("\n") + 1

@@ -88,7 +88,7 @@ def reference_triples(text: str) -> Iterator[tuple[str, str, _Node, int]]:
                     return f"{label}:{unquote(name) if label == 'i' else name}"
             raise UnsupportedConstruct(f"line {line}: IRI outside the fragment: {text}")
         if kind == "string":
-            body = unescape_string(m.group("body"))
+            body = unescape_string(m.group("body"), lambda message: TurtleParseError(message, line))
             if m.group("datatype") is None:
                 return Literal(body)
             datatype = pname(m.group("datatype"), line)
