@@ -718,10 +718,12 @@ class InstanceStore:
         """Object-property facts whose object is the named instance."""
         return self._by_object.get(name, [])
 
-    def pairs(self, facts: Iterable[Fact]) -> list[tuple[TermId, Union[TermId, Literal]]]:
-        """The subject and object of each property fact (not a typing) as terms."""
+    def pairs(self, facts: list[Fact]) -> list[tuple[TermId, Union[TermId, Literal]]]:
+        """The subject and object, as terms, of each fact of one property (not instance_of)."""
         terms = self._instances
-        return [(terms[s], terms[o] if type(o) is str else o) for s, _, o in facts]
+        if facts and type(facts[0][2]) is str:  # an object property's
+            return [(terms[s], terms[o]) for s, _, o in facts]
+        return [(terms[s], o) for s, _, o in facts]
 
     def _assertion(self, fact: Fact) -> Assertion:
         s, p, o = fact  # its names as terms
@@ -773,8 +775,9 @@ class InstanceStore:
         dup = InstanceStore(self.ontology)
         dup._instances = dict(self._instances)
         dup._facts = dict(self._facts)
-        for index in ("_types", "_by_predicate", "_by_subject", "_by_object", "_by_class"):
-            setattr(dup, index, defaultdict(list, {k: list(v) for k, v in getattr(self, index).items()}))
+        for name in ("_types", "_by_predicate", "_by_subject", "_by_object", "_by_class"):
+            index = getattr(self, name)
+            setattr(dup, name, defaultdict(list, zip(index, map(list, index.values()))))
         dup.warnings = list(self.warnings)
         dup.rule_conflicts = list(self.rule_conflicts)
         return dup
