@@ -29,7 +29,7 @@ Aliases are resolved before the sets are read, so adding one changes none.
 The store keeps each fact once as the (subject name, predicate name, object)
 tuple ``InstanceStore.write`` takes (the object a class name, an instance name
 or a checked ``Literal``): the key of one insertion-ordered dict and the entry
-of each index, stored and found with one hash of strings that cache theirs.
+of each index, stored and found with one hash of the tuple (its names cache theirs).
 Every write is a batch: ``ingest`` writes one per row, ``import_turtle`` one
 per file, ``classify_orbits`` one per store, and ``add`` one of one fact.  A
 batch resolves each distinct predicate and class once and keeps the indexes
