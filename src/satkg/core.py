@@ -159,6 +159,7 @@ def instance_term(name: str) -> TermId:
 #: Built-in relation typing an instance with a class.  It is not part of any
 #: ontology's property table and is accepted by every store.
 INSTANCE_OF = TermId("instance_of", TermKind.OBJECT_PROPERTY)
+_TYPING = INSTANCE_OF.name  # a typing fact's predicate
 
 LiteralValue = Union[Decimal, int, str, date]
 
@@ -561,11 +562,11 @@ class InstanceStore:
         #: every fact once, in insertion order (the values are unused)
         self._facts: dict[Fact, None] = {}
         # the indexes: read with ``get``, so no read adds a key
-        self._types: dict[str, list[str]] = defaultdict(list)
         self._by_predicate: dict[str, list[Fact]] = defaultdict(list)
         self._by_subject: dict[str, list[Fact]] = defaultdict(list)
-        self._by_object: dict[str, list[Fact]] = defaultdict(list)
         self._by_class: dict[str, list[TermId]] = defaultdict(list)
+        #: built whole by the first ``facts_with_object`` after a write, dropped by each write
+        self._by_object: Optional[dict[str, list[Fact]]] = None
         #: Non-fatal messages produced while adding assertions (e.g. values
         #: sitting exactly on a warned numeric bound).
         self.warnings: list[str] = []
@@ -600,7 +601,7 @@ class InstanceStore:
         subject, predicate, obj = assertion.subject, assertion.predicate.name, assertion.object
         if subject.kind is not _INSTANCE:
             raise UnknownTerm(f"assertion subject {subject.name!r} is not a store instance")
-        named = _CLASS if predicate == INSTANCE_OF.name else _INSTANCE
+        named = _CLASS if predicate == _TYPING else _INSTANCE
         if isinstance(obj, TermId) and obj.kind is named:
             obj = obj.name
         size = len(self._facts)
@@ -614,8 +615,9 @@ class InstanceStore:
         an instance's for an object property, a :class:`Literal` for a data
         property.  Returns the refused facts, which are skipped, and the
         boundary warnings (also added to ``warnings``) with their positions."""
-        ont, instances, table, types = self.ontology, self._instances, self._facts, self._types
-        by_subject, by_predicate, by_object = self._by_subject, self._by_predicate, self._by_object
+        ont, instances, table = self.ontology, self._instances, self._facts
+        by_subject, by_predicate, by_class = self._by_subject, self._by_predicate, self._by_class
+        self._by_object = None
         classes: dict[str, str] = {}  # each resolved once per batch
         properties: dict[str, PropertyDef] = {}
         refused: list[tuple[int, SatkgError]] = []
@@ -626,7 +628,7 @@ class InstanceStore:
                 if subject is None:
                     raise UnknownTerm(f"assertion subject {s!r} is not a store instance")
                 name = subject.name
-                if p == INSTANCE_OF.name:
+                if p == _TYPING:
                     if not isinstance(o, str):
                         raise TypeMismatch("instance_of expects a class object")
                     cls = classes.get(o)
@@ -634,13 +636,7 @@ class InstanceStore:
                         if o not in ont.classes:  # a bad name raises as a new term's would
                             _check_name(o, _CLASS)
                         cls = classes[o] = ont.cls(o).name
-                    held = types[name]
-                    if cls in held:  # one typing per (instance, class)
-                        continue
-                    held.append(cls)
-                    self._by_class[cls].append(subject)
-                    fact = (name, INSTANCE_OF.name, cls)
-                    table[fact] = None  # new: ``held`` listed every stored typing
+                    fact, pdef = (name, _TYPING, cls), None
                 else:
                     pdef = properties.get(p) or properties.setdefault(p, ont.prop(p))
                     p = pdef.name
@@ -658,16 +654,16 @@ class InstanceStore:
                         o = TermId(o, _INSTANCE) if isinstance(o, str) else o
                         raise TypeMismatch(f"data property {p!r} expects a literal "
                                            f"object, got {o!r}")
-                    size = len(table)
-                    table[fact] = None  # one hash: a repeat keeps its key, place and length
-                    if len(table) == size:
-                        continue
-                    if pdef.functional and any(f[1] == p for f in by_subject.get(name, ())):
-                        del table[fact]
-                        raise FunctionalViolation(
-                            f"{p!r} is functional; {name!r} already has a value")
-                    if type(fact[2]) is str:
-                        by_object[fact[2]].append(fact)
+                size = len(table)
+                table[fact] = None  # one hash: a repeat keeps its key, place and length
+                if len(table) == size:
+                    continue
+                if pdef is None:
+                    by_class[fact[2]].append(subject)
+                elif pdef.functional and any(f[1] == p for f in by_subject.get(name, ())):
+                    del table[fact]
+                    raise FunctionalViolation(
+                        f"{p!r} is functional; {name!r} already has a value")
                 by_predicate[fact[1]].append(fact)
                 by_subject[name].append(fact)
             except SatkgError as exc:
@@ -693,7 +689,7 @@ class InstanceStore:
         """
         sterm = self.instance(subject) if isinstance(subject, str) else subject
         pname = predicate if isinstance(predicate, str) else predicate.name
-        pterm = INSTANCE_OF if pname == INSTANCE_OF.name else self.ontology.prop(pname).id
+        pterm = INSTANCE_OF if pname == _TYPING else self.ontology.prop(pname).id
         if not isinstance(obj, (TermId, Literal)):
             if pterm.kind is TermKind.DATA_PROPERTY:
                 obj = Literal(obj)  # type: ignore[arg-type]
@@ -716,7 +712,14 @@ class InstanceStore:
 
     def facts_with_object(self, name: str) -> list[Fact]:
         """Object-property facts whose object is the named instance."""
-        return self._by_object.get(name, [])
+        by_object = self._by_object
+        if by_object is None:  # published only when whole: a concurrent first read builds its own
+            by_object = defaultdict(list)
+            for fact in self._facts:
+                if type(fact[2]) is str and fact[1] != _TYPING:
+                    by_object[fact[2]].append(fact)
+            self._by_object = by_object
+        return by_object.get(name, [])
 
     def pairs(self, facts: list[Fact]) -> list[tuple[TermId, Union[TermId, Literal]]]:
         """The subject and object, as terms, of each fact of one property (not instance_of)."""
@@ -727,7 +730,7 @@ class InstanceStore:
 
     def _assertion(self, fact: Fact) -> Assertion:
         s, p, o = fact  # its names as terms
-        if p == INSTANCE_OF.name:
+        if p == _TYPING:
             return Assertion(self._instances[s], INSTANCE_OF, self.ontology.classes[o].id)
         return Assertion(self._instances[s], self.ontology.properties[p].id,
                          self._instances[o] if type(o) is str else o)
@@ -759,14 +762,15 @@ class InstanceStore:
 
     def types_of(self, name: str) -> list[str]:
         """Directly asserted classes of an instance."""
-        return list(self._types.get(name, ()))
+        return [o for _, p, o in self._by_subject.get(name, ()) if p == _TYPING]
 
     def all_types_of(self, name: str) -> set[str]:
         """Asserted classes closed under subsumption."""
         up = self.ontology._up
         out: set[str] = set()
-        for t in self._types.get(name, ()):
-            out |= up[t]
+        for _, p, o in self._by_subject.get(name, ()):
+            if p == _TYPING:
+                out |= up[o]
         return out
 
     # ----------------------------------------------------------------- misc
@@ -775,7 +779,7 @@ class InstanceStore:
         dup = InstanceStore(self.ontology)
         dup._instances = dict(self._instances)
         dup._facts = dict(self._facts)
-        for name in ("_types", "_by_predicate", "_by_subject", "_by_object", "_by_class"):
+        for name in ("_by_predicate", "_by_subject", "_by_class"):
             index = getattr(self, name)
             setattr(dup, name, defaultdict(list, zip(index, map(list, index.values()))))
         dup.warnings = list(self.warnings)

@@ -20,9 +20,9 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from decimal import Decimal
-from typing import Iterable, Optional, Union
+from typing import Callable, Iterable, Optional, Union
 
-from .core import InstanceStore, Literal, TermId, TermKind, nogc
+from .core import InstanceStore, Literal, PropertyDef, TermId, TermKind, nogc
 from .errors import ModeMismatch
 from .schema import ModelingMode, mode_of
 
@@ -59,7 +59,26 @@ def violations_to_jsonl(violations: Iterable[Violation]) -> str:
 
 # ------------------------------------------------------------- value access
 
-def _reach(store: InstanceStore, param_class: str, mode: Optional[ModelingMode]) -> dict:
+Types = Callable[[str], frozenset[str]]
+
+
+def _closed_types(store: InstanceStore) -> Types:
+    """``store.all_types_of`` for the reads of one call: each instance closed
+    once, and one frozenset shared by the instances of each closed typing."""
+    closed: dict[str, frozenset[str]] = {}
+    shared: dict[frozenset[str], frozenset[str]] = {}
+
+    def types(name: str) -> frozenset[str]:
+        out = closed.get(name)
+        if out is None:
+            out = frozenset(store.all_types_of(name))
+            out = closed[name] = shared.setdefault(out, out)
+        return out
+    return types
+
+
+def _reach(store: InstanceStore, param_class: str, mode: Optional[ModelingMode],
+           types: Types) -> dict:
     """Instance -> its reachable numbers of ``param_class`` under ``mode`` (its
     one-hop values, its parameter instances', then its linking satellites'),
     for each instance that reaches any."""
@@ -70,7 +89,7 @@ def _reach(store: InstanceStore, param_class: str, mode: Optional[ModelingMode])
     own = {} if mode is ModelingMode.REIFIED else {k: list(v) for k, v in held.items()}
     if mode is not ModelingMode.DIRECT:
         for s, _, o in store.facts_with_predicate(f"has_{param_class}"):
-            if type(o) is str and o in held and param_class in store.all_types_of(o):
+            if type(o) is str and o in held and param_class in types(o):
                 own.setdefault(s, []).extend(held[o])
     reach = {name: list(values) for name, values in own.items()}
     for link in ("has_Orbit", "has_Orbit_type"):
@@ -82,16 +101,17 @@ def _reach(store: InstanceStore, param_class: str, mode: Optional[ModelingMode])
 
 # ------------------------------------------------------------ classification
 
-def _classification(store: InstanceStore, mode: ModelingMode) -> tuple[list[Violation], list]:
+def _classification(store: InstanceStore, mode: ModelingMode,
+                    types: Types) -> tuple[list[Violation], list]:
     """The rule conflicts and the typings the eccentricity rule gives under
     ``mode``, orbit by orbit in store order, as a batch for ``InstanceStore.write``."""
-    reach = _reach(store, "Orbital_Eccentricity", mode)
+    reach = _reach(store, "Orbital_Eccentricity", mode, types)
     conflicts: list[Violation] = []
     typings: list[tuple[str, str, str]] = []
     for term in store.instances:
         values = reach.get(term.name, ())
-        types = store.all_types_of(term.name) if values else ()
-        if "Orbit" not in types:
+        closed = types(term.name) if values else ()
+        if "Orbit" not in closed:
             continue
         computed = {
             "Nearly_Circular_Orbit" if v <= NEARLY_CIRCULAR_MAX_ECCENTRICITY else "Elliptical_Orbit"
@@ -102,7 +122,7 @@ def _classification(store: InstanceStore, mode: ModelingMode) -> tuple[list[Viol
         else:
             (target,) = computed
             (other,) = {"Nearly_Circular_Orbit", "Elliptical_Orbit"} - computed
-            if other not in types:
+            if other not in closed:
                 typings.append((term.name, "instance_of", target))
                 continue
             conflicting = store.ontology.subclasses_of(other).intersection(store.types_of(term.name))
@@ -127,7 +147,7 @@ def classify_orbits(store: InstanceStore, mode: ModelingMode) -> InstanceStore:
             if mode is ModelingMode.REIFIED
             else "direct mode store should not declare 'has_Orbital_Eccentricity'"
         )
-    conflicts, typings = _classification(store, mode)
+    conflicts, typings = _classification(store, mode, _closed_types(store))
     result = store.copy()
     for _position, exc in result.write(typings)[0]:  # a class the ontology lacks
         raise exc
@@ -156,10 +176,9 @@ CORE_ORBIT_PARAMETERS: tuple[str, ...] = (
 )
 
 
-def _conforms(store: InstanceStore, instance: str, declared: frozenset[str]) -> Optional[bool]:
-    """True/False when the instance's typing decides conformance, None when
-    the instance is untyped (open world: absence proves nothing)."""
-    types = store.all_types_of(instance)
+def _conforms(types: frozenset[str], declared: frozenset[str]) -> Optional[bool]:
+    """True/False when an instance's closed typing decides conformance, None
+    when the instance is untyped (open world: absence proves nothing)."""
     if not types:
         return None
     return not declared.isdisjoint(types)
@@ -176,27 +195,29 @@ def validate(store: InstanceStore) -> list[Violation]:
     """
     out: list[Violation] = []
     ont = store.ontology
+    types = _closed_types(store)
+    defs: dict[str, PropertyDef] = {}  # each predicate's, resolved once
 
     for s, p, o in store.facts():
         if p == "instance_of":
             continue
-        pdef = ont.prop(p)
-        if pdef.domain and _conforms(store, s, pdef.domain) is False:
+        pdef = defs.get(p) or defs.setdefault(p, ont.prop(p))
+        if pdef.domain and _conforms(types(s), pdef.domain) is False:
             detail = f"{s!r} is not typed within the domain of {p!r}"
             out.append(Violation(store.instance(s), "domain", detail))
         if pdef.kind is TermKind.OBJECT_PROPERTY:
-            if pdef.range_classes and _conforms(store, o, pdef.range_classes) is False:
+            if pdef.range_classes and _conforms(types(o), pdef.range_classes) is False:
                 detail = f"object {o!r} of {p!r} is not typed within its range"
                 out.append(Violation(store.instance(s), "range", detail))
 
     # Completeness: every orbit should expose the core parameter set.
-    reached = [(p, set(_reach(store, p, None))) for p in CORE_ORBIT_PARAMETERS]
+    reached = [(p, set(_reach(store, p, None, types))) for p in CORE_ORBIT_PARAMETERS]
     for term in store.instances:
-        if "Orbit" not in store.all_types_of(term.name):
+        if "Orbit" not in types(term.name):
             continue
         missing = [p for p, names in reached if term.name not in names]
         if missing:
             out.append(Violation(term, "completeness",
                                  f"orbit {term.name!r} lacks {', '.join(missing)}", "warning"))
 
-    return out + _classification(store, mode_of(ont))[0]
+    return out + _classification(store, mode_of(ont), types)[0]

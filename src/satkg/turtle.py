@@ -156,13 +156,15 @@ def export_turtle(store: InstanceStore, namespaces: Namespaces = Namespaces()) -
     # each instance's reference, built once; a fact's object is an instance or a literal
     refs = {name: _instance_ref(name, ns) for name in sorted(n.name for n in store.instances)}
     for name, ref in refs.items():
-        types = sorted(store.types_of(name))
-        type_refs = ", ".join(["owl:NamedIndividual"] + [f"t:{t}" for t in types])
-        parts = [f"{ref} a {type_refs}"]
+        types: list[str] = []
         grouped: dict[str, list[str]] = {}
         for _, p, o in store.facts_about(name):
-            if p != "instance_of":  # typings are written from types_of
+            if p == "instance_of":
+                types.append(o)
+            else:
                 grouped.setdefault(p, []).append(_literal_ref(o) if type(o) is Literal else refs[o])
+        type_refs = ", ".join(["owl:NamedIndividual"] + [f"t:{t}" for t in sorted(types)])
+        parts = [f"{ref} a {type_refs}"]
         for predicate in sorted(grouped):
             objects = ", ".join(sorted(grouped[predicate]))
             parts.append(f"    t:{predicate} {objects}")

@@ -20,9 +20,10 @@ A stored fact is hashed without a Python frame: counts ``Assertion``,
 but one per stored literal-valued fact, and the Python frames one ``TermId``
 construction runs (its ``__init__`` alone).
 
-An imported fact holds few objects the collector tracks: after a full
-collection, counts the objects ``gc.get_objects`` gains over an import of the
-classified 800-row export, per stored assertion.
+An imported fact holds few objects the collector tracks and few bytes: over
+one import of the classified 800-row export, counts the objects
+``gc.get_objects`` gains after a full collection and the bytes
+``tracemalloc`` holds after the import, per stored assertion.
 
 Joins and negations over many rows read each index once: counts the
 per-instance reads (``assertions_about``, ``assertions_with_object`` and
@@ -70,6 +71,7 @@ import inspect
 import io
 import sys
 import threading
+import tracemalloc
 from contextlib import contextmanager
 
 import pytest
@@ -269,10 +271,16 @@ def test_import_hashes_no_term_and_each_literal_once_and_a_term_runs_only_its_in
 #: GC-tracked objects an imported store holds per stored assertion, after a
 #: collection: the index lists, instance terms and literals; a name tuple
 #: holding no tracked value is untracked by the collection.
-TRACKED_PER_ASSERTION = 1.7
+TRACKED_PER_ASSERTION = 1.1
+#: tracemalloc bytes an imported store holds per stored assertion: the fact
+#: table, the subject, predicate and class indexes, the tuples, terms and literals.
+BYTES_PER_ASSERTION = 230
 
 
-def test_an_imported_store_holds_few_tracked_objects_per_assertion():
+@pytest.fixture(scope="module")
+def imported_800():
+    """Tracked objects and tracemalloc bytes per assertion of one import of the
+    classified 800-row export, and whether it reads back as what was written."""
     store, _report = ingest(parse_csv(repeated_catalog(800)), ModelingMode.REIFIED,
                             build_ucsso(ModelingMode.REIFIED))
     classified = classify_orbits(store, ModelingMode.REIFIED)
@@ -280,11 +288,27 @@ def test_an_imported_store_holds_few_tracked_objects_per_assertion():
     import_turtle(text)  # the declarations are read once, before counting
     gc.collect()
     before = len(gc.get_objects())
-    back = import_turtle(text)
+    tracemalloc.start()
+    try:
+        back = import_turtle(text)
+        held = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
     gc.collect()
-    per_assertion = (len(gc.get_objects()) - before) / back.assertion_count
-    assert back == classified
+    count = back.assertion_count
+    return (len(gc.get_objects()) - before) / count, held / count, back == classified
+
+
+def test_an_imported_store_holds_few_tracked_objects_per_assertion(imported_800):
+    per_assertion, _bytes, same = imported_800
+    assert same
     assert per_assertion <= TRACKED_PER_ASSERTION, per_assertion
+
+
+def test_an_imported_store_holds_few_bytes_per_assertion(imported_800):
+    _tracked, per_assertion, same = imported_800
+    assert same
+    assert per_assertion <= BYTES_PER_ASSERTION, per_assertion
 
 
 BENCH_JOIN = (

@@ -9,10 +9,13 @@ name tuples with an index per read.  Random sequences of valid and invalid
 writes (unknown subjects and objects, wrong object kinds, class and
 predicate aliases, unit mismatches, out-of-range and boundary values,
 functional repeats and duplicates, fresh and canonical terms) must give the
-same return values and exceptions, and then the same answer from every
-public read: ``assertions()``, ``facts()``, the ``assertions_*`` and
-``facts_*`` reads and ``types_of`` and ``instances_of`` of every name,
-``instances`` and ``warnings``.
+same return values and exceptions, and after every write the same answer
+from every public read: ``assertions()``, ``facts()``, the ``assertions_*``
+and ``facts_*`` reads and ``types_of``, ``all_types_of`` and ``instances_of``
+of every name, ``instances`` and ``warnings``.  The reads between writes
+catch an index a read builds and a later write leaves stale.  A ``copy()``
+reads as its original, and a write to it leaves the original's reads as
+they were.
 """
 
 from datetime import date
@@ -153,6 +156,9 @@ class ReferenceStore:
     def types_of(self, name):
         return [a.object.name for a in self.assertions_about(name) if a.predicate == INSTANCE_OF]
 
+    def all_types_of(self, name):
+        return {c for t in self.types_of(name) for c in (t, *self.ontology.ancestors(t))}
+
     def instances_of(self, cls):
         return [a.subject for a in self.assertions_with_predicate(INSTANCE_OF.name)
                 if a.object.name == self.ontology.canonical_name(cls)]
@@ -267,16 +273,17 @@ READ_NAMES = NAMES + ("z", "instance_of", "missing", "Missing", *ONT.classes, *O
 
 
 def _state(store):
-    """Everything the store's public reads return, terms and values compared
+    """Everything the store's public reads return, copied, terms and values compared
     by name, kind and value; ``facts()`` must be ``assertions()`` in write's format."""
     assertions = list(store.assertions())
     assert list(store.facts()) == list(map(_fact, assertions))
-    reads = {name: (store.assertions_about(name), store.assertions_with_predicate(name),
-                    store.assertions_with_object(name), store.facts_about(name),
-                    store.facts_with_predicate(name), store.facts_with_object(name),
-                    store.types_of(name), store.instances_of(name))
+    reads = {name: tuple(map(list, (
+                 store.assertions_about(name), store.assertions_with_predicate(name),
+                 store.assertions_with_object(name), store.facts_about(name),
+                 store.facts_with_predicate(name), store.facts_with_object(name),
+                 store.types_of(name), store.instances_of(name)))) + (store.all_types_of(name),)
              for name in READ_NAMES}
-    return [str(a) for a in assertions], assertions, store.warnings, store.instances, reads
+    return [str(a) for a in assertions], assertions, list(store.warnings), store.instances, reads
 
 
 @settings(max_examples=500, deadline=None)
@@ -285,5 +292,20 @@ def test_insert_matches_the_reference_add(writes):
     reference, store = _stores()
     for write in writes:
         assert _write(store, *write) == _write(reference, *write), write
+        assert _state(store) == _state(reference), write
     assert _state(store) == _state(reference)
     assert store == reference
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(_writes, max_size=40), _writes)
+def test_a_copy_reads_as_its_original_and_writes_apart_from_it(writes, last):
+    reference, store = _stores()
+    for write in writes:
+        assert _write(store, *write) == _write(reference, *write), write
+    before = _state(store)
+    dup = store.copy()
+    assert _state(dup) == before
+    assert _write(dup, *last) == _write(reference, *last), last
+    assert _state(dup) == _state(reference)
+    assert _state(store) == before
