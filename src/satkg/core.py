@@ -32,12 +32,15 @@ or a checked ``Literal``): the key of one insertion-ordered dict and the entry
 of each index, stored and found with one hash of the tuple (its names cache theirs).
 Every write is a batch: ``ingest`` writes one per row, ``import_turtle`` one
 per file, ``classify_orbits`` one per store, and ``add`` one of one fact.  A
-batch resolves each distinct predicate and class once and keeps the indexes
-``_by_subject``, ``_by_predicate`` (canonical) and ``_by_object`` (object
-properties) of facts, ``_by_class`` of instances and ``_types`` (an instance's
-asserted classes, which also finds a repeated typing).  The library reads the
-tuples (``facts`` and ``facts_*``); ``assertions`` and ``assertions_*`` build
-``Assertion`` values.
+batch resolves each distinct predicate and class once, finds a repeat (a
+typing too) by the table's unchanged size, and keeps the indexes
+``_by_subject`` and ``_by_predicate`` (canonical) of facts and ``_by_class``
+of instances; ``types_of`` reads a subject's typing facts.  The first
+``facts_with_object`` after a write builds ``_by_object`` in one pass and
+publishes it whole (concurrent first reads may each build one; none sees a
+part), and each write drops it.  The library reads the tuples (``facts``
+and ``facts_*``); ``assertions`` and ``assertions_*`` build ``Assertion``
+values.
 
 The five functions that build a store (``ingest``, ``import_turtle``,
 ``classify_orbits``, ``materialize`` and ``apply_mapping``) run under
@@ -601,7 +604,7 @@ class InstanceStore:
         subject, predicate, obj = assertion.subject, assertion.predicate.name, assertion.object
         if subject.kind is not _INSTANCE:
             raise UnknownTerm(f"assertion subject {subject.name!r} is not a store instance")
-        named = _CLASS if predicate == _TYPING else _INSTANCE
+        named = _CLASS if predicate == INSTANCE_OF.name else _INSTANCE
         if isinstance(obj, TermId) and obj.kind is named:
             obj = obj.name
         size = len(self._facts)
@@ -689,7 +692,7 @@ class InstanceStore:
         """
         sterm = self.instance(subject) if isinstance(subject, str) else subject
         pname = predicate if isinstance(predicate, str) else predicate.name
-        pterm = INSTANCE_OF if pname == _TYPING else self.ontology.prop(pname).id
+        pterm = INSTANCE_OF if pname == INSTANCE_OF.name else self.ontology.prop(pname).id
         if not isinstance(obj, (TermId, Literal)):
             if pterm.kind is TermKind.DATA_PROPERTY:
                 obj = Literal(obj)  # type: ignore[arg-type]
@@ -730,7 +733,7 @@ class InstanceStore:
 
     def _assertion(self, fact: Fact) -> Assertion:
         s, p, o = fact  # its names as terms
-        if p == _TYPING:
+        if p == INSTANCE_OF.name:
             return Assertion(self._instances[s], INSTANCE_OF, self.ontology.classes[o].id)
         return Assertion(self._instances[s], self.ontology.properties[p].id,
                          self._instances[o] if type(o) is str else o)
