@@ -35,12 +35,16 @@ per file, ``classify_orbits`` one per store, and ``add`` one of one fact.  A
 batch resolves each distinct predicate and class once, finds a repeat (a
 typing too) by the table's unchanged size, and keeps the indexes
 ``_by_subject`` and ``_by_predicate`` (canonical) of facts and ``_by_class``
-of instances; ``types_of`` reads a subject's typing facts.  The first
-``facts_with_object`` after a write builds ``_by_object`` in one pass and
-publishes it whole (concurrent first reads may each build one; none sees a
-part), and each write drops it.  The library reads the tuples (``facts``
-and ``facts_*``); ``assertions`` and ``assertions_*`` build ``Assertion``
-values.
+of instances; ``types_of`` reads a subject's typing facts.  Three reads are
+views in ``_views``, each built whole by its first read after a write, then
+published (concurrent first reads may each build one, but all return the
+first published): the object index of ``facts_with_object``, a predicate's
+term pairs (``predicate_pairs``) and the instances of a class or its
+subclasses, each once (``typed_instances``, keyed on the set ``subclasses_of``
+returns, which every change to the class graph replaces).  Each write drops
+them and ``copy()`` does not copy them.  The library reads the tuples
+(``facts`` and ``facts_*``); ``assertions`` and ``assertions_*`` build
+``Assertion`` values.
 
 The five functions that build a store (``ingest``, ``import_turtle``,
 ``classify_orbits``, ``materialize`` and ``apply_mapping``) run under
@@ -568,8 +572,8 @@ class InstanceStore:
         self._by_predicate: dict[str, list[Fact]] = defaultdict(list)
         self._by_subject: dict[str, list[Fact]] = defaultdict(list)
         self._by_class: dict[str, list[TermId]] = defaultdict(list)
-        #: built whole by the first ``facts_with_object`` after a write, dropped by each write
-        self._by_object: Optional[dict[str, list[Fact]]] = None
+        #: the views, keyed None, by a predicate's name and by a set of classes
+        self._views: dict = {}
         #: Non-fatal messages produced while adding assertions (e.g. values
         #: sitting exactly on a warned numeric bound).
         self.warnings: list[str] = []
@@ -620,7 +624,7 @@ class InstanceStore:
         boundary warnings (also added to ``warnings``) with their positions."""
         ont, instances, table = self.ontology, self._instances, self._facts
         by_subject, by_predicate, by_class = self._by_subject, self._by_predicate, self._by_class
-        self._by_object = None
+        self._views = {}
         classes: dict[str, str] = {}  # each resolved once per batch
         properties: dict[str, PropertyDef] = {}
         refused: list[tuple[int, SatkgError]] = []
@@ -713,16 +717,20 @@ class InstanceStore:
     def facts_with_predicate(self, name: str) -> list[Fact]:
         return self._by_predicate.get(self.ontology.canonical_name(name), [])
 
+    def _view(self, key, build: Callable, *args):
+        view = self._views.get(key)  # else built, then published: the first published is kept
+        return view if view is not None else self._views.setdefault(key, build(*args))
+
+    def _object_index(self) -> dict[str, list[Fact]]:
+        by_object = defaultdict(list)
+        for fact in self._facts:
+            if type(fact[2]) is str and fact[1] != _TYPING:
+                by_object[fact[2]].append(fact)
+        return by_object
+
     def facts_with_object(self, name: str) -> list[Fact]:
         """Object-property facts whose object is the named instance."""
-        by_object = self._by_object
-        if by_object is None:  # published only when whole: a concurrent first read builds its own
-            by_object = defaultdict(list)
-            for fact in self._facts:
-                if type(fact[2]) is str and fact[1] != _TYPING:
-                    by_object[fact[2]].append(fact)
-            self._by_object = by_object
-        return by_object.get(name, [])
+        return self._view(None, self._object_index).get(name, [])
 
     def pairs(self, facts: list[Fact]) -> list[tuple[TermId, Union[TermId, Literal]]]:
         """The subject and object, as terms, of each fact of one property (not instance_of)."""
@@ -730,6 +738,19 @@ class InstanceStore:
         if facts and type(facts[0][2]) is str:  # an object property's
             return [(terms[s], terms[o]) for s, _, o in facts]
         return [(terms[s], o) for s, _, o in facts]
+
+    def predicate_pairs(self, name: str) -> list[tuple[TermId, Union[TermId, Literal]]]:
+        """``pairs`` of every fact of the property: a shared view, so read-only."""
+        name = self.ontology.canonical_name(name)
+        return self._view(name, self.pairs, self._by_predicate.get(name, []))
+
+    def typed_instances(self, cls: str) -> list[TermId]:
+        """Instances typed by the class or a subclass, each once: a shared view, so read-only."""
+        classes = self.ontology.subclasses_of(cls)
+        return self._view(classes, self._typed, classes)
+
+    def _typed(self, classes: frozenset[str]) -> list[TermId]:  # typed twice: kept once, by name
+        return list({t.name: t for c in classes for t in self.instances_of(c)}.values())
 
     def _assertion(self, fact: Fact) -> Assertion:
         s, p, o = fact  # its names as terms

@@ -91,7 +91,9 @@ class QuerySyntaxError(SatkgError):
 
 
 class UnknownTermInQuery(SatkgError):
-    pass
+    def __init__(self, message: str, line: int | None = None, column: int | None = None):
+        self.line, self.column = line, column
+        super().__init__(message if line is None else f"{line}:{column}: {message}")
 
 
 class UnsafeVariable(SatkgError):

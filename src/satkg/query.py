@@ -37,11 +37,15 @@ the rows it matches by the same rule, as a hash anti-join or a probe per row.
 Each column of the rows, like each position of the candidates, holds values
 of one kind (instances, classes or literals), so the hash keys of terms are
 their names, and two sides of different kinds are never compared.
-Neither the order nor the path changes the answer.
+Neither the order nor the path changes the answer.  A pattern with neither
+subject nor object fixed reads the predicate's term pairs, and a typing with a
+free subject the class's instances, from the store's views, built once a write.
 
 The answer holds the selected columns of the rows, sorted by their texts: a
 term's name and a literal's lexical form, as CSV and JSON write them.  Rows
-with the same texts are one answer row, the first joined of them.
+with the same texts are one answer row, the first joined of them.  When the
+first column's texts are pairwise distinct, they alone decide the order and
+the rows are distinct, so no other column's text is computed.
 """
 
 from __future__ import annotations
@@ -71,6 +75,7 @@ from .core import (
 from .errors import (
     NegationUnderOpenWorld,
     QuerySyntaxError,
+    SatkgError,
     UnknownTermInQuery,
     UnsafeVariable,
 )
@@ -168,9 +173,9 @@ class _Parser:
             self.tok = self.tokens[self.pos]
             raise self.error(f"unexpected character {self.tok[_BAD]!r}")
 
-    def error(self, message: str) -> QuerySyntaxError:
+    def error(self, message: str, kind: type = QuerySyntaxError) -> SatkgError:
         before = "".join(itertools.chain(*self.tokens[:self.pos])) + self.tok[_SPACE]
-        return QuerySyntaxError(message, before.count("\n") + 1, len(before) - before.rfind("\n"))
+        return kind(message, before.count("\n") + 1, len(before) - before.rfind("\n"))
 
     def advance(self) -> None:
         self.pos += 1
@@ -226,12 +231,13 @@ class _Parser:
         name = self.tok[_IDENT]
         if not name:
             raise self.error("predicate must be a property name or instance_of")
+        if (self.ontology is not None and name != INSTANCE_OF.name
+                and not self.ontology.has_property(name)):
+            raise self.error(f"property {name!r} not in ontology", UnknownTermInQuery)
         self.advance()
         if name == INSTANCE_OF.name:
             return INSTANCE_OF
         if self.ontology is not None:
-            if not self.ontology.has_property(name):
-                raise UnknownTermInQuery(f"property {name!r} not in ontology")
             return self.ontology.prop(name).id
         return TermId(name, TermKind.OBJECT_PROPERTY)
 
@@ -241,6 +247,8 @@ class _Parser:
             raise self.error("subject must not be a literal")
         if not (var or number or string or name):
             raise self.error("expected a term")
+        if name and typing and self.ontology is not None and not self.ontology.has_class(name):
+            raise self.error(f"class {name!r} not in ontology", UnknownTermInQuery)
         self.advance()
         if var:
             return Variable(var)
@@ -250,8 +258,6 @@ class _Parser:
             return Literal(unescape_string(string[1:-1]))
         if not typing:
             return TermId(name, TermKind.INSTANCE)
-        if self.ontology is not None and not self.ontology.has_class(name):
-            raise UnknownTermInQuery(f"class {name!r} not in ontology")
         return TermId(name, TermKind.CLASS)  # an alias stays as written
 
     def parse_filter(self) -> NumericFilter:
@@ -408,6 +414,8 @@ def _pairs(store: InstanceStore, pattern: TriplePattern,
     if pattern.predicate.name == "instance_of":  # an instance is never its own class
         return [] if same else _typing_pairs(store, subject, obj)
     predicate = store.ontology.canonical_name(pattern.predicate.name)
+    if subject is None and obj is None and not same:
+        return store.predicate_pairs(predicate)
     if subject is not None or _is_instance(obj):
         read = (store.facts_about(subject.name) if subject is not None
                 else store.facts_with_object(obj.name))
@@ -436,11 +444,7 @@ def _typing_pairs(store: InstanceStore, subject: Optional[TermId],
     if type(obj) is not TermId or obj.kind is not TermKind.CLASS:
         return []  # an instance or literal in class position can never match
     if subject is None:
-        subclasses = ont.subclasses_of(obj.name)
-        typed = list(itertools.chain.from_iterable(map(store.instances_of, subclasses)))
-        if len(subclasses) > 1:  # an instance typed by two of them is kept once, by name
-            typed = dict(zip(map(_NAME, typed), typed)).values()
-        return list(zip(typed, itertools.repeat(obj)))
+        return list(zip(store.typed_instances(obj.name), itertools.repeat(obj)))
     return [(subject, obj)] if ont.cls(obj.name).name in store.all_types_of(subject.name) else []
 
 
@@ -579,8 +583,8 @@ def evaluate(ast: QueryAst, store: InstanceStore) -> BindingSet:
     if not rows:
         return BindingSet(variables, [])
 
-    # project: a column holds values of one kind, keyed by name or lexical
-    # form; the rows are read backwards, so the first row of each key is kept
+    # project: a column holds values of one kind, keyed by name or lexical form
+    # (lazily); the rows are read backwards, so the first row of each key is kept
     columns = [list(map(operator.itemgetter(slots[v]), reversed(rows))) for v in variables]
     keys = [map(_NAME, c) if type(c[0]) is TermId else map(lexical_form, map(_VALUE, c))
             for c in columns]
@@ -588,7 +592,10 @@ def evaluate(ast: QueryAst, store: InstanceStore) -> BindingSet:
         (a,) = variables
         kept = dict(zip(keys[0], columns[0]))
         return BindingSet(variables, [{a: kept[k]} for k in sorted(kept)])
-    kept = dict(zip(zip(*keys), zip(*columns)))
+    first = list(keys[0])
+    kept = dict(zip(first, zip(*columns)))
+    if len(kept) < len(first):  # a first text repeats: key the rows by all their texts
+        kept = dict(zip(zip(first, *keys[1:]), zip(*columns)))
     values = map(kept.__getitem__, sorted(kept))
     if len(variables) == 2:
         a, b = variables

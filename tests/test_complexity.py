@@ -40,7 +40,12 @@ Answers are keyed without a Python call per term: counts ``TermId.__hash__``
 calls inside ``evaluate`` for a typing with a free subject over a class with
 subclasses, whose instances typed by two of them are kept once, and the
 ``lexical_form`` calls for a two-variable range query, whose answers are
-sorted by their texts.
+sorted by their texts; none when the answers' first column tells them apart.
+
+The store builds each view once per write and class graph: records the keys
+``InstanceStore._view`` builds under over two evaluations of a range, a
+negation and a typing query, with a write between them, and with a class
+placed under the negation's typed class, which rebuilds its typing view only.
 
 Classification and validation read each predicate index a fixed number of
 times: counts the calls of the store's index reads (``assertions_about``,
@@ -417,7 +422,85 @@ def test_a_range_query_computes_one_lexical_form_per_answer_row(monkeypatch):
     assert count[0] <= len(answer), (count[0], len(answer))
 
 
-STORE_READS = ("assertions_about", "assertions_with_object", "assertions_with_predicate",
+def test_a_range_query_whose_first_column_tells_its_rows_apart_computes_no_lexical_form(
+        monkeypatch):
+    store = classified_catalog(200)
+    ast = parse_query(VIEW_QUERIES["range"], store.ontology)
+    count = [0]
+
+    def counted(value):
+        count[0] += 1
+        return lexical_form(value)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(query, "lexical_form", counted)
+        answer = evaluate(ast, store)
+    assert len(answer) > 1 and len(set(answer.column("?p"))) == len(answer)
+    assert count[0] == 0, (count[0], len(answer))
+
+
+VIEW_QUERIES = {
+    "range": "select ?p ?v where { ?p has_Perigee_value ?v . filter ?v < 1000 }",
+    "negation": "select ?s where { ?s instance_of Artificial_Satellite . "
+                "not { ?s has_Operator ?o } }",
+    "typing": "select ?s where { ?s instance_of Orbit }",
+}
+
+
+def views_built(monkeypatch, store: InstanceStore, ast) -> list:
+    """The keys of the views the store builds inside one ``evaluate``: a
+    predicate's name for its pairs, a set of classes for their instances."""
+    built = []
+    view = InstanceStore._view
+
+    def counted(self, key, build, *args):
+        def counting(*args):
+            built.append(key)
+            return build(*args)
+        return view(self, key, counting, *args)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(InstanceStore, "_view", counted)
+        assert len(evaluate(ast, store)) > 0
+    return built
+
+
+def view_query(shape: str) -> tuple:
+    store = classified_catalog(200)
+    return store, parse_query(VIEW_QUERIES[shape], store.ontology, Semantics.CLOSED_WORLD)
+
+
+@pytest.mark.parametrize("shape", VIEW_QUERIES)
+def test_two_evaluations_build_each_view_once(monkeypatch, shape):
+    store, ast = view_query(shape)
+    built = views_built(monkeypatch, store, ast)
+    assert built and len(set(built)) == len(built), built
+    assert views_built(monkeypatch, store, ast) == []
+
+
+@pytest.mark.parametrize("shape", VIEW_QUERIES)
+def test_a_write_between_two_evaluations_rebuilds_the_views(monkeypatch, shape):
+    store, ast = view_query(shape)
+    built = views_built(monkeypatch, store, ast)
+    store.add_instance("Extra_Orbit")
+    store.write([("Extra_Orbit", "instance_of", "Orbit")])
+    assert views_built(monkeypatch, store, ast) == built
+
+
+def test_a_class_graph_edge_under_the_queried_class_rebuilds_only_its_typing_view(monkeypatch):
+    store, ast = view_query("negation")
+    ontology = store.ontology
+    built = views_built(monkeypatch, store, ast)
+    assert built == [ontology.subclasses_of("Artificial_Satellite"), "has_Operator"]
+    ontology.define_class("Drifting_Satellite")
+    assert views_built(monkeypatch, store, ast) == []
+    ontology.add_parent("Drifting_Satellite", "Artificial_Satellite")
+    rebuilt = views_built(monkeypatch, store, ast)
+    assert rebuilt == [ontology.subclasses_of("Artificial_Satellite")] != built[:1]
+    assert "Drifting_Satellite" in rebuilt[0]
+
+
+STORE_READS =("assertions_about", "assertions_with_object", "assertions_with_predicate",
                "facts_about", "facts_with_object", "facts_with_predicate")
 
 

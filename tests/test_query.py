@@ -95,6 +95,30 @@ def test_unknown_class_is_rejected():
         parse_query("select ?s where { ?s instance_of Bogus_Class }", ONT)
 
 
+def test_an_unknown_term_names_its_line_and_column():
+    text = ("select ?s\n"
+            "where {\n"
+            "  ?s instance_of Artificial_Satellite .\n"
+            "  ?s  has_Bogus ?x .\n"
+            "  ?x instance_of   Bogus_Class }")
+    with pytest.raises(UnknownTermInQuery) as err:
+        parse_query(text, ONT)
+    assert (err.value.line, err.value.column) == (4, 7)
+    assert str(err.value) == "4:7: property 'has_Bogus' not in ontology"
+    with pytest.raises(UnknownTermInQuery) as err:
+        parse_query(text.replace("has_Bogus", "has_Operator"), ONT)
+    assert (err.value.line, err.value.column) == (5, 20)
+    assert str(err.value) == "5:20: class 'Bogus_Class' not in ontology"
+
+
+def test_an_unknown_term_found_by_evaluate_has_no_location():
+    ast = parse_query("select ?s where { ?s has_Bogus ?x }")
+    with pytest.raises(UnknownTermInQuery) as err:
+        evaluate(ast, three_satellite_store())
+    assert (err.value.line, err.value.column) == (None, None)
+    assert str(err.value) == "property 'has_Bogus' not in ontology"
+
+
 def test_unsafe_variables_are_rejected():
     with pytest.raises(UnsafeVariable):
         parse_query("select ?x where { ?s instance_of Orbit }", ONT)
