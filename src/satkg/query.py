@@ -39,7 +39,7 @@ of one kind (instances, classes or literals), so the hash keys of terms are
 their names, and two sides of different kinds are never compared.
 Neither the order nor the path changes the answer.  A pattern with neither
 subject nor object fixed reads the predicate's term pairs, and a typing with a
-free subject the class's instances, from the store's views, built once a write.
+free subject the class's instances, from the store's views, built once per write.
 
 The answer holds the selected columns of the rows, sorted by their texts: a
 term's name and a literal's lexical form, as CSV and JSON write them.  Rows
@@ -404,11 +404,10 @@ def _is_instance(term: Term) -> bool:
 
 def _pairs(store: InstanceStore, pattern: TriplePattern,
            subject: Optional[Value], obj: Optional[Value], same: bool) -> list[tuple]:
-    """The facts matching ``pattern`` with its subject and object fixed to
-    ``subject`` and ``obj`` (None where free), read from the narrowest index;
-    ``same`` when one free variable stands in both places.  A query literal
-    carries no unit and matches a stored value in any unit; any other fixed
-    object matches only the same term."""
+    """The facts matching ``pattern`` with subject and object fixed to ``subject``
+    and ``obj`` (None where free), from the narrowest index (a shared, read-only
+    view when neither is fixed); ``same`` when one free variable stands in both
+    places.  A query literal matches a stored value in any unit, any other only the same term."""
     if subject is not None and not _is_instance(subject):
         return []  # a class or literal can never stand in subject position
     if pattern.predicate.name == "instance_of":  # an instance is never its own class

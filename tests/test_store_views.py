@@ -28,7 +28,6 @@ from satkg import (
 
 from test_query_differential import (
     CLASSES,
-    INSTANCES,
     ONT,
     answer_key,
     facts,
@@ -91,23 +90,6 @@ def test_views_follow_every_write_and_class_graph_change(store, asts, step, data
         assert [answers(ast, store) for ast in asts] == before
     for ast in asts:
         assert answers(ast, read) == reference_evaluate(ast, read)
-
-
-def test_a_copy_answers_from_its_own_views():
-    store = InstanceStore(ONT)
-    for name in INSTANCES:
-        store.add_instance(name)
-    store.assert_fact("i0", "instance_of", "Left")
-    store.assert_fact("i0", "p", "i1")
-    asts = [parse_query("select ?a ?b where { ?a p ?b }", ONT),
-            parse_query("select ?a where { ?a instance_of Top }", ONT)]
-    before = [answers(ast, store) for ast in asts]
-    dup = store.copy()
-    dup.assert_fact("i2", "instance_of", "Right")
-    dup.assert_fact("i2", "p", "i3")
-    assert [answers(ast, store) for ast in asts] == before
-    assert [answers(ast, dup) for ast in asts] == [reference_evaluate(ast, dup) for ast in asts]
-    assert all(after > was for after, was in zip([answers(ast, dup) for ast in asts], before))
 
 
 THREADS = 4
