@@ -41,8 +41,9 @@ published (concurrent first reads may each build one, but all return the
 first published): the object index of ``facts_with_object``, a predicate's
 term pairs (``predicate_pairs``) and the instances of a class or its
 subclasses, each once (``typed_instances``, keyed on the set ``subclasses_of``
-returns, which every change to the class graph replaces).  Each write drops
-them and ``copy()`` does not copy them.  The library reads the tuples
+returns, which every change to the class graph replaces; a class keeps one, as
+its view under an older set is dropped).  Each write drops them and ``copy()``
+does not copy them.  The library reads the tuples
 (``facts`` and ``facts_*``); ``assertions`` and ``assertions_*`` build
 ``Assertion`` values.
 
@@ -572,7 +573,8 @@ class InstanceStore:
         self._by_predicate: dict[str, list[Fact]] = defaultdict(list)
         self._by_subject: dict[str, list[Fact]] = defaultdict(list)
         self._by_class: dict[str, list[TermId]] = defaultdict(list)
-        #: the views, keyed None, by a predicate's name and by a set of classes
+        #: the views, keyed None, by a predicate's name and by a set of classes; a
+        #: class's name, in a 1-tuple, keys the set its typing view is under
         self._views: dict = {}
         #: Non-fatal messages produced while adding assertions (e.g. values
         #: sitting exactly on a warned numeric bound).
@@ -747,6 +749,10 @@ class InstanceStore:
     def typed_instances(self, cls: str) -> list[TermId]:
         """Instances typed by the class or a subclass, each once: a shared view, so read-only."""
         classes = self.ontology.subclasses_of(cls)
+        built = self._views.setdefault((cls,), classes)  # the set its view was built under
+        if built != classes:  # the class graph changed below the class: its old view goes
+            self._views.pop(built, None)
+            self._views[cls,] = classes
         return self._view(classes, self._typed, classes)
 
     def _typed(self, classes: frozenset[str]) -> list[TermId]:  # typed twice: kept once, by name

@@ -6,20 +6,24 @@ datatype facets, alias links, and instance assertions.  Multiple
 ``rdfs:domain`` (or ``rdfs:range``) triples on one property are read
 disjunctively, matching the in-memory model.
 
-The reader is one ``findall`` of plain-string tokens over the whole text
-(blanks and comments are read with the token before them, and a token's
-line is counted for an error only), a statement loop splitting at ``.``,
-``;`` and ``,``, and one table, ``_DECLARATIONS``: per declaration of a
-``t:`` term (class, object or data property, either maybe functional, or
-none for an alias), the predicates it may carry and the shape of their
-objects.  Each distinct token and node is resolved once per file, and
-``_read`` routes the instance triples straight into one batch of name tuples
-for ``InstanceStore.write``, which checks them; the first it refuses is raised
-with its line.  Anything else raises a ``SatkgError`` naming the term or the
-line, never dropped: blank nodes, collections, long strings, escapes other
-than Turtle's ECHAR and UCHAR, ``@base``, IRIs outside the declared namespaces
-or holding whitespace, and predicates or object shapes the table does not
-allow.  Output is deterministic: terms appear in lexicographic order.
+The reader is one ``findall`` over the text whose every match is a statement
+piece: up to three terms, blanks apart, and the ``.``, ``;`` or ``,`` after
+them with the blanks and comments that follow, so one match ends one triple.
+What no piece covers (a statement over a cut of the scan or holding a
+comment, an ``@prefix``, a token outside the fragment or a bad character) is
+matched as one token alone and joins the next piece's statement.  A line is
+counted for an error only.  The loop routes each triple straight into the t:
+terms' groups or one batch of name tuples for ``InstanceStore.write``, which
+checks them; the first it refuses is raised with its line.  Each distinct
+token, node and datatype is resolved once per file.  One table,
+``_DECLARATIONS``, gives per declaration of a ``t:`` term (class, object or
+data property, either maybe functional, or none for an alias) the predicates
+it may carry and the shape of their objects.  Anything else raises a
+``SatkgError`` naming the line, or the term whose declarations it builds,
+never dropped: blank nodes, collections, long strings, escapes other than
+Turtle's ECHAR and UCHAR, ``@base``, IRIs outside the declared namespaces or
+holding whitespace, and predicates or object shapes the table does not allow.
+Output is deterministic: terms appear in lexicographic order.
 
 A process reads a file's declarations, up to its first line opening with ``i:`` or
 ``<`` (``export_turtle``'s first instance), once: a locked memo of the last
@@ -53,7 +57,7 @@ from .core import (
     nogc,
     unescape_string,
 )
-from .errors import InvalidDatatype, SatkgError, TurtleParseError, UnsupportedConstruct
+from .errors import SatkgError, TurtleParseError, UnsupportedConstruct
 
 RDF_NS = "http://www.w3.org/1999/02/22-rdf-syntax-ns#"
 RDFS_NS = "http://www.w3.org/2000/01/rdf-schema#"
@@ -177,18 +181,23 @@ def export_turtle(store: InstanceStore, namespaces: Namespaces = Namespaces()) -
 
 # ------------------------------------------------------------------ reading
 
-_TOKEN_RE = re.compile(
-    r"""
-    [ \t\r\n]*  # blanks before a piece's first token
-    ( (?:[A-Za-z][A-Za-z0-9_\-]*)?:(?:[A-Za-z0-9_][A-Za-z0-9_\-]*)?  # prefixed name
-    | [.;,]  # punctuation
-    | @?[A-Za-z]+  # word
-    | <[^\x00-\x20<>"{}|^`\\]*>  # IRI
-    | [\[\]()]|_:|"{3}  # outside the fragment
-    | "(?:[^"\\\n]|\\.)*"(?:\^\^[A-Za-z][A-Za-z0-9_\-]*:[A-Za-z0-9_][A-Za-z0-9_\-]*)?  # string
-    | [^ \t\r\n\#] )  # any other character: bad
+_LABEL, _LOCAL = r"[A-Za-z][A-Za-z0-9_\-]*", r"(?:[A-Za-z0-9_][A-Za-z0-9_\-]*)?"
+_BODY = r'[^"\\\n]*(?:\\.[^"\\\n]*)*"(?:\^\^[A-Za-z][A-Za-z0-9_\-]*:[A-Za-z0-9_][A-Za-z0-9_\-]*)?'
+_IRI = r'<[^\x00-\x20<>"{}|^`\\]*>'
+#: a term of a piece (no @-word) ends where the same token read alone would:
+#: no alternative may match a shorter token, or one read otherwise alone
+_TERM = rf"""{_LABEL}:{_LOCAL}(?![A-Za-z0-9_\-]) | "(?!""){_BODY}(?![A-Za-z0-9_\-])
+    | [A-Za-z]+(?![A-Za-z0-9_\-:]) | :{_LOCAL}(?![A-Za-z0-9_\-]) | {_IRI}"""
+_PIECE_RE = re.compile(
+    rf"""
+    [ \t\r\n]*  # blanks before a match
+    (?: (?:({_TERM})[ \t\r\n]*(?:({_TERM})[ \t\r\n]*(?:({_TERM})[ \t\r\n]*)?)?)?
+        ([.;,])  # a piece: up to three terms, blanks apart, and the punctuation after them,
+      | ( (?:{_LABEL})?:{_LOCAL} | @?[A-Za-z]+ | {_IRI}  # else one token: a prefixed name,
+        | [\[\]()]|_:|"{{3}}  # a word, an IRI, a token outside the fragment,
+        | "{_BODY} | [^ \t\r\n\#] ) )  # a string, or any other character: bad
     [ \t\r\n]*(?:\#[^\n]*[ \t\r\n]*)*  # blanks and comments after it
-  | (?:[ \t\r\n]|\#[^\n]*)+  # blanks and comments opening a piece, read as ""
+  | (?:[ \t\r\n]|\#[^\n]*)+  # blanks and comments opening a scan, read as no token
     """,
     re.VERBOSE,
 )
@@ -211,7 +220,7 @@ _BAD_START = {'"': "unterminated string",
 
 
 def _scan(text: str, find: Callable, start: int = 0) -> Iterator:
-    """``find`` over ~64 KB pieces of whole lines, chained: no list holds a whole file's tokens.
+    """``find`` over ~64 KB pieces of whole lines, chained: no list holds a whole file's matches.
     From ``start``, a line start opening with a token, it goes on with the scan from 0."""
     ends = [0]
     while ends[-1] < len(text):
@@ -220,124 +229,10 @@ def _scan(text: str, find: Callable, start: int = 0) -> Iterator:
     return chain.from_iterable(find(text, a, b) for a, b in zip(ends, ends[1:]))
 
 
-def _line(text: str, index: int) -> int:
-    """The line of the token at ``index`` of ``_scan(text, _TOKEN_RE.findall)``."""
-    m = next(islice(_scan(text, _TOKEN_RE.finditer), index, None))
-    return text.count("\n", 0, m.start(1)) + 1
-
-
-def _triples(text: str, state: Optional[list] = None) -> Iterator[tuple[str, str, _Node, int]]:
-    """Yield each triple as (subject, predicate, object, index of the object's
-    token, which ``_line`` turns into a line): a resource as ``"label:name"``
-    under the labels t, i, v, rdf, rdfs, owl and xsd, whatever prefix the text
-    used, and a literal as a :class:`Literal`.  Tokens resolve to nodes through
-    a memo emptied at each ``@``-directive; the first of a statement that does
-    not resolve is reported when the statement ends, after its shape is
-    checked, as if the statement were read whole.  A read resumes from ``state`` as
-    a read of ``text[:start]`` left it at a line start, and leaves its own state there."""
-    # label -> IRI; IRI -> label, project ones first; token -> node, until a directive;
-    # the index of the last token read; the offset reading starts at
-    declared, spaces, resolved, n, start = state or [{}, dict(_STANDARD), {}, -1, 0]
-    run: list[Optional[_Node]] = []  # nodes since the last punctuation
-    failed: Optional[SatkgError] = None  # the first token of ``run`` that did not resolve
-    directive: Optional[list[str]] = None  # the tokens of an @-directive
-    subject: Optional[_Node] = None
-    predicate: Optional[_Node] = None
-
-    def pname(token: str, n: int) -> str:
-        label, _, name = token.partition(":")
-        space = spaces.get(declared.get(label, ""))
-        if space is None:
-            raise TurtleParseError(f"unknown prefix {label!r}", _line(text, n))
-        return token if space == label else f"{space}:{name}"
-
-    def node(token: str, n: int) -> _Node:
-        if token[0] == "<":
-            for base, label in spaces.items():
-                if token.startswith(base, 1):
-                    name = token[len(base) + 1 : -1]
-                    return f"{label}:{unquote(name) if label == 'i' else name}"
-            raise UnsupportedConstruct(f"line {_line(text, n)}: IRI outside the fragment: {token}")
-        if token[0] == '"':
-            body, _, datatype = token[1:].rpartition('"')  # a datatype holds no quote
-            body = unescape_string(body, lambda message: TurtleParseError(message, _line(text, n)))
-            if not datatype:
-                return Literal(body)
-            datatype = pname(datatype[2:], n)
-            read = _READ_LITERAL.get(datatype[4:]) if datatype.startswith("xsd:") else None
-            if read is None:
-                raise UnsupportedConstruct(f"line {_line(text, n)}: datatype {datatype}")
-            form = _LEXICAL_FORMS.get(datatype[4:])
-            try:
-                if form is not None and form.fullmatch(body) is None:
-                    raise ValueError(body)
-                return Literal(read(body))
-            except (ValueError, ArithmeticError):
-                raise TurtleParseError(f"bad {datatype} literal {body!r}", _line(text, n)) from None
-        if ":" in token:
-            return pname(token, n)
-        if token in _WORDS:
-            return _WORDS[token]
-        raise TurtleParseError(f"unexpected {token!r}", _line(text, n))
-
-    for n, token in enumerate(_scan(text, _TOKEN_RE.findall, start), n + 1):
-        found = resolved.get(token)  # None in a directive, which empties the memo
-        if found is not None:
-            run.append(found)
-            at = n
-        elif not token:  # blanks and comments opening a piece
-            pass
-        elif directive is not None and token in ".;,":
-            if directive[0] != "@prefix":
-                raise UnsupportedConstruct(
-                    f"line {_line(text, n)}: {directive[0]} is outside the fragment")
-            if (len(directive) != 3 or not directive[1].endswith(":")  # a pname
-                    or directive[2][0] != "<" or token != "."):
-                raise TurtleParseError("expected '@prefix label: <IRI> .'", _line(text, n))
-            declared[directive[1][:-1]] = directive[2][1:-1]
-            spaces = {declared[label]: label for label in ("t", "i", "v") if label in declared}
-            spaces.update((iri, label) for iri, label in _STANDARD.items() if iri not in spaces)
-            directive = None
-        elif token in ".;,":
-            want = 3 - (subject is not None) - (predicate is not None)
-            if len(run) != want:
-                roles = " ".join(("subject", "predicate", "object")[3 - want:])
-                raise TurtleParseError(f"expected {roles} before {token!r}", _line(text, n))
-            if failed is not None:
-                raise failed
-            if subject is None:
-                subject = run[0]
-            if predicate is None:
-                predicate = run[-2]
-            if not isinstance(subject, str) or not isinstance(predicate, str):
-                raise TurtleParseError("a literal as subject or predicate", _line(text, n))
-            yield subject, predicate, run[-1], at  # type: ignore[misc]
-            if token == ".":
-                subject = predicate = None
-            elif token == ";":
-                predicate = None
-            run = []
-        elif token in ("[", "]", "(", ")", "_:", '"""'):
-            raise UnsupportedConstruct(f"line {_line(text, n)}: {token!r} is outside the fragment")
-        elif len(token) == 1 and not (token == ":" or token.isascii() and token.isalpha()):
-            problem = _BAD_START.get(token, f"unexpected character {token!r}")
-            raise TurtleParseError(problem, _line(text, n))
-        elif directive is not None:
-            directive.append(token)
-        elif subject is None and not run and token[0] == "@":
-            directive, resolved = [token], {}
-        else:
-            if failed is None:  # later failures of the statement would not be reported
-                try:
-                    found = resolved[token] = node(token, n)
-                except SatkgError as exc:
-                    failed = exc
-            run.append(found)
-            at = n
-    if run or subject is not None or directive is not None:
-        raise TurtleParseError("expected '.' at the end of the input", text.count("\n") + 1)
-    if state is not None:
-        state[:] = declared, spaces, resolved, n, len(text)
+def _line(text: str, at: tuple[int, int]) -> int:
+    """The line of group ``at[1]`` of match ``at[0]`` of ``_scan(text, _PIECE_RE.findall)``."""
+    m = next(islice(_scan(text, _PIECE_RE.finditer), at[0], None))
+    return text.count("\n", 0, m.start(at[1])) + 1
 
 
 _OBJECT_PROPERTY = {"rdfs:domain": "term", "rdfs:range": "term"}
@@ -413,17 +308,21 @@ def _ontology(terms: dict[str, dict[str, list[_Node]]]) -> Ontology:
         else:
             aliases[name] = values["v:aliasFor"]
 
-    ont = Ontology()
-    ont.add_classes(parents, comments)
-    for name, declared, values in properties:
-        domain = values.get("rdfs:domain", ())
-        functional = "owl:FunctionalProperty" in declared
-        if "owl:ObjectProperty" in declared:
-            ont.define_object_property(name, domain, values.get("rdfs:range", ()), functional)
-            continue
-        if "rdfs:range" not in values:
-            raise TurtleParseError(f"t:{name}: data property lacks an xsd range")
-        try:
+    ont, name = Ontology(), ""
+    try:  # an error names the term it builds
+        for name in parents:  # the classes, then their edges, as Ontology.add_classes does
+            ont.define_class(name, (), comments[name])
+        for name, ups in parents.items():
+            for parent in sorted(ups):
+                ont.add_parent(name, parent)
+        for name, declared, values in properties:
+            domain = values.get("rdfs:domain", ())
+            functional = "owl:FunctionalProperty" in declared
+            if "owl:ObjectProperty" in declared:
+                ont.define_object_property(name, domain, values.get("rdfs:range", ()), functional)
+                continue
+            if "rdfs:range" not in values:
+                raise TurtleParseError("data property lacks an xsd range")
             restriction = None
             if any(facet in values for facet in _FACETS):
                 restriction = NumericRestriction(
@@ -434,12 +333,12 @@ def _ontology(terms: dict[str, dict[str, list[_Node]]]) -> Ontology:
                     values.get("v:warnAtUpper", False),
                 )
             spec = DatatypeSpec(values["rdfs:range"], values.get("v:unitLabel"), restriction)
-        except InvalidDatatype as exc:
-            raise InvalidDatatype(f"t:{name}: {exc}") from None
-        ont.define_data_property(name, domain, spec, functional)
-    for alias, targets in aliases.items():
-        for target in targets:  # a second target collides with the first
-            ont.define_alias(alias, target)
+            ont.define_data_property(name, domain, spec, functional)
+        for name, targets in aliases.items():
+            for target in targets:  # a second target collides with the first
+                ont.define_alias(name, target)
+    except SatkgError as exc:
+        raise type(exc)(f"t:{name}: {exc}") from None
     return ont
 
 
@@ -498,60 +397,179 @@ def import_turtle(data: Union[bytes, str]) -> InstanceStore:
     batch = chain(typings, facts)
     # the first refused fact comes before the fact, if any, that ends the batch
     for position, exc in (store.write(islice(batch, stop[0][0]) if stop else batch)[0] + stop)[:1]:
-        _read(text, None, {}, ats := ([], []))
-        raise type(exc)(f"line {_line(text, (ats[0] + ats[1])[position])}: {exc}") from None
+        _read(text, None, {}, log := [])  # the batch's order: typings, then the other facts
+        ats = sorted((p != "rdf:type", at) for s, p, o, at in log
+                     if s[:2] == "i:" and (p, o) != ("rdf:type", "owl:NamedIndividual"))
+        raise type(exc)(f"line {_line(text, ats[position][1])}: {exc}") from None
     return store
 
 
-def _read(text: str, state: Optional[list], groups: dict, ats: Optional[tuple] = None) -> tuple:
-    """``_triples(text, state)`` routed by one rule into the t: subjects' groups
-    (``groups``, or a grown copy), the i: node -> name map, the individuals, the typings
-    and other facts in ``InstanceStore.write``'s format, the indexes of the facts on
-    instance_of, and the index and error of a fact whose object is no instance or
-    literal, the last kept; ``ats`` gets each typing's and fact's object token index."""
+def _read(text: str, state: Optional[list], groups: dict, log: Optional[list] = None) -> tuple:
+    """Read ``text`` one ``_PIECE_RE`` match at a time, routing each triple by one rule
+    into the t: subjects' groups (``groups``, or a grown copy), the i: node -> name map,
+    the individuals, the typings and other facts in ``InstanceStore.write``'s format, the
+    indexes of the facts on instance_of, and the index and error of a fact whose object
+    is no instance or literal, the last kept; ``log``, if given, gets each triple instead,
+    as (subject, predicate, object, (match, group) of the object's token for ``_line``).
+
+    A node is a resource as ``"label:name"`` under the labels t, i, v, rdf, rdfs, owl and
+    xsd, whatever prefix the text used, or a :class:`Literal`.  Tokens resolve to nodes,
+    and datatypes (under their ``^^`` text, which no token is) to their readers, through
+    a memo emptied at each ``@``-directive.  The first token before a punctuation that
+    does not resolve is reported there, after the statement's shape is checked.  A read
+    resumes from ``state`` as a read of ``text[:start]`` left it at a line start, and
+    leaves its own state there."""
+    # label -> IRI; IRI -> label, project ones first; token -> node, until a directive;
+    # the index of the last match read; the offset reading starts at
+    declared, spaces, resolved, n, start = state or [{}, dict(_STANDARD), {}, -1, 0]
     terms, inodes, tnodes = groups, _Names("i:"), _Names("t:")
     individuals, typings, facts, swaps, stop = [], [], [], [], []  # type: ignore[var-annotated]
-    for s, p, o, at in _triples(text, state):
-        subject = inodes[s]
-        if subject is None:
-            if s[:2] != "t:":
-                raise UnsupportedConstruct(f"line {_line(text, at)}: subject outside the fragment: {s}")
+    run: list[tuple[str, tuple]] = []  # tokens read alone since the last punctuation, and places
+    directive: Optional[list[str]] = None  # the tokens of an @-directive
+    subject = predicate = s = p = None  # the statement's nodes; their i: and t: names, or None
+    at = group = 0  # the match and group of the last node's token
+
+    def pname(token: str, where: tuple) -> str:
+        label, _, name = token.partition(":")
+        space = spaces.get(declared.get(label, ""))
+        if space is None:
+            raise TurtleParseError(f"unknown prefix {label!r}", _line(text, where))
+        return token if space == label else f"{space}:{name}"
+
+    def node(token: str, where: tuple) -> _Node:
+        if token[0] == "<":
+            for base, label in spaces.items():
+                if token.startswith(base, 1):
+                    name = token[len(base) + 1 : -1]
+                    return f"{label}:{unquote(name) if label == 'i' else name}"
+            raise UnsupportedConstruct(f"line {_line(text, where)}: IRI outside the fragment: {token}")
+        if token[0] == '"':
+            body, _, datatype = token[1:].rpartition('"')  # a datatype holds no quote
+            body = unescape_string(body, lambda message: TurtleParseError(message, _line(text, where)))
+            if not datatype:
+                return Literal(body)
+            kind = resolved.get(datatype)
+            if kind is None:
+                name = pname(datatype[2:], where)
+                read = _READ_LITERAL.get(name[4:]) if name.startswith("xsd:") else None
+                if read is None:
+                    raise UnsupportedConstruct(f"line {_line(text, where)}: datatype {name}")
+                kind = resolved[datatype] = name, read, _LEXICAL_FORMS.get(name[4:])
+            name, read, form = kind
+            try:
+                if form is not None and form.fullmatch(body) is None:
+                    raise ValueError(body)
+                return Literal(read(body))
+            except (ValueError, ArithmeticError):
+                raise TurtleParseError(f"bad {name} literal {body!r}", _line(text, where)) from None
+        if ":" in token:
+            return pname(token, where)
+        if token in _WORDS:
+            return _WORDS[token]
+        raise TurtleParseError(f"unexpected {token!r}", _line(text, where))
+
+    for n, (a, b, c, end, token) in enumerate(_scan(text, _PIECE_RE.findall, start), n + 1):
+        if not end:  # a token read alone (over a scan's cut, an @-directive's, or bad), or blanks
+            if token in ("[", "]", "(", ")", "_:", '"""'):
+                raise UnsupportedConstruct(f"line {_line(text, (n, 5))}: {token!r} is outside the fragment")
+            if len(token) == 1 and not (token == ":" or token.isascii() and token.isalpha()):
+                problem = _BAD_START.get(token, f"unexpected character {token!r}")
+                raise TurtleParseError(problem, _line(text, (n, 5)))
+            if directive is not None:
+                directive.append(token)
+            elif subject is None and not run and token[:1] == "@":
+                directive = [token]
+            elif token:
+                run.append((token, (n, 5)))
+            continue
+        if directive is not None:
+            directive = [token for token in (*directive, a, b, c) if token]
+            if directive[0] != "@prefix":
+                raise UnsupportedConstruct(
+                    f"line {_line(text, (n, 4))}: {directive[0]} is outside the fragment")
+            if (len(directive) != 3 or not directive[1].endswith(":")  # a pname
+                    or directive[2][0] != "<" or end != "."):
+                raise TurtleParseError("expected '@prefix label: <IRI> .'", _line(text, (n, 4)))
+            declared[directive[1][:-1]] = directive[2][1:-1]
+            spaces = {declared[label]: label for label in ("t", "i", "v") if label in declared}
+            spaces.update((iri, label) for iri, label in _STANDARD.items() if iri not in spaces)
+            directive, resolved = None, {}
+            continue
+        if run or not (subject is None if c else predicate is None and subject is not None if b
+                       else a and predicate is not None):  # not a whole statement part alone
+            run += [(token, (n, g)) for g, token in enumerate((a, b, c), 1) if token]
+            want = 3 - (subject is not None) - (predicate is not None)
+            if len(run) != want:
+                roles = " ".join(("subject", "predicate", "object")[3 - want:])
+                raise TurtleParseError(f"expected {roles} before {end!r}", _line(text, (n, 4)))
+            nodes = [resolved.get(token) or resolved.setdefault(token, node(token, where))
+                     for token, where in run]  # the first that does not resolve raises
+            subject = nodes[0] if subject is None else subject
+            predicate = nodes[-2] if predicate is None else predicate
+            o, (at, group), run = nodes[-1], run[-1][1], []
+            s, p = inodes[subject], tnodes[predicate]
+        elif c:  # a subject, predicate and object
+            subject = resolved.get(a) or resolved.setdefault(a, node(a, (n, 1)))
+            predicate = resolved.get(b) or resolved.setdefault(b, node(b, (n, 2)))
+            o = resolved.get(c) or resolved.setdefault(c, node(c, (n, 3)))
+            at, group = n, 3
+            s, p = inodes[subject], tnodes[predicate]
+        elif b:  # a predicate and object
+            predicate = resolved.get(a) or resolved.setdefault(a, node(a, (n, 1)))
+            o = resolved.get(b) or resolved.setdefault(b, node(b, (n, 2)))
+            at, group = n, 2
+            p = tnodes[predicate]
+        else:  # an object
+            o = resolved.get(a) or resolved.setdefault(a, node(a, (n, 1)))
+            at, group = n, 1
+        if type(subject) is not str or type(predicate) is not str:
+            raise TurtleParseError("a literal as subject or predicate", _line(text, (n, 4)))
+        if log is not None:
+            log.append((subject, predicate, o, (at, group)))
+        elif s is None:
+            if subject[:2] != "t:":
+                raise UnsupportedConstruct(
+                    f"line {_line(text, (at, group))}: subject outside the fragment: {subject}")
             if terms is groups:
                 terms = {name: {q: list(v) for q, v in g.items()} for name, g in groups.items()}
-            terms.setdefault(s[2:], {}).setdefault(p, []).append(o)
-        elif p != "rdf:type":
-            predicate = tnodes[p]
-            if predicate is None:
-                raise UnsupportedConstruct(f"line {_line(text, at)}: predicate {p} on instance {subject}")
-            if ats is not None:
-                ats[1].append(at)
-            if stop:
-                continue
-            if type(o) is str:
-                name = inodes[o]
-                if name is None:
-                    stop = [(len(facts), UnsupportedConstruct(f"object {o} of {p} on instance {subject}"))]
-                elif predicate == "instance_of":
-                    swaps.append(len(facts))
-                o = name
-            facts.append((subject, predicate, o))
+            terms.setdefault(subject[2:], {}).setdefault(predicate, []).append(o)
+        elif p is not None:
+            if not stop:
+                if type(o) is str:
+                    name = inodes[o]
+                    if name is None:
+                        stop = [(len(facts), UnsupportedConstruct(
+                            f"object {o} of {predicate} on instance {s}"))]
+                    elif p == "instance_of":
+                        swaps.append(len(facts))
+                    o = name
+                facts.append((s, p, o))
+        elif predicate != "rdf:type":
+            raise UnsupportedConstruct(
+                f"line {_line(text, (at, group))}: predicate {predicate} on instance {s}")
         elif o == "owl:NamedIndividual":
-            individuals.append(subject)
-        elif type(o) is str and tnodes[o] is not None:
-            typings.append((subject, "instance_of", tnodes[o]))
-            if ats is not None:
-                ats[0].append(at)
+            individuals.append(s)
+        elif type(o) is str and (cls := tnodes[o]) is not None:
+            typings.append((s, "instance_of", cls))
         else:
-            raise UnsupportedConstruct(f"line {_line(text, at)}: typing {o} on instance {subject}")
+            raise UnsupportedConstruct(f"line {_line(text, (at, group))}: typing {o} on instance {s}")
+        if end == ".":
+            subject = predicate = None
+        elif end == ";":
+            predicate = None
+    if run or subject is not None or directive is not None:
+        raise TurtleParseError("expected '.' at the end of the input", text.count("\n") + 1)
+    if state is not None:
+        state[:] = declared, spaces, resolved, n, len(text)
     return terms, inodes, individuals, typings, facts, swaps, stop
 
 
 class _Names(dict):
-    """Node -> its name under ``label``, made once; None for a node under another label."""
+    """Node -> its name under ``label``, made once; None for another label or a literal."""
 
     def __init__(self, label: str):
         self.label = label
 
     def __missing__(self, node: str) -> Optional[str]:
-        self[node] = name = node[2:] if node[:2] == self.label else None
+        self[node] = name = node[2:] if type(node) is str and node[:2] == self.label else None
         return name

@@ -25,6 +25,11 @@ one import of the classified 800-row export, counts the objects
 ``gc.get_objects`` gains after a full collection and the bytes
 ``tracemalloc`` holds after the import, per stored assertion.
 
+The Turtle reader reads a statement piece per regex match: counts the
+matches of ``turtle._PIECE_RE`` over one cold import of the 800-row reified
+export, against the triples it holds (about three per match before the
+pieces, one token per match).
+
 Joins and negations over many rows read each index once: counts the
 per-instance reads (``assertions_about``, ``assertions_with_object`` and
 their ``facts_*`` twins) inside
@@ -46,6 +51,8 @@ The store builds each view once per write and class graph: records the keys
 ``InstanceStore._view`` builds under over two evaluations of a range, a
 negation and a typing query, with a write between them, and with a class
 placed under the negation's typed class, which rebuilds its typing view only.
+A class holds one typing view: counts the views keyed by a set of classes
+after each of six edits below the queried class, each followed by the query.
 
 Classification and validation read each predicate index a fixed number of
 times: counts the calls of the store's index reads (``assertions_about``,
@@ -316,6 +323,32 @@ def test_an_imported_store_holds_few_bytes_per_assertion(imported_800):
     assert per_assertion <= BYTES_PER_ASSERTION, per_assertion
 
 
+#: regex matches the Turtle reader makes per triple it reads: one statement
+#: piece (up to three terms and their punctuation) per match
+MATCHES_PER_TRIPLE = 1.1
+
+
+def test_the_reader_makes_about_one_regex_match_per_triple(monkeypatch):
+    mode = ModelingMode.REIFIED
+    store, _report = ingest(parse_csv(repeated_catalog(800)), mode, build_ucsso(mode))
+    text = export_turtle(store)
+    turtle._read(text, None, {}, triples := [])
+    matches = [0]
+    regex = turtle._PIECE_RE
+
+    class Counted:
+        def findall(self, *args):
+            found = regex.findall(*args)
+            matches[0] += len(found)
+            return found
+
+    turtle._memo.clear()  # the declarations are read too, once
+    with monkeypatch.context() as patch:
+        patch.setattr(turtle, "_PIECE_RE", Counted())
+        assert import_turtle(text) == store
+    assert matches[0] <= MATCHES_PER_TRIPLE * len(triples), (matches[0], len(triples))
+
+
 BENCH_JOIN = (
     "select ?s ?e where { ?s has_Orbit ?o . ?o instance_of Nearly_Circular_Orbit . "
     "?o has_Orbital_Eccentricity ?p . ?p has_Orbital_Eccentricity_value ?e . filter ?e <= 0.14 }"
@@ -498,6 +531,21 @@ def test_a_class_graph_edge_under_the_queried_class_rebuilds_only_its_typing_vie
     rebuilt = views_built(monkeypatch, store, ast)
     assert rebuilt == [ontology.subclasses_of("Artificial_Satellite")] != built[:1]
     assert "Drifting_Satellite" in rebuilt[0]
+
+
+def test_a_class_holds_one_typing_view_through_edits_below_it():
+    store, ast = view_query("typing")
+    ontology = store.ontology
+    first = evaluate(ast, store).to_csv()
+    for k in range(6):
+        if k < 5:  # an empty class, then one with instances, placed under Orbit
+            ontology.define_class(f"Drift_{k}_Orbit")
+        ontology.add_parent(f"Drift_{k}_Orbit" if k < 5 else "Artificial_Satellite", "Orbit")
+        answer = evaluate(ast, store).to_csv()
+        assert [key for key in store._views if isinstance(key, frozenset)] == [
+            ontology.subclasses_of("Orbit")]
+        assert answer == evaluate(ast, store.copy()).to_csv()  # a copy holds no view
+        assert (answer == first) == (k < 5)
 
 
 STORE_READS =("assertions_about", "assertions_with_object", "assertions_with_predicate",

@@ -5,7 +5,7 @@ from decimal import Decimal
 from itertools import zip_longest
 
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from satkg import (
@@ -375,7 +375,8 @@ def test_iri_may_not_span_lines():
         import_turtle(SCHEMA_PREFIXES + "<https://satkg.example/terms#B C> a owl:Class .\n")
 
 
-_GOLDEN_PARTS = re.split(r"(\s+)", (FIXTURES / "one_satellite.ttl").read_text(encoding="utf-8"))
+_GOLDEN = (FIXTURES / "one_satellite.ttl").read_text(encoding="utf-8")
+_GOLDEN_PARTS = re.split(r"(\s+)", _GOLDEN)
 
 
 @st.composite
@@ -396,11 +397,16 @@ def _mangled_exports(draw):
 
 @settings(max_examples=300, deadline=None)
 @given(_mangled_exports() | st.text())
+@example(_GOLDEN.replace("rdfs:subClassOf t:Orbit .", "rdfs:subClassOf t:Nope .", 1))
+@example(_GOLDEN.replace("rdfs:domain t:Artificial_Satellite ;", "rdfs:domain t:Nope ;", 1))
+@example(_GOLDEN.replace("t:Orbit a owl:Class .", "t:Orbit a owl:Class ; rdfs:subClassOf t:LEO_Orbit ."))
+@example(_GOLDEN.replace(" v:aliasFor t:", " v:aliasFor t:Nope, t:", 1))
 def test_any_text_imports_or_raises_a_satkg_error(text):
+    # every error names a line, or the t: term whose declarations it builds
     try:
         import_turtle(text)
-    except SatkgError:
-        pass
+    except SatkgError as exc:
+        assert re.match(r"(line \d+|t:\S*): ", str(exc)), repr(exc)
 
 
 @pytest.mark.parametrize(

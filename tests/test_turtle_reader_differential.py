@@ -2,9 +2,9 @@
 
 The reference is the earlier reader, kept here unchanged: one ``finditer``
 over the whole text with a named group per token kind, whitespace read as
-tokens that count lines.  ``satkg.turtle._triples`` reads the plain-string
-tokens of one ``findall`` and yields the index of each object's token,
-which ``satkg.turtle._line`` turns into a line.  On every input both must
+tokens that count lines.  ``satkg.turtle._read`` reads statement pieces, one
+``findall`` match each, and logs each triple with the match and group of
+its object's token, which ``satkg.turtle._line`` turns into a line.  On every input both must
 yield the same (subject, predicate, object, line) triples, or raise the
 same exception type with the same message and ``.line``.
 
@@ -28,7 +28,7 @@ from hypothesis import strategies as st
 from satkg.core import Literal, unescape_string
 from satkg.errors import SatkgError, TurtleParseError, UnsupportedConstruct
 from satkg.turtle import (
-    _BAD_START, _LEXICAL_FORMS, _READ_LITERAL, _STANDARD, _TOKEN_RE, _Node, _line, _scan, _triples,
+    _BAD_START, _LEXICAL_FORMS, _PIECE_RE, _READ_LITERAL, _STANDARD, _Node, _line, _read, _scan,
 )
 
 from conftest import FIXTURES, mangled
@@ -223,14 +223,14 @@ def _crlf(text: str, keep) -> str:
 
 
 def reader_triples(text: str) -> Iterator[tuple[str, str, _Node, int]]:
-    """The reader's triples, each token index turned into the line it starts
-    on (one pass; ``_line`` must agree at the first and the last)."""
-    found = list(_triples(text))
-    starts = [m.start(1) for m in _scan(text, _TOKEN_RE.finditer)]
-    for s, p, o, at in found:
-        yield s, p, o, text.count("\n", 0, starts[at]) + 1
-    for s, p, o, at in found[:1] + found[-1:]:
-        assert _line(text, at) == text.count("\n", 0, starts[at]) + 1
+    """The reader's triples, each object's (match, group) turned into the line
+    it starts on (one pass; ``_line`` must agree at the first and the last)."""
+    _read(text, None, {}, found := [])
+    matches = list(_scan(text, _PIECE_RE.finditer))
+    for s, p, o, (n, group) in found:
+        yield s, p, o, text.count("\n", 0, matches[n].start(group)) + 1
+    for s, p, o, (n, group) in found[:1] + found[-1:]:
+        assert _line(text, (n, group)) == text.count("\n", 0, matches[n].start(group)) + 1
 
 
 def outcome(reader, text: str):
