@@ -27,8 +27,8 @@ one import of the classified 800-row export, counts the objects
 
 The Turtle reader reads a statement piece per regex match: counts the
 matches of ``turtle._PIECE_RE`` over one cold import of the 800-row reified
-export, against the triples it holds (about three per match before the
-pieces, one token per match).
+export against the triples it holds, at most 1.1 per triple (a reader of one
+token per match makes about three).
 
 Joins and negations over many rows read each index once: counts the
 per-instance reads (``assertions_about``, ``assertions_with_object`` and
@@ -538,7 +538,7 @@ def test_a_class_holds_one_typing_view_through_edits_below_it():
     ontology = store.ontology
     first = evaluate(ast, store).to_csv()
     for k in range(6):
-        if k < 5:  # an empty class, then one with instances, placed under Orbit
+        if k < 5:  # five empty classes, then one with instances, placed under Orbit
             ontology.define_class(f"Drift_{k}_Orbit")
         ontology.add_parent(f"Drift_{k}_Orbit" if k < 5 else "Artificial_Satellite", "Orbit")
         answer = evaluate(ast, store).to_csv()
