@@ -32,20 +32,20 @@ or a checked ``Literal``): the key of one insertion-ordered dict and the entry
 of each index, stored and found with one hash of the tuple (its names cache theirs).
 Every write is a batch: ``ingest`` writes one per row, ``import_turtle`` one
 per file, ``classify_orbits`` one per store, and ``add`` one of one fact.  A
-batch resolves each distinct predicate and class once, finds a repeat (a
-typing too) by the table's unchanged size, and keeps the indexes
-``_by_subject`` and ``_by_predicate`` (canonical) of facts and ``_by_class``
-of instances; ``types_of`` reads a subject's typing facts.  Three reads are
-views in ``_views``, each built whole by its first read after a write, then
-published (concurrent first reads may each build one, but all return the
-first published): the object index of ``facts_with_object``, a predicate's
-term pairs (``predicate_pairs``) and the instances of a class or its
-subclasses, each once (``typed_instances``, keyed on the set ``subclasses_of``
-returns, which every change to the class graph replaces; a class keeps one, as
-its view under an older set is dropped).  Each write drops them and ``copy()``
-does not copy them.  The library reads the tuples
-(``facts`` and ``facts_*``); ``assertions`` and ``assertions_*`` build
-``Assertion`` values.
+batch resolves each distinct predicate and class once, finds a repeat (a typing
+too) by the table's unchanged size and keeps one index, ``_by_subject``, whose list
+a functional property's check scans and which ``types_of`` and ``export_turtle`` read.
+Every other read is built whole from the table by its first call after a write,
+then published in ``_views`` (concurrent first reads may each build one, but all
+return the first published): the facts by (canonical) predicate and the instances
+by class, each in write order, and three views, the object index of
+``facts_with_object``, a predicate's term pairs (``predicate_pairs``) and the
+instances of a class or its subclasses, each once (``typed_instances``, keyed on the
+set ``subclasses_of`` returns, which every change to the class graph replaces; a class
+keeps one, as its view under an older set is dropped).  Each write drops them all and
+``copy()`` copies none: a store only written and exported builds none, and single ``add``s
+between such reads rebuild what each read reads.  The library reads the tuples (``facts``
+and ``facts_*``); ``assertions`` and ``assertions_*`` build ``Assertion`` values.
 
 The five functions that build a store (``ingest``, ``import_turtle``,
 ``classify_orbits``, ``materialize`` and ``apply_mapping``) run under
@@ -569,12 +569,10 @@ class InstanceStore:
         self._instances: dict[str, TermId] = {}
         #: every fact once, in insertion order (the values are unused)
         self._facts: dict[Fact, None] = {}
-        # the indexes: read with ``get``, so no read adds a key
-        self._by_predicate: dict[str, list[Fact]] = defaultdict(list)
+        #: the one index kept by writes, read with ``get``, so no read adds a key
         self._by_subject: dict[str, list[Fact]] = defaultdict(list)
-        self._by_class: dict[str, list[TermId]] = defaultdict(list)
-        #: the views, keyed None, by a predicate's name and by a set of classes; a
-        #: class's name, in a 1-tuple, keys the set its typing view is under
+        #: the views, keyed None, by a predicate's name and by a set of classes (a class's name in
+        #: a 1-tuple keys the set its typing view is under), and the indexes of ``_index``, 1 and 2
         self._views: dict = {}
         #: Non-fatal messages produced while adding assertions (e.g. values
         #: sitting exactly on a warned numeric bound).
@@ -588,8 +586,7 @@ class InstanceStore:
     def add_instance(self, name: str) -> TermId:
         term = self._instances.get(name)
         if term is None:
-            term = TermId(name, TermKind.INSTANCE)
-            self._instances[name] = term
+            term = self._instances[name] = TermId(name, _INSTANCE)
         return term
 
     def instance(self, name: str) -> TermId:
@@ -625,8 +622,7 @@ class InstanceStore:
         property.  Returns the refused facts, which are skipped, and the
         boundary warnings (also added to ``warnings``) with their positions."""
         ont, instances, table = self.ontology, self._instances, self._facts
-        by_subject, by_predicate, by_class = self._by_subject, self._by_predicate, self._by_class
-        self._views = {}
+        by_subject, self._views = self._by_subject, {}  # a write drops every view and index
         classes: dict[str, str] = {}  # each resolved once per batch
         properties: dict[str, PropertyDef] = {}
         refused: list[tuple[int, SatkgError]] = []
@@ -667,14 +663,14 @@ class InstanceStore:
                 table[fact] = None  # one hash: a repeat keeps its key, place and length
                 if len(table) == size:
                     continue
-                if pdef is None:
-                    by_class[fact[2]].append(subject)
-                elif pdef.functional and any(f[1] == p for f in by_subject.get(name, ())):
-                    del table[fact]
-                    raise FunctionalViolation(
-                        f"{p!r} is functional; {name!r} already has a value")
-                by_predicate[fact[1]].append(fact)
-                by_subject[name].append(fact)
+                held = by_subject[name]
+                if pdef is not None and pdef.functional:
+                    for f in held:
+                        if f[1] == p:
+                            del table[fact]
+                            raise FunctionalViolation(
+                                f"{p!r} is functional; {name!r} already has a value")
+                held.append(fact)
             except SatkgError as exc:
                 # kept without a traceback, which would hold this frame and so the list
                 # in a cycle; a context here is always one ``raise ... from None`` hides
@@ -717,7 +713,22 @@ class InstanceStore:
         return self._by_subject.get(subject, [])
 
     def facts_with_predicate(self, name: str) -> list[Fact]:
-        return self._by_predicate.get(self.ontology.canonical_name(name), [])
+        return (self._views.get(1) or self._index(1)).get(self.ontology.canonical_name(name), [])
+
+    def _index(self, position: int) -> dict:
+        """Facts by predicate (``position`` 1) or instances by class (2), built as views are."""
+        index = self._views.get(position)
+        if index is None:
+            index, terms = defaultdict(list), self._instances
+            if position == 1:
+                for fact in self._facts:
+                    index[fact[1]].append(fact)
+            else:
+                for s, p, o in self._facts:
+                    if p == _TYPING:
+                        index[o].append(terms[s])
+            index = self._views.setdefault(position, index)
+        return index
 
     def _view(self, key, build: Callable, *args):
         view = self._views.get(key)  # else built, then published: the first published is kept
@@ -744,7 +755,7 @@ class InstanceStore:
     def predicate_pairs(self, name: str) -> list[tuple[TermId, Union[TermId, Literal]]]:
         """``pairs`` of every fact of the property: a shared view, so read-only."""
         name = self.ontology.canonical_name(name)
-        return self._view(name, self.pairs, self._by_predicate.get(name, []))
+        return self._view(name, lambda: self.pairs(self.facts_with_predicate(name)))
 
     def typed_instances(self, cls: str) -> list[TermId]:
         """Instances typed by the class or a subclass, each once: a shared view, so read-only."""
@@ -788,7 +799,7 @@ class InstanceStore:
 
     def instances_of(self, cls: str) -> list[TermId]:
         """Instances directly typed with the class (subclasses not included)."""
-        return self._by_class.get(self.ontology.canonical_name(cls), [])
+        return (self._views.get(2) or self._index(2)).get(self.ontology.canonical_name(cls), [])
 
     def types_of(self, name: str) -> list[str]:
         """Directly asserted classes of an instance."""
@@ -809,9 +820,8 @@ class InstanceStore:
         dup = InstanceStore(self.ontology)
         dup._instances = dict(self._instances)
         dup._facts = dict(self._facts)
-        for name in ("_by_predicate", "_by_subject", "_by_class"):
-            index = getattr(self, name)
-            setattr(dup, name, defaultdict(list, zip(index, map(list, index.values()))))
+        held = self._by_subject
+        dup._by_subject = defaultdict(list, zip(held, map(list, held.values())))
         dup.warnings = list(self.warnings)
         dup.rule_conflicts = list(self.rule_conflicts)
         return dup

@@ -20,9 +20,10 @@ token, node and datatype is resolved once per file.  One table,
 data property, either maybe functional, or none for an alias) the predicates
 it may carry and the shape of their objects.  Anything else raises a
 ``SatkgError`` naming the line, or the term whose declarations it builds,
-never dropped: blank nodes, collections, long strings, escapes other than
-Turtle's ECHAR and UCHAR, ``@base``, IRIs outside the declared namespaces or
-holding whitespace, and predicates or object shapes the table does not allow.
+never dropped: blank nodes, collections, long strings, a raw LF or CR in a string,
+escapes other than Turtle's ECHAR and UCHAR, ``@base``, IRIs outside the declared
+namespaces or holding whitespace, an instance IRI's percent escapes that are not
+UTF-8, and predicates or object shapes the table does not allow.
 Output is deterministic: terms appear in lexicographic order.
 
 A process reads a file's declarations, up to its first line opening with ``i:`` or
@@ -157,22 +158,27 @@ def export_turtle(store: InstanceStore, namespaces: Namespaces = Namespaces()) -
                 parts.append(f"    v:warnAtUpper {_literal_ref(Literal(r.warn_at_upper))}")
         blocks.append(" ;\n".join(parts) + " .")
 
-    # each instance's reference, built once; a fact's object is an instance or a literal
-    refs = {name: _instance_ref(name, ns) for name in sorted(n.name for n in store.instances)}
+    # each instance's reference, built once, in name order; then its facts from the subject
+    # index: sorted (predicate, object text) pairs put a predicate's objects together, sorted
+    refs = {name: _instance_ref(name, ns) for name in sorted(store._instances)}
+    about = store._by_subject.get
     for name, ref in refs.items():
-        types: list[str] = []
-        grouped: dict[str, list[str]] = {}
-        for _, p, o in store.facts_about(name):
+        types, pairs = [], []  # the ", t:<class>" texts; (predicate, object text) pairs
+        for _, p, o in about(name, ()):
             if p == "instance_of":
-                types.append(o)
+                types.append(f", t:{o}")
             else:
-                grouped.setdefault(p, []).append(_literal_ref(o) if type(o) is Literal else refs[o])
-        type_refs = ", ".join(["owl:NamedIndividual"] + [f"t:{t}" for t in sorted(types)])
-        parts = [f"{ref} a {type_refs}"]
-        for predicate in sorted(grouped):
-            objects = ", ".join(sorted(grouped[predicate]))
-            parts.append(f"    t:{predicate} {objects}")
-        blocks.append(" ;\n".join(parts) + " .")
+                pairs.append((p, refs[o] if type(o) is str else _literal_ref(o)))
+        types.sort()  # in place: a list of one or none costs what a length check would
+        pairs.sort()
+        text, last = f"{ref} a owl:NamedIndividual{''.join(types)}", None
+        for p, o in pairs:
+            if p == last:
+                text += f", {o}"
+            else:
+                text += f" ;\n    t:{p} {o}"
+                last = p
+        blocks.append(text + " .")
 
     del refs  # freed before the join, where the export peaks
     blocks[-1] += "\n"  # the text's last newline, so the joined text is not copied for it
@@ -182,7 +188,7 @@ def export_turtle(store: InstanceStore, namespaces: Namespaces = Namespaces()) -
 # ------------------------------------------------------------------ reading
 
 _LABEL, _LOCAL = r"[A-Za-z][A-Za-z0-9_\-]*", r"(?:[A-Za-z0-9_][A-Za-z0-9_\-]*)?"
-_BODY = r'[^"\\\n]*(?:\\.[^"\\\n]*)*"(?:\^\^[A-Za-z][A-Za-z0-9_\-]*:[A-Za-z0-9_][A-Za-z0-9_\-]*)?'
+_BODY = r'[^"\\\n\r]*(?:\\.[^"\\\n\r]*)*"(?:\^\^[A-Za-z][A-Za-z0-9_\-]*:[A-Za-z0-9_][A-Za-z0-9_\-]*)?'
 _IRI = r'<[^\x00-\x20<>"{}|^`\\]*>'
 #: a term of a piece (no @-word) ends where the same token read alone would:
 #: no alternative may match a shorter token, or one read otherwise alone
@@ -215,7 +221,7 @@ _LEXICAL_FORMS = {"decimal": re.compile(r"[+-]?([0-9]+(\.[0-9]*)?|\.[0-9]+)([eE]
                   "integer": re.compile(r"[+-]?[0-9]+"),
                   "date": re.compile(r"[0-9]{4}-[0-9]{2}-[0-9]{2}")}
 
-_BAD_START = {'"': "unterminated string",
+_BAD_START = {'"': "unterminated string, or one holding a raw line feed or carriage return",
               "<": "unterminated IRI, or one holding whitespace or <>\"{}|^`\\"}
 
 
@@ -441,7 +447,11 @@ def _read(text: str, state: Optional[list], groups: dict, log: Optional[list] = 
             for base, label in spaces.items():
                 if token.startswith(base, 1):
                     name = token[len(base) + 1 : -1]
-                    return f"{label}:{unquote(name) if label == 'i' else name}"
+                    try:  # an instance's name, percent-encoded as UTF-8
+                        return f"{label}:{unquote(name, errors='strict') if label == 'i' else name}"
+                    except UnicodeDecodeError:
+                        raise TurtleParseError(f"percent escapes of {token} are not UTF-8",
+                                               _line(text, where)) from None
             raise UnsupportedConstruct(f"line {_line(text, where)}: IRI outside the fragment: {token}")
         if token[0] == '"':
             body, _, datatype = token[1:].rpartition('"')  # a datatype holds no quote

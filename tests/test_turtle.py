@@ -606,3 +606,28 @@ def test_any_other_escape_names_the_line(escaped):
     with pytest.raises(TurtleParseError, match=r"bad escape \\") as err:
         import_turtle(f'{head}t:has_COSPAR_number "{escaped}"{tail}')
     assert err.value.line == head.count("\n") + 1
+
+
+@pytest.mark.parametrize("body", ["a\rx", "\r", "ax\r"], ids=["inside", "alone", "last"])
+def test_a_raw_carriage_return_in_a_string_names_the_line(body):
+    # W3C Turtle's STRING_LITERAL_QUOTE excludes a raw CR, as it does a raw LF;
+    # the writer escapes both, so only a file written elsewhere holds one
+    golden = (FIXTURES / "one_satellite.ttl").read_text(encoding="utf-8")
+    head, found, tail = golden.partition(GOLDEN_COSPAR)
+    assert found
+    with pytest.raises(TurtleParseError, match="raw line feed or carriage return") as err:
+        import_turtle(f'{head}t:has_COSPAR_number "{body}"{tail}')
+    assert err.value.line == head.count("\n") + 1
+    assert import_turtle(f'{head}t:has_COSPAR_number "{body}"{tail}'.replace("\r", "\\r"))
+
+
+def test_a_percent_escape_that_is_not_utf8_in_an_instance_iri_names_the_line():
+    golden = (FIXTURES / "one_satellite.ttl").read_text(encoding="utf-8")
+    good = "<https://satkg.example/inst#Good%C3%A9%2FName> a owl:NamedIndividual .\n"
+    store = import_turtle(golden + good)
+    assert "Goodé/Name" in {term.name for term in store.instances}
+    assert good in export_turtle(store)  # a fixed point
+    for bad in ("Bad%FFName", "Bad%C3Name", "Bad%C3%28", "Bad%ED%A0%80"):  # the last a surrogate
+        with pytest.raises(TurtleParseError, match="not UTF-8") as err:
+            import_turtle(f"{golden}<https://satkg.example/inst#{bad}> a owl:NamedIndividual .\n")
+        assert err.value.line == golden.count("\n") + 1
