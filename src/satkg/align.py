@@ -73,10 +73,8 @@ def apply_mapping(
     result.ontology = merged
     position = {term: i for i, term in enumerate(store.instances)}
     for entry in entries:
-        subclasses = store.ontology.subclasses_of(entry.local.name)
-        typed = {term for cls in subclasses for term in store.instances_of(cls)}
         reference_class = merged.cls(entry.reference.name).id
-        for term in sorted(typed, key=position.__getitem__):
+        for term in sorted(store.typed_instances(entry.local.name), key=position.__getitem__):
             result.add(Assertion(term, INSTANCE_OF, reference_class))
     return result
 

@@ -6,24 +6,26 @@ datatype facets, alias links, and instance assertions.  Multiple
 ``rdfs:domain`` (or ``rdfs:range``) triples on one property are read
 disjunctively, matching the in-memory model.
 
-The reader is one ``findall`` over the text whose every match is a statement
-piece: up to three terms, blanks apart, and the ``.``, ``;`` or ``,`` after
-them with the blanks and comments that follow, so one match ends one triple.
-What no piece covers (a statement over a cut of the scan or holding a
-comment, an ``@prefix``, a token outside the fragment or a bad character) is
-matched as one token alone and joins the next piece's statement.  A line is
-counted for an error only.  The loop routes each triple straight into the t:
-terms' groups or one batch of name tuples for ``InstanceStore.write``, which
-checks them; the first it refuses is raised with its line.  Each distinct
-token, node and datatype is resolved once per file.  One table,
-``_DECLARATIONS``, gives per declaration of a ``t:`` term (class, object or
-data property, either maybe functional, or none for an alias) the predicates
-it may carry and the shape of their objects.  Anything else raises a
-``SatkgError`` naming the line, or the term whose declarations it builds,
-never dropped: blank nodes, collections, long strings, a raw LF or CR in a string,
-escapes other than Turtle's ECHAR and UCHAR, ``@base``, IRIs outside the declared
-namespaces or holding whitespace, an instance IRI's percent escapes that are not
-UTF-8, and predicates or object shapes the table does not allow.
+The reader is one ``findall`` over the text whose every match is a statement piece: up
+to three terms, blanks apart, and the ``.``, ``;`` or ``,`` after them with the blanks
+and comments that follow, so one match ends one triple.  What no piece covers (a
+statement over a cut of the scan or holding a comment, an ``@prefix``, a token outside
+the fragment or a bad character) is matched as one token alone and joins the next
+piece's statement.  A line is counted for an error only.  The loop routes each triple
+straight into the t: terms' groups or one batch of name tuples for
+``InstanceStore.write``, which checks classes, properties, literals and functional
+values; the first it refuses is raised with its line.  An instance's defect that the
+text shows raises at its token: a name no instance may have, an object neither instance
+nor literal, and ``t:instance_of``.  The declared instances are made first, then any
+other in the order the file first names it.  Each distinct token, node and datatype is
+resolved once per file.  One table, ``_DECLARATIONS``, gives per declaration of a ``t:``
+term (class, object or data property, either maybe functional, or none for an alias) the
+predicates it may carry and the shape of their objects.  Anything else raises a
+``SatkgError`` naming the line, or the term whose declarations it builds, never dropped:
+blank nodes, collections, long strings, a raw LF or CR in a string, escapes other than
+Turtle's ECHAR and UCHAR, ``@base``, IRIs outside the declared namespaces or holding
+whitespace, an instance IRI other than the one the writer emits (its name as UTF-8,
+``quote(name, safe="")``), and predicates or object shapes the table does not allow.
 Output is deterministic: terms appear in lexicographic order.
 
 A process reads a file's declarations, up to its first line opening with ``i:`` or
@@ -50,6 +52,7 @@ from .core import (
     NumericRestriction,
     Ontology,
     TermKind,
+    _check_name,
     bounded_decimal,
     bounded_integer,
     decode_utf8,
@@ -58,7 +61,7 @@ from .core import (
     nogc,
     unescape_string,
 )
-from .errors import SatkgError, TurtleParseError, UnsupportedConstruct
+from .errors import InvalidTermName, SatkgError, TurtleParseError, TypeMismatch, UnsupportedConstruct
 
 RDF_NS = "http://www.w3.org/1999/02/22-rdf-syntax-ns#"
 RDFS_NS = "http://www.w3.org/2000/01/rdf-schema#"
@@ -381,28 +384,16 @@ def import_turtle(data: Union[bytes, str]) -> InstanceStore:
         TurtleParseError(f"column {column}: {message}", line)))
     entry = _declarations(text[:found.end()] if (found := _INSTANCES.search(text)) else text)
     state, groups, ontology = entry or _declarations("")  # else read all: the empty prefix
-    terms, nodes, individuals, typings, facts, swaps, stop = _read(
+    terms, nodes, individuals, typings, facts = _read(
         text, [*map(dict, state[:3]), *state[3:]], groups)
-    # One batch: the typings, then the other facts, each in file order, as validate's
-    # reports expect; the individuals made first, any other instance where first named.
     store = InstanceStore(ontology.copy() if terms is groups else _ontology(terms))
-    stop = [(len(typings) + i, exc) for i, exc in stop]  # the fact ending the batch
-    for name in individuals:
+    for name in individuals:  # the declared instances, then any other where the file first names it
         store.add_instance(name)
     if store.instance_count < len(nodes):
-        for position, (s, _, o) in enumerate(chain(typings, facts)):
-            try:
-                store.add_instance(s)
-                if type(o) is str and position >= len(typings):
-                    store.add_instance(o)
-            except SatkgError as exc:
-                stop = [(position, exc)]
-                break
-    for i in swaps:  # no class name, which instance_of refuses
-        facts[i] = (*facts[i][:2], None)
-    batch = chain(typings, facts)
-    # the first refused fact comes before the fact, if any, that ends the batch
-    for position, exc in (store.write(islice(batch, stop[0][0]) if stop else batch)[0] + stop)[:1]:
+        for name in filter(None, nodes.values()):  # a t: node's value is None
+            store.add_instance(name)
+    # One batch: the typings, then the other facts, each in file order, as validate's reports expect
+    for position, exc in store.write(chain(typings, facts))[0][:1]:
         _read(text, None, {}, log := [])  # the batch's order: typings, then the other facts
         ats = sorted((p != "rdf:type", at) for s, p, o, at in log
                      if s[:2] == "i:" and (p, o) != ("rdf:type", "owl:NamedIndividual"))
@@ -412,11 +403,10 @@ def import_turtle(data: Union[bytes, str]) -> InstanceStore:
 
 def _read(text: str, state: Optional[list], groups: dict, log: Optional[list] = None) -> tuple:
     """Read ``text`` one ``_PIECE_RE`` match at a time, routing each triple by one rule
-    into the t: subjects' groups (``groups``, or a grown copy), the i: node -> name map,
-    the individuals, the typings and other facts in ``InstanceStore.write``'s format, the
-    indexes of the facts on instance_of, and the index and error of a fact whose object
-    is no instance or literal, the last kept; ``log``, if given, gets each triple instead,
-    as (subject, predicate, object, (match, group) of the object's token for ``_line``).
+    into the t: subjects' groups (``groups``, or a grown copy), the node -> i: name map
+    in the order the text first names each node, the individuals, and the typings and
+    other facts in ``InstanceStore.write``'s format; ``log``, if given, gets each triple
+    instead, as (subject, predicate, object, (match, group) of the object's token for ``_line``).
 
     A node is a resource as ``"label:name"`` under the labels t, i, v, rdf, rdfs, owl and
     xsd, whatever prefix the text used, or a :class:`Literal`.  Tokens resolve to nodes,
@@ -429,7 +419,7 @@ def _read(text: str, state: Optional[list], groups: dict, log: Optional[list] = 
     # the index of the last match read; the offset reading starts at
     declared, spaces, resolved, n, start = state or [{}, dict(_STANDARD), {}, -1, 0]
     terms, inodes, tnodes = groups, _Names("i:"), _Names("t:")
-    individuals, typings, facts, swaps, stop = [], [], [], [], []  # type: ignore[var-annotated]
+    individuals, typings, facts = [], [], []  # type: ignore[var-annotated]
     run: list[tuple[str, tuple]] = []  # tokens read alone since the last punctuation, and places
     directive: Optional[list[str]] = None  # the tokens of an @-directive
     subject = predicate = s = p = None  # the statement's nodes; their i: and t: names, or None
@@ -442,16 +432,29 @@ def _read(text: str, state: Optional[list], groups: dict, log: Optional[list] = 
             raise TurtleParseError(f"unknown prefix {label!r}", _line(text, where))
         return token if space == label else f"{space}:{name}"
 
+    def instance(name: str, where: tuple) -> str:
+        try:
+            _check_name(name, TermKind.INSTANCE)
+        except InvalidTermName as exc:
+            raise InvalidTermName(f"line {_line(text, where)}: {exc}") from None
+        return f"i:{name}"
+
     def node(token: str, where: tuple) -> _Node:
         if token[0] == "<":
             for base, label in spaces.items():
                 if token.startswith(base, 1):
                     name = token[len(base) + 1 : -1]
-                    try:  # an instance's name, percent-encoded as UTF-8
-                        return f"{label}:{unquote(name, errors='strict') if label == 'i' else name}"
+                    if label != "i":
+                        return f"{label}:{name}"
+                    try:  # an instance's name, percent-encoded as UTF-8 in the writer's one form
+                        written = quote(decoded := unquote(name, errors="strict"), safe="")
                     except UnicodeDecodeError:
                         raise TurtleParseError(f"percent escapes of {token} are not UTF-8",
                                                _line(text, where)) from None
+                    if written != name:
+                        raise TurtleParseError(f"instance IRI {token} is not in the form the "
+                                               f"writer emits, <{base}{written}>", _line(text, where))
+                    return instance(decoded, where)
             raise UnsupportedConstruct(f"line {_line(text, where)}: IRI outside the fragment: {token}")
         if token[0] == '"':
             body, _, datatype = token[1:].rpartition('"')  # a datatype holds no quote
@@ -472,8 +475,8 @@ def _read(text: str, state: Optional[list], groups: dict, log: Optional[list] = 
                 return Literal(read(body))
             except (ValueError, ArithmeticError):
                 raise TurtleParseError(f"bad {name} literal {body!r}", _line(text, where)) from None
-        if ":" in token:
-            return pname(token, where)
+        if ":" in token:  # a prefixed name's local part is blank or a name an instance may have
+            return instance("", where) if (name := pname(token, where)) == "i:" else name
         if token in _WORDS:
             return _WORDS[token]
         raise TurtleParseError(f"unexpected {token!r}", _line(text, where))
@@ -544,16 +547,12 @@ def _read(text: str, state: Optional[list], groups: dict, log: Optional[list] = 
                 terms = {name: {q: list(v) for q, v in g.items()} for name, g in groups.items()}
             terms.setdefault(subject[2:], {}).setdefault(predicate, []).append(o)
         elif p is not None:
-            if not stop:
-                if type(o) is str:
-                    name = inodes[o]
-                    if name is None:
-                        stop = [(len(facts), UnsupportedConstruct(
-                            f"object {o} of {predicate} on instance {s}"))]
-                    elif p == "instance_of":
-                        swaps.append(len(facts))
-                    o = name
-                facts.append((s, p, o))
+            if (name := inodes[o] if type(o) is str else o) is None:
+                raise UnsupportedConstruct(
+                    f"line {_line(text, (at, group))}: object {o} of {predicate} on instance {s}")
+            if p == "instance_of":  # an instance's class is given by rdf:type
+                raise TypeMismatch(f"line {_line(text, (at, group))}: instance_of expects a class object")
+            facts.append((s, p, name))
         elif predicate != "rdf:type":
             raise UnsupportedConstruct(
                 f"line {_line(text, (at, group))}: predicate {predicate} on instance {s}")
@@ -571,7 +570,7 @@ def _read(text: str, state: Optional[list], groups: dict, log: Optional[list] = 
         raise TurtleParseError("expected '.' at the end of the input", text.count("\n") + 1)
     if state is not None:
         state[:] = declared, spaces, resolved, n, len(text)
-    return terms, inodes, individuals, typings, facts, swaps, stop
+    return terms, inodes, individuals, typings, facts
 
 
 class _Names(dict):

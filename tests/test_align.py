@@ -1,4 +1,6 @@
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from satkg import (
     InstanceStore,
@@ -20,6 +22,7 @@ from satkg.core import TermId, TermKind
 from satkg.errors import DanglingMapping, DuplicateTerm
 from satkg.schema import MappingEntry, MappingKind
 
+from conftest import FIXTURES
 from test_complexity import repeated_catalog
 
 
@@ -195,3 +198,28 @@ def test_a_local_class_named_by_an_alias_maps_its_instances():
     entry = MappingEntry(TermId("Vehicle", TermKind.CLASS), TermId("Spacecraft", TermKind.CLASS),
                          MappingKind.EQUIVALENT)
     assert apply_mapping(store, [entry], reference).types_of("p1") == ["Probe", "Spacecraft"]
+
+
+# ------------------------------------------------- the two deployment patterns
+
+_FIXTURE_RECORDS = parse_csv((FIXTURES / "ucs_sample.csv").read_bytes())
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.sets(st.integers(0, len(_FIXTURE_RECORDS) - 1), min_size=1),
+       st.sampled_from(list(ModelingMode)))
+def test_the_mapped_and_the_bridged_store_answer_alike(rows, mode):
+    # term mapping: classify under the local ontology, then materialize the
+    # reference typings; reference as schema: load and classify under the
+    # bridged ontology. Every reference typing query answers the same on both.
+    records = [_FIXTURE_RECORDS[i] for i in sorted(rows)]
+    local, _report = ingest(records, mode, build_ucsso(mode))
+    mapped = apply_mapping(classify_orbits(local, mode), build_mapping())
+    bridged_store, _report = ingest(records, mode, build_bridged_ontology(mode))
+    bridged = classify_orbits(bridged_store, mode)
+    queries = ["select ?s ?c where { ?s instance_of ?c }"] + [
+        f"select ?s where {{ ?s instance_of {name} }}" for name in sorted(build_ssao_core().classes)]
+    for query in queries:
+        answers = [evaluate(parse_query(query, store.ontology), store).to_csv()
+                   for store in (mapped, bridged)]
+        assert answers[0] == answers[1], query

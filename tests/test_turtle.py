@@ -25,6 +25,7 @@ from satkg.errors import (
     CycleDetected,
     FunctionalViolation,
     InvalidDatatype,
+    InvalidTermName,
     RestrictionViolation,
     SatkgError,
     TurtleParseError,
@@ -401,6 +402,11 @@ def _mangled_exports(draw):
 @example(_GOLDEN.replace("rdfs:domain t:Artificial_Satellite ;", "rdfs:domain t:Nope ;", 1))
 @example(_GOLDEN.replace("t:Orbit a owl:Class .", "t:Orbit a owl:Class ; rdfs:subClassOf t:LEO_Orbit ."))
 @example(_GOLDEN.replace(" v:aliasFor t:", " v:aliasFor t:Nope, t:", 1))
+@example(_GOLDEN + "i: a owl:NamedIndividual .\n")
+@example(_GOLDEN + "<https://satkg.example/inst#a%20b> a owl:NamedIndividual .\n")
+@example(_GOLDEN + "i:x t:instance_of i:AAUSat-4 .\n")
+@example(_GOLDEN + "i:x t:has_Orbit t:Orbit .\n")
+@example(_GOLDEN + "<https://satkg.example/inst#a%2fb> a owl:NamedIndividual .\n")
 def test_any_text_imports_or_raises_a_satkg_error(text):
     # every error names a line, or the t: term whose declarations it builds
     try:
@@ -631,3 +637,62 @@ def test_a_percent_escape_that_is_not_utf8_in_an_instance_iri_names_the_line():
         with pytest.raises(TurtleParseError, match="not UTF-8") as err:
             import_turtle(f"{golden}<https://satkg.example/inst#{bad}> a owl:NamedIndividual .\n")
         assert err.value.line == golden.count("\n") + 1
+
+
+def test_an_instance_iri_reads_only_in_the_form_the_writer_emits():
+    # RDF compares IRIs as strings, so two spellings of one name would be two
+    # nodes read as one instance; only quote(name, safe="") of the name reads
+    golden = (FIXTURES / "one_satellite.ttl").read_text(encoding="utf-8")
+    upper = "<https://satkg.example/inst#a%2Fb> a owl:NamedIndividual .\n"
+    with pytest.raises(TurtleParseError, match="a%2Fb>$") as err:
+        import_turtle(golden + upper + "<https://satkg.example/inst#a%2fb> a owl:NamedIndividual .\n")
+    assert err.value.line == golden.count("\n") + 2
+    assert "a/b" in {term.name for term in import_turtle(golden + upper).instances}
+    for bad in ("a%ZZb", "é", "a(b", "a%2Bb%2b"):
+        with pytest.raises(TurtleParseError, match="not in the form the writer emits") as err:
+            import_turtle(f"{golden}<https://satkg.example/inst#{bad}> a owl:NamedIndividual .\n")
+        assert err.value.line == golden.count("\n") + 1
+
+
+@pytest.mark.parametrize(
+    "statement, error, message",
+    [("i: a owl:NamedIndividual .", InvalidTermName, "invalid term name '' for kind instance"),
+     ("<https://satkg.example/inst#a%20b> a owl:NamedIndividual .", InvalidTermName,
+      "invalid term name 'a b' for kind instance"),
+     ("i:AAUSat-4 t:has_Orbit i: .", InvalidTermName, "invalid term name '' for kind instance"),
+     ("i:x t:instance_of i:AAUSat-4 .", TypeMismatch, "instance_of expects a class object"),
+     ('i:x t:instance_of "Orbit" .', TypeMismatch, "instance_of expects a class object"),
+     ("i:x t:has_Orbit t:Orbit .", UnsupportedConstruct, "object t:Orbit of t:has_Orbit on instance x"),
+     ("i:x t:instance_of t:Orbit .", UnsupportedConstruct,
+      "object t:Orbit of t:instance_of on instance x")],
+    ids=["bare-i", "blank-in-name", "bare-i-object", "instance-of-instance",
+         "instance-of-literal", "class-object", "instance-of-class"],
+)
+def test_an_instance_defect_raises_at_its_token(statement, error, message):
+    golden = (FIXTURES / "one_satellite.ttl").read_text(encoding="utf-8")
+    with pytest.raises(error) as err:
+        import_turtle(f"{golden}{statement}\n")
+    assert type(err.value) is error
+    assert str(err.value) == f"line {golden.count(chr(10)) + 1}: {message}"
+
+
+_DECLARED = _GOLDEN[:re.search(r"\n(?=i:|<)", _GOLDEN).end()]  # the golden file's declarations
+
+
+def test_undeclared_instances_are_made_in_the_order_the_file_first_names_them():
+    store = import_turtle(_DECLARED + "i:x t:has_Orbit i:y .\ni:z a t:Orbit .\n")
+    assert [term.name for term in store.instances] == ["x", "y", "z"]
+    store = import_turtle(_DECLARED + "i:y a owl:NamedIndividual .\n"
+                          "i:x t:has_Orbit i:y .\ni:z a t:Orbit .\n")
+    assert [term.name for term in store.instances] == ["y", "x", "z"]  # declared ones first
+
+
+def test_a_defect_the_reader_sees_is_raised_before_a_refused_earlier_fact():
+    # the store would refuse the typing first (typings lead the batch), but the
+    # reader stops at the later object, which is no instance or literal
+    text = _DECLARED + "i:x a t:Nope .\ni:y t:has_Orbit t:Orbit .\n"
+    with pytest.raises(UnsupportedConstruct) as err:
+        import_turtle(text)
+    assert str(err.value).startswith(f"line {text.count(chr(10))}: object t:Orbit")
+    with pytest.raises(UnknownTerm, match=f"^line {text.count(chr(10)) - 1}: class 'Nope'"):
+        import_turtle(_DECLARED + "i:x a t:Nope .\ni:y t:has_Orbit i:x .\n")
