@@ -26,14 +26,22 @@ answer the cycle check (an edge closes a cycle when the child is already an
 ancestor of the parent), so lookups only read and never fill a cache.
 Aliases are resolved before the sets are read, so adding one changes none.
 
+What is derived from the definitions is kept in one private dict, ``_shared``:
+the names ``InstanceStore.write`` resolved and the declarations ``export_turtle``
+rendered.  ``copy()`` passes the dict on and every method that changes a definition
+(and ``merge_ontologies``) gives the ontology a new one, so copies share it until
+one changes.  No method removes or redefines a name, so what one copy derived holds
+for every copy unchanged since; editing ``classes``, ``properties`` or ``aliases``
+directly is unsupported.
+
 The store keeps each fact once as the (subject name, predicate name, object)
 tuple ``InstanceStore.write`` takes (the object a class name, an instance name
 or a checked ``Literal``): the key of one insertion-ordered dict and the entry
 of each index, stored and found with one hash of the tuple (its names cache theirs).
 Every write is a batch: ``ingest`` writes one per row, ``import_turtle`` one
 per file, ``classify_orbits`` one per store, and ``add`` one of one fact.  A
-batch resolves each distinct predicate and class once, finds a repeat (a typing
-too) by the table's unchanged size and keeps one index, ``_by_subject``, whose list
+batch resolves each distinct predicate and class once per ontology (in ``_shared``),
+finds a repeat (a typing too) by the table's unchanged size and keeps one index, ``_by_subject``, whose list
 a functional property's check scans and which ``types_of`` and ``export_turtle`` read.
 Every other read is built whole from the table by its first call after a write,
 then published in ``_views`` (concurrent first reads may each build one, but all
@@ -353,6 +361,9 @@ class Ontology:
         self._up: dict[str, frozenset[str]] = {}
         #: class -> the class and all its subclasses
         self._down: dict[str, frozenset[str]] = {}
+        #: derived from the definitions, shared by copies and replaced by each change:
+        #: ``write``'s resolutions ("classes", "properties") and ``export_turtle``'s ("turtle")
+        self._shared: dict = {}
 
     # -------------------------------------------------------------- schema
 
@@ -370,7 +381,7 @@ class Ontology:
             if p not in self.classes:
                 raise UnknownParent(f"parent class {p!r} of {name!r} not defined")
         cdef = ClassDef(name, parent_set, definition)
-        self.classes[name] = cdef
+        self.classes[name], self._shared = cdef, {}
         self._down[name] = frozenset()
         self._up[name] = up = frozenset((name,)).union(*(self._up[p] for p in parent_set))
         for a in up:
@@ -406,6 +417,7 @@ class Ontology:
             raise CycleDetected(f"edge {child!r} -> {parent!r} would create a subsumption cycle")
         old = self.classes[child]
         self.classes[child] = ClassDef(old.name, old.parents | {parent}, old.definition)
+        self._shared = {}
         for d in down:
             self._up[d] |= up
         for u in up:
@@ -425,7 +437,7 @@ class Ontology:
             if c not in self.classes:
                 raise UnknownTerm(f"domain/range class {c!r} of {name!r} not defined")
         pdef = PropertyDef(name, TermKind.OBJECT_PROPERTY, dom, rng, None, functional)
-        self.properties[name] = pdef
+        self.properties[name], self._shared = pdef, {}
         return pdef
 
     def define_data_property(
@@ -441,7 +453,7 @@ class Ontology:
             if c not in self.classes:
                 raise UnknownTerm(f"domain class {c!r} of {name!r} not defined")
         pdef = PropertyDef(name, TermKind.DATA_PROPERTY, dom, frozenset(), datatype, functional)
-        self.properties[name] = pdef
+        self.properties[name], self._shared = pdef, {}
         return pdef
 
     def define_alias(self, alias: str, target: str) -> None:
@@ -450,7 +462,7 @@ class Ontology:
             raise DuplicateTerm(f"alias {alias!r} collides with an existing term")
         if target not in self.classes and target not in self.properties:
             raise UnknownTerm(f"alias target {target!r} not defined")
-        self.aliases[alias] = target
+        self.aliases[alias], self._shared = target, {}
 
     def _check_new_property(self, name: str) -> None:
         _check_name(name, TermKind.OBJECT_PROPERTY)
@@ -515,6 +527,7 @@ class Ontology:
         dup.aliases = dict(self.aliases)
         dup._up = dict(self._up)
         dup._down = dict(self._down)
+        dup._shared = self._shared
         return dup
 
     def __eq__(self, other: object) -> bool:
@@ -623,8 +636,9 @@ class InstanceStore:
         boundary warnings (also added to ``warnings``) with their positions."""
         ont, instances, table = self.ontology, self._instances, self._facts
         by_subject, self._views = self._by_subject, {}  # a write drops every view and index
-        classes: dict[str, str] = {}  # each resolved once per batch
-        properties: dict[str, PropertyDef] = {}
+        shared = ont._shared  # names resolved once for the ontology and its unchanged copies
+        classes: dict[str, str] = shared.setdefault("classes", {})
+        properties: dict[str, PropertyDef] = shared.setdefault("properties", {})
         refused: list[tuple[int, SatkgError]] = []
         warned: list[tuple[int, str]] = []
         for position, (s, p, o) in enumerate(facts):

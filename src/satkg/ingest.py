@@ -21,7 +21,7 @@ import io
 import json
 import re
 from dataclasses import dataclass, field
-from datetime import date, datetime
+from datetime import date
 from decimal import Decimal
 from typing import Callable, Iterator, NamedTuple, Optional, Union
 
@@ -85,7 +85,8 @@ EXPECTED_COLUMNS: tuple[str, ...] = (
     "Comments",
 )
 
-_CANONICAL = {re.sub(r"\s+", " ", c).strip().lower(): c for c in EXPECTED_COLUMNS}
+_BLANKS, _SEPARATORS = re.compile(r"\s+"), re.compile(r"[\s/-]+")  # of names and class cells
+_CANONICAL = {_BLANKS.sub(" ", c).strip().lower(): c for c in EXPECTED_COLUMNS}
 
 # Cell values that carry no information and therefore assert nothing.
 SENTINELS = frozenset({"", "n/a", "nr", "unknown"})
@@ -196,7 +197,7 @@ def parse_csv(data: Union[bytes, str, io.IOBase]) -> list[RawRecord]:
     header_row_number, header = rows[0]
     columns: list[str] = []
     for name in header:
-        trimmed = re.sub(r"\s+", " ", name).strip()
+        trimmed = _BLANKS.sub(" ", name).strip()
         column = _CANONICAL.get(trimmed.lower(), trimmed)
         if column and column in columns:
             raise MalformedCsv(f"header names column {column!r} twice", header_row_number)
@@ -222,7 +223,7 @@ def missing_columns(records: list[RawRecord]) -> list[str]:
 
 def instance_name(raw: str) -> str:
     """Turn a free-text cell value into an instance name (whitespace -> _)."""
-    return re.sub(r"\s+", "_", raw.strip())
+    return _BLANKS.sub("_", raw.strip())
 
 
 def parse_number(text: str) -> Decimal:
@@ -246,14 +247,22 @@ def parse_years(text: str) -> Decimal:
     return parse_number(_YEARS_SUFFIX.sub("", text.strip()))
 
 
+#: ``datetime.strptime``'s own patterns for ``%Y-%m-%d`` and ``%m/%d/%Y``: ``\d`` takes any
+#: Unicode digit, and a day may be a blank and a digit
+_Y, _M = r"(?P<Y>\d\d\d\d)", r"(?P<m>1[0-2]|0[1-9]|[1-9])"
+_D = r"(?P<d>3[01]|[12]\d|0[1-9]|[1-9]| [1-9])"
+_DATE_FORMS = (re.compile(f"{_Y}-{_M}-{_D}"), re.compile(f"{_M}/{_D}/{_Y}"))
+
+
 def parse_launch_date(text: str) -> date:
-    """Accept ISO-8601 or M/D/YYYY and normalize to a date."""
+    """Accept ISO-8601 or M/D/YYYY, as ``strptime`` reads them, and normalize to a date."""
     cleaned = text.strip()
-    for fmt in ("%Y-%m-%d", "%m/%d/%Y"):
-        try:
-            return datetime.strptime(cleaned, fmt).date()
-        except ValueError:
-            continue
+    for form in _DATE_FORMS:
+        if found := form.fullmatch(cleaned):
+            try:
+                return date(int(found["Y"]), int(found["m"]), int(found["d"]))
+            except ValueError:  # a day past the month's end, or the year 0
+                pass
     raise UnparsableDate(f"not a recognized date: {text!r}")
 
 
@@ -321,7 +330,7 @@ def _match_taxonomy_class(ont: Ontology, raw: str, suffix: str, root: str) -> Op
     Tried in order: the normalized value with ``suffix`` appended, then the
     normalized value itself.  Overlay-added leaves participate automatically.
     """
-    normalized = re.sub(r"[\s/-]+", "_", raw.strip())
+    normalized = _SEPARATORS.sub("_", raw.strip())
     subtree = ont.subclasses_of(root)
     for candidate in (normalized + suffix, normalized):
         if candidate in subtree:

@@ -9,15 +9,18 @@ Two modeling modes exist for orbital parameters:
 * ``direct``: the value property attaches the number straight to the
   satellite or orbit; no parameter instances exist.
 
-Both builders are deterministic: two calls with the same mode produce
-term-for-term identical ontologies.
+Each builder builds once per process (per mode) and hands every call its own
+copy of that build, so two calls give equal results and changing one changes
+neither the other nor a later call's.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from decimal import Decimal
 from enum import Enum
+from typing import Callable
 
 from .core import DatatypeSpec, NumericRestriction, Ontology, TermId, TermKind, class_term
 from .errors import InvalidTermName, OverlayError, SatkgError
@@ -119,6 +122,17 @@ IDENTIFIER_CLASSES: tuple[str, ...] = (
 )
 
 
+def _built_once(build: Callable) -> Callable:
+    """``build``, run once per process and argument; each call hands out a copy of that build."""
+    made = functools.cache(build)
+
+    @functools.wraps(build)
+    def copy(*args):
+        return made(*args).copy()  # an Ontology's, or a list's of frozen entries
+    return copy
+
+
+@_built_once
 def build_ucsso(mode: ModelingMode) -> Ontology:
     """Construct the satellite-catalog schema for the given modeling mode."""
     ont = Ontology()
@@ -238,6 +252,7 @@ def build_ucsso(mode: ModelingMode) -> Ontology:
     return ont
 
 
+@_built_once
 def build_ssao_core() -> Ontology:
     """The compact reference vocabulary.
 
@@ -286,6 +301,7 @@ UNMAPPED_CLASSES: frozenset[str] = frozenset(
 )
 
 
+@_built_once
 def build_mapping() -> list[MappingEntry]:
     """Links from local catalog classes to the reference vocabulary."""
 

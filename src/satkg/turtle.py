@@ -26,12 +26,14 @@ blank nodes, collections, long strings, a raw LF or CR in a string, escapes othe
 Turtle's ECHAR and UCHAR, ``@base``, IRIs outside the declared namespaces or holding
 whitespace, an instance IRI other than the one the writer emits (its name as UTF-8,
 ``quote(name, safe="")``), and predicates or object shapes the table does not allow.
-Output is deterministic: terms appear in lexicographic order.
+Output is deterministic: terms appear in lexicographic order.  The declarations
+are rendered once per ontology, kept in its ``_shared`` dict for its unchanged copies.
 
 A process reads a file's declarations, up to its first line opening with ``i:`` or
 ``<`` (``export_turtle``'s first instance), once: a locked memo of the last
 ``_MEMO_SIZE`` distinct texts keeps the reader's state after them, their terms and
-``Ontology`` (copied per store); any that do not read or build alone are an empty prefix.
+``Ontology`` (copied per store); any that do not read or build alone are kept as the
+empty prefix's entry, so the whole file is read from its start.
 """
 
 from __future__ import annotations
@@ -116,8 +118,39 @@ def export_turtle(store: InstanceStore, namespaces: Namespaces = Namespaces()) -
         f"@prefix i: <{ns.instances}> .",
         f"@prefix v: <{ns.vocab}> .",
     ])]
-    ont = store.ontology
+    shared = store.ontology._shared  # the declarations, once for the ontology and its copies
+    blocks += shared.get("turtle") or shared.setdefault("turtle", _schema_blocks(store.ontology))
 
+    # each instance's reference, built once, in name order; then its facts from the subject
+    # index: sorted (predicate, object text) pairs put a predicate's objects together, sorted
+    refs = {name: _instance_ref(name, ns) for name in sorted(store._instances)}
+    about = store._by_subject.get
+    for name, ref in refs.items():
+        types, pairs = [], []  # the ", t:<class>" texts; (predicate, object text) pairs
+        for _, p, o in about(name, ()):
+            if p == "instance_of":
+                types.append(f", t:{o}")
+            else:
+                pairs.append((p, refs[o] if type(o) is str else _literal_ref(o)))
+        types.sort()  # in place: a list of one or none costs what a length check would
+        pairs.sort()
+        text, last = f"{ref} a owl:NamedIndividual{''.join(types)}", None
+        for p, o in pairs:
+            if p == last:
+                text += f", {o}"
+            else:
+                text += f" ;\n    t:{p} {o}"
+                last = p
+        blocks.append(text + " .")
+
+    del refs  # freed before the join, where the export peaks
+    blocks[-1] += "\n"  # the text's last newline, so the joined text is not copied for it
+    return "\n\n".join(blocks)
+
+
+def _schema_blocks(ont: Ontology) -> list[str]:
+    """The declaration of each class, alias and property, sorted, one block each."""
+    blocks = []
     for name in sorted(ont.classes):
         cdef = ont.classes[name]
         parts = [f"t:{name} a owl:Class"]
@@ -160,32 +193,7 @@ def export_turtle(store: InstanceStore, namespaces: Namespaces = Namespaces()) -
                 parts.append(f"    v:maxInclusive {_literal_ref(Literal(r.upper_inclusive))}")
                 parts.append(f"    v:warnAtUpper {_literal_ref(Literal(r.warn_at_upper))}")
         blocks.append(" ;\n".join(parts) + " .")
-
-    # each instance's reference, built once, in name order; then its facts from the subject
-    # index: sorted (predicate, object text) pairs put a predicate's objects together, sorted
-    refs = {name: _instance_ref(name, ns) for name in sorted(store._instances)}
-    about = store._by_subject.get
-    for name, ref in refs.items():
-        types, pairs = [], []  # the ", t:<class>" texts; (predicate, object text) pairs
-        for _, p, o in about(name, ()):
-            if p == "instance_of":
-                types.append(f", t:{o}")
-            else:
-                pairs.append((p, refs[o] if type(o) is str else _literal_ref(o)))
-        types.sort()  # in place: a list of one or none costs what a length check would
-        pairs.sort()
-        text, last = f"{ref} a owl:NamedIndividual{''.join(types)}", None
-        for p, o in pairs:
-            if p == last:
-                text += f", {o}"
-            else:
-                text += f" ;\n    t:{p} {o}"
-                last = p
-        blocks.append(text + " .")
-
-    del refs  # freed before the join, where the export peaks
-    blocks[-1] += "\n"  # the text's last newline, so the joined text is not copied for it
-    return "\n\n".join(blocks)
+    return blocks
 
 
 # ------------------------------------------------------------------ reading
@@ -357,19 +365,17 @@ _memo: dict[str, tuple] = {}  # declarations' text -> (reader state after it, te
 _memo_lock = threading.Lock()
 
 
-def _declarations(prefix: str) -> Optional[tuple]:
-    """The memo entry of ``prefix``, read and built on a miss; None when the
-    prefix is not whole t: and @prefix statements or does not build."""
+def _declarations(prefix: str) -> tuple:
+    """The memo entry of ``prefix``, read and built on a miss; the empty prefix's, kept
+    under ``prefix`` too, when it is not whole t: and @prefix statements or does not build."""
     entry = _memo.get(prefix)
     if entry is None:
         state = [{}, dict(_STANDARD), {}, -1, 0]
         try:
             terms, _, *instances = _read(prefix, state, {})
-            if any(instances):
-                return None
-            entry = state, terms, _ontology(terms)
+            entry = _declarations("") if any(instances) else (state, terms, _ontology(terms))
         except SatkgError:
-            return None
+            entry = _declarations("")
         with _memo_lock:
             _memo[prefix] = entry
             if len(_memo) > _MEMO_SIZE:
@@ -382,8 +388,8 @@ def import_turtle(data: Union[bytes, str]) -> InstanceStore:
     """Rebuild a store from the fragment; inverse of :func:`export_turtle`."""
     text = data if isinstance(data, str) else decode_utf8(data, lambda message, line, column: (
         TurtleParseError(f"column {column}: {message}", line)))
-    entry = _declarations(text[:found.end()] if (found := _INSTANCES.search(text)) else text)
-    state, groups, ontology = entry or _declarations("")  # else read all: the empty prefix
+    state, groups, ontology = _declarations(  # else read all: the empty prefix
+        text[:found.end()] if (found := _INSTANCES.search(text)) else text)
     terms, nodes, individuals, typings, facts = _read(
         text, [*map(dict, state[:3]), *state[3:]], groups)
     store = InstanceStore(ontology.copy() if terms is groups else _ontology(terms))

@@ -74,16 +74,28 @@ edited, which misses.  The memo stays bounded: after six distinct declaration
 blocks it holds the last four.  Its entries are not shared with the stores:
 changing a store's ontology (``apply_overlay``) leaves the next import of the
 file as it was.  Four threads importing both modes' exports at once get the
-stores and exports of reads with the memo emptied.
+stores and exports of reads with the memo emptied.  Declarations that do not
+read alone (the first instance line indented) are read once too: counts
+``turtle._read`` calls over two imports of such a file, three with the empty
+prefix's entry memoized where each import would read the prefix again.
+
+A process renders each ontology's declarations once and resolves each of its
+names once: over ten 25-row catalogs through the CLI chain in one process,
+counts ``turtle._schema_blocks`` calls, one per catalog after the first (its
+merged ontology), and the ``Ontology.prop`` and ``Ontology.cls`` calls inside
+``InstanceStore.write``, which after the first catalog only ``apply_mapping``'s
+typings under the merged ontology make.
 """
 
 import csv
 import gc
 import inspect
 import io
+import re
 import sys
 import threading
 import tracemalloc
+from collections import Counter
 from contextlib import contextmanager
 
 import pytest
@@ -746,3 +758,70 @@ def test_concurrent_imports_equal_cold_reads():
         expected = cold[worker % 2:] + cold[:worker % 2]
         assert stores == expected
         assert [export_turtle(s) for s in stores] == [export_turtle(s) for s in expected]
+
+
+def test_declarations_that_do_not_read_alone_are_read_once(monkeypatch):
+    text = fixture_export(ModelingMode.DIRECT)
+    cut = re.search(r"\n(?=i:|<)", text).end()
+    text = f"{text[:cut]} {text[cut:]}"  # the first instance statement joins the prefix
+    calls = [0]
+    read = turtle._read
+
+    def counted(*args):
+        calls[0] += 1
+        return read(*args)
+
+    turtle._memo.clear()
+    turtle._declarations("")
+    monkeypatch.setattr(turtle, "_read", counted)
+    first, second = import_turtle(text), import_turtle(text)
+    assert calls[0] == 3  # the prefix once, then each whole text
+    assert first == second and export_turtle(first) == export_turtle(second)
+
+
+def test_a_process_renders_and_resolves_each_schema_once(monkeypatch):
+    mode, data = ModelingMode.DIRECT, repeated_catalog(25)
+    renders, resolved = [0], Counter()
+    where = [None, "chain"]  # inside a write, and the step running
+    blocks, write = turtle._schema_blocks, InstanceStore.write
+
+    def rendered(ont):
+        renders[0] += 1
+        return blocks(ont)
+
+    def written(self, facts):
+        where[0] = where[1]
+        try:
+            return write(self, facts)
+        finally:
+            where[0] = None
+
+    def resolving(read):
+        def wrapper(self, name):
+            if where[0] is not None:
+                resolved[where[0]] += 1
+            return read(self, name)
+        return wrapper
+
+    def one_catalog() -> str:  # load, classify, validate and map, each file read back
+        store, _report = ingest(parse_csv(data), mode, build_ucsso(mode))
+        loaded = import_turtle(export_turtle(store))
+        reloaded = import_turtle(export_turtle(classify_orbits(loaded, mode)))
+        validate(reloaded)
+        where[1] = "apply_mapping"
+        mapped = apply_mapping(reloaded, build_mapping())
+        where[1] = "chain"
+        return export_turtle(mapped)
+
+    monkeypatch.setattr(turtle, "_schema_blocks", rendered)
+    monkeypatch.setattr(InstanceStore, "write", written)
+    monkeypatch.setattr(Ontology, "prop", resolving(Ontology.prop))
+    monkeypatch.setattr(Ontology, "cls", resolving(Ontology.cls))
+    turtle._memo.clear()
+    first = one_catalog()
+    assert renders[0] <= 3 and resolved["chain"] > 0  # UCSSO, the imported and the merged
+    for _ in range(9):
+        renders[0] = 0
+        resolved.clear()
+        assert one_catalog() == first
+        assert renders[0] == 1 and resolved["chain"] == 0 and resolved["apply_mapping"] > 0

@@ -1,7 +1,9 @@
-from datetime import date
+from datetime import date, datetime
 from decimal import Decimal
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from satkg import (
     Literal,
@@ -134,6 +136,44 @@ def test_year_and_date_parsing():
     assert parse_years("10") == Decimal("10")
     assert parse_launch_date("4/25/2016") == date(2016, 4, 25)
     assert parse_launch_date("2017-06-05") == date(2017, 6, 5)
+
+
+DIGITS = "1234567890١٢٣٤٥٦٧٨٩٠५०"  # ASCII, Arabic-Indic and Devanagari
+_part = st.tuples(st.sampled_from(["", " "]),
+                  st.text(st.sampled_from(DIGITS[:10] * 2 + DIGITS), min_size=1, max_size=2))
+DATE_SHAPED = st.builds(  # a year, a month and a day, under one separator, in either order
+    lambda y, m, d, sep, iso: f"{y}{sep}{m}{sep}{d}" if iso else f"{m}{sep}{d}{sep}{y}",
+    st.text(st.sampled_from(DIGITS), min_size=4, max_size=4), _part.map("".join),
+    _part.map("".join), st.sampled_from("-/"), st.booleans())
+
+
+def strptime_date(text: str):
+    """The date of the first of the reader's two formats ``datetime.strptime``
+    accepts for the trimmed text, or None."""
+    for form in ("%Y-%m-%d", "%m/%d/%Y"):
+        try:
+            return datetime.strptime(text.strip(), form).date()
+        except ValueError:
+            pass
+    return None
+
+
+@settings(max_examples=2000, deadline=None)
+@given(st.text(st.sampled_from(DIGITS + "-/ \t"), max_size=12) | DATE_SHAPED)
+@example("2016-4-25")
+@example("4/25/2016")
+@example("2016-02-30")
+@example("٢٠١٦-04-25")
+@example(" 4/ 5/2016")
+@example("2016-04-1٣")
+def test_a_launch_date_reads_as_strptime_reads_it(text):
+    expected = strptime_date(text)
+    if expected is None:
+        with pytest.raises(UnparsableDate) as raised:
+            parse_launch_date(text)
+        assert str(raised.value) == f"not a recognized date: {text!r}"
+    else:
+        assert parse_launch_date(text) == expected
 
 
 # --------------------------------------------------------------- resolution

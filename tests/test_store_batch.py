@@ -9,7 +9,8 @@ out-of-range and boundary values, second functional values, and repeated
 typings and other facts.
 
 A batch resolves each distinct predicate and class name once, however many
-facts name it: counts ``Ontology.prop`` and ``Ontology.cls`` calls.
+facts name it, and a later batch over the same ontology or a copy of it
+resolves none again: counts ``Ontology.prop`` and ``Ontology.cls`` calls.
 """
 
 from collections import Counter
@@ -23,7 +24,7 @@ from satkg import INSTANCE_OF, Assertion, InstanceStore, Literal, Ontology, Term
 from satkg import class_term, instance_term
 from satkg.errors import SatkgError
 
-from test_store_differential import NAMES, ONT, ReferenceStore, _state
+from test_store_differential import NAMES, ONT, ReferenceStore, _ontology, _state
 
 PREDICATES = ("instance_of", "has_orbit", "linked", "orbit_of", "ecc", "eccentricity", "height",
               "count", "label", "launched", "missing")
@@ -49,8 +50,8 @@ def batches(draw):
     return facts
 
 
-def _stores():
-    stores = ReferenceStore(ONT), InstanceStore(ONT)
+def _stores(ontology=ONT):
+    stores = ReferenceStore(ontology), InstanceStore(ontology)
     for store in stores:
         for name in NAMES:
             store.add_instance(name)
@@ -86,7 +87,8 @@ def test_a_batch_writes_as_the_reference_does_one_fact_at_a_time(facts):
 
 
 def test_a_batch_resolves_each_distinct_predicate_and_class_once(monkeypatch):
-    _reference, store = _stores()
+    ontology = _ontology()  # a fresh one: other tests' writes resolve the names of ``ONT``
+    _reference, store = _stores(ontology)
     facts = [(s, "instance_of", c) for s in NAMES for c in ("Sat", "Satellite", "Thing")]
     facts += [(s, "linked", o) for s in NAMES for o in NAMES] + [(s, "orbit_of", "a") for s in NAMES]
     facts += [(s, p, Literal(Decimal("0.5"))) for s in NAMES for p in ("ecc", "height")]
@@ -103,8 +105,14 @@ def test_a_batch_resolves_each_distinct_predicate_and_class_once(monkeypatch):
         patch.setattr(Ontology, "prop", counted(prop))
         patch.setattr(Ontology, "cls", counted(cls))
         refused, warned = store.write(facts)
+        first = Counter(calls)
+        calls.clear()
+        again = [_stores(ontology)[1], _stores(ontology.copy())[1]]  # the same, and a copy
+        assert [one.write(facts) for one in again] == [([], [])] * 2
     assert refused == [] and warned == []
     assert store.assertion_count == len(facts) - len(NAMES)  # Sat and Satellite are one class
-    assert calls == Counter({("cls", "Sat"): 1, ("cls", "Satellite"): 1, ("cls", "Thing"): 1,
+    assert first == Counter({("cls", "Sat"): 1, ("cls", "Satellite"): 1, ("cls", "Thing"): 1,
                              ("prop", "linked"): 1, ("prop", "orbit_of"): 1, ("prop", "ecc"): 1,
                              ("prop", "height"): 1})
+    assert calls == Counter()  # neither later batch resolves a name
+    assert all(one == store for one in again)
