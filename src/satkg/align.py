@@ -40,7 +40,7 @@ def merge_ontologies(base: Ontology, extra: Ontology) -> Ontology:
         if name in merged.classes or name in merged.aliases:
             raise DuplicateTerm(f"property {name!r} names another term of the base ontology")
         merged.properties.setdefault(name, extra.properties[name])
-    merged._shared = {}  # the properties changed past the methods that replace it
+    merged._shared = {}  # properties added directly, past the methods that replace it
     for alias, target in sorted(extra.aliases.items()):
         if merged.aliases.get(alias) != target:
             merged.define_alias(alias, target)

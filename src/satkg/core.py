@@ -40,8 +40,8 @@ or a checked ``Literal``): the key of one insertion-ordered dict and the entry
 of each index, stored and found with one hash of the tuple (its names cache theirs).
 Every write is a batch: ``ingest`` writes one per row, ``import_turtle`` one
 per file, ``classify_orbits`` one per store, and ``add`` one of one fact.  A
-batch resolves each distinct predicate and class once per ontology (in ``_shared``),
-finds a repeat (a typing too) by the table's unchanged size and keeps one index, ``_by_subject``, whose list
+batch resolves each distinct predicate and class once per ontology, finds a repeat
+(a typing too) by the table's unchanged size and keeps one index, ``_by_subject``, whose list
 a functional property's check scans and which ``types_of`` and ``export_turtle`` read.
 Every other read is built whole from the table by its first call after a write,
 then published in ``_views`` (concurrent first reads may each build one, but all
