@@ -396,7 +396,7 @@ def _resolve_facts(
     ``InstanceStore.write``, calling ``instance`` on each instance it names."""
     name_cell = record.get("Name of Satellite")
     if name_cell is None:
-        raise ValueError(f"row {record.row_number}: Name of Satellite is empty")
+        raise MalformedCsv("Name of Satellite is empty", record.row_number)
     if satellite_name is None:
         satellite_name = instance_name(name_cell)
     sat = instance(satellite_name).name

@@ -385,12 +385,10 @@ _VALUE = operator.attrgetter("value")
 _NUMBERS = (Decimal, int)  # the filterable value types; bool is not one
 
 
-def _term_key(value: Value) -> object:
-    """Term identity as a dict key: a term as itself, a literal by value
-    type, lexical form and unit, so ``1`` and ``1.0`` never join and the join
-    order cannot change which of them a variable is bound to."""
-    if type(value) is TermId:
-        return value
+def _term_key(value: Literal) -> object:
+    """A literal's identity as a dict key: its value type, lexical form and unit,
+    so ``1`` and ``1.0`` never join and the join order cannot change which of
+    them a variable is bound to."""
     return (type(value.value), lexical_form(value.value), value.unit)
 
 

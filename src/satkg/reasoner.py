@@ -17,6 +17,7 @@ same before classification, after it and after a Turtle round trip.
 
 from __future__ import annotations
 
+import functools
 import json
 from dataclasses import dataclass
 from decimal import Decimal
@@ -63,17 +64,14 @@ Types = Callable[[str], frozenset[str]]
 
 
 def _closed_types(store: InstanceStore) -> Types:
-    """``store.all_types_of`` for the reads of one call: each instance closed
-    once, and one frozenset shared by the instances of each closed typing."""
-    closed: dict[str, frozenset[str]] = {}
+    """``store.all_types_of`` for the reads of one call, under ``functools.cache``: each
+    instance closed once, and one frozenset shared by the instances of each closed typing."""
     shared: dict[frozenset[str], frozenset[str]] = {}
 
+    @functools.cache
     def types(name: str) -> frozenset[str]:
-        out = closed.get(name)
-        if out is None:
-            out = frozenset(store.all_types_of(name))
-            out = closed[name] = shared.setdefault(out, out)
-        return out
+        out = frozenset(store.all_types_of(name))
+        return shared.setdefault(out, out)
     return types
 
 

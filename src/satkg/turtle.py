@@ -30,16 +30,17 @@ Output is deterministic: terms appear in lexicographic order.  The declarations
 are rendered once per ontology, kept in its ``_shared`` dict for its unchanged copies.
 
 A process reads a file's declarations, up to its first line opening with ``i:`` or
-``<`` (``export_turtle``'s first instance), once: a locked memo of the last
-``_MEMO_SIZE`` distinct texts keeps the reader's state after them, their terms and
-``Ontology`` (copied per store); any that do not read or build alone are kept as the
-empty prefix's entry, so the whole file is read from its start.
+``<`` (``export_turtle``'s first instance), once: ``_declarations`` is an
+``lru_cache`` of the ``_MEMO_SIZE`` most recently read distinct texts, which keeps
+the reader's state after them, their terms and ``Ontology`` (copied per store); any
+that do not read or build alone get the empty prefix's entry, so the whole file is
+read from its start.
 """
 
 from __future__ import annotations
 
+import functools
 import re
-import threading
 from dataclasses import dataclass
 from datetime import date
 from decimal import Decimal
@@ -360,27 +361,19 @@ def _ontology(terms: dict[str, dict[str, list[_Node]]]) -> Ontology:
 
 
 _INSTANCES = re.compile(r"\n(?=i:|<)")  # the line export_turtle writes its first instance on
-_MEMO_SIZE = 4  # declaration texts kept, the oldest evicted first
-_memo: dict[str, tuple] = {}  # declarations' text -> (reader state after it, terms, ontology)
-_memo_lock = threading.Lock()
+_MEMO_SIZE = 4  # declaration texts kept, the least recently read evicted first
 
 
+@functools.lru_cache(maxsize=_MEMO_SIZE)
 def _declarations(prefix: str) -> tuple:
-    """The memo entry of ``prefix``, read and built on a miss; the empty prefix's, kept
-    under ``prefix`` too, when it is not whole t: and @prefix statements or does not build."""
-    entry = _memo.get(prefix)
-    if entry is None:
-        state = [{}, dict(_STANDARD), {}, -1, 0]
-        try:
-            terms, _, *instances = _read(prefix, state, {})
-            entry = _declarations("") if any(instances) else (state, terms, _ontology(terms))
-        except SatkgError:
-            entry = _declarations("")
-        with _memo_lock:
-            _memo[prefix] = entry
-            if len(_memo) > _MEMO_SIZE:
-                del _memo[next(iter(_memo))]
-    return entry
+    """The reader's state after ``prefix``, its terms and ontology; the empty prefix's,
+    kept under ``prefix`` too, when it is not whole t: and @prefix statements or does not build."""
+    state = [{}, dict(_STANDARD), {}, -1, 0]
+    try:
+        terms, _, *instances = _read(prefix, state, {})
+        return _declarations("") if any(instances) else (state, terms, _ontology(terms))
+    except SatkgError:
+        return _declarations("")
 
 
 @nogc

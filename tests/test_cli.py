@@ -135,7 +135,10 @@ def test_validate_reports_warnings(tmp_path, store_file):
     assert any(o["code"] == "completeness" for o in lines)
 
 
-def test_query_csv_output(store_file):
+LAUNCHES = "select ?s ?c ?d where { ?s has_COSPAR_number ?c . ?s has_Date_of_Launch ?d }"
+
+
+def test_query_csv_output(store_file, tmp_path):
     code, out, err = run(
         "query", "--store", store_file, "--semantics", "open",
         "select ?s where { ?s instance_of Earth_Observing_Satellite }",
@@ -144,6 +147,13 @@ def test_query_csv_output(store_file):
     assert out.splitlines()[0] == "?s"
     assert "AAUSat-4" in out
     assert "OceanWatch_GEO" in out
+    # three selected variables, string and date answers; --out writes what stdout gets
+    code, out, err = run("query", "--store", store_file, LAUNCHES)
+    assert code == 0, err
+    assert out.splitlines()[:2] == ["?s,?c,?d", "AAUSat-4,2016-025E,2016-04-25"]
+    code, printed, err = run("query", "--store", store_file, "--out", tmp_path / "a.csv", LAUNCHES)
+    assert code == 0 and printed == "", err
+    assert (tmp_path / "a.csv").read_text(encoding="utf-8") == out
 
 
 def test_query_json_output(store_file):
@@ -155,6 +165,11 @@ def test_query_json_output(store_file):
     data = json.loads(out)
     assert data["vars"] == ["?s"]
     assert {row["?s"] for row in data["rows"]} == {"GSAT-19_Orbit", "OceanWatch_GEO_Orbit"}
+    code, out, err = run("query", "--store", store_file, "--format", "json", LAUNCHES)
+    assert code == 0, err
+    data = json.loads(out)
+    assert data["vars"] == ["?s", "?c", "?d"]
+    assert data["rows"][0] == {"?s": "AAUSat-4", "?c": "2016-025E", "?d": "2016-04-25"}
 
 
 def test_negation_rejected_under_open_world_cli(store_file):
@@ -191,6 +206,10 @@ def test_export_dot(tmp_path, store_file):
     code, _out, err = run("export", "--store", store_file, "--format", "dot", "--out", out_path)
     assert code == 0, err
     assert '"GEO_Orbit" -> "Nearly_Circular_Orbit";' in out_path.read_text()
+    out_path = tmp_path / "again.ttl"  # a store file is a fixed point of the reader and writer
+    code, _out, err = run("export", "--store", store_file, "--format", "ttl", "--out", out_path)
+    assert code == 0, err
+    assert out_path.read_bytes() == store_file.read_bytes()
 
 
 def test_map_command(tmp_path, store_file):

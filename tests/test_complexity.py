@@ -354,7 +354,7 @@ def test_the_reader_makes_about_one_regex_match_per_triple(monkeypatch):
             matches[0] += len(found)
             return found
 
-    turtle._memo.clear()  # the declarations are read too, once
+    turtle._declarations.cache_clear()  # the declarations are read too, once
     with monkeypatch.context() as patch:
         patch.setattr(turtle, "_PIECE_RE", Counted())
         assert import_turtle(text) == store
@@ -500,7 +500,8 @@ def views_built(monkeypatch, store: InstanceStore, ast) -> list:
 
     def counted(self, key, build, *args):
         def counting(*args):
-            built.append(key)
+            if isinstance(key, (str, frozenset)):  # not ``_index``'s indexes, keyed 1, 2 and None
+                built.append(key)
             return build(*args)
         return view(self, key, counting, *args)
 
@@ -703,7 +704,7 @@ def test_a_process_builds_each_declaration_block_once(monkeypatch):
         return build(terms)
 
     monkeypatch.setattr(turtle, "_ontology", counted)
-    turtle._memo.clear()
+    turtle._declarations.cache_clear()
     first, second = import_turtle(text), import_turtle(text)
     assert calls[0] == 1
     assert first == second and first.ontology is not second.ontology
@@ -716,11 +717,16 @@ def test_a_process_builds_each_declaration_block_once(monkeypatch):
 def test_the_memo_keeps_the_last_four_declaration_blocks():
     head, gap, tail = fixture_export(ModelingMode.DIRECT).partition("\n\n")
     texts = [f"{head}{gap}t:Extra_{k} a owl:Class .{gap}{tail}" for k in range(6)]
-    turtle._memo.clear()
+    turtle._declarations.cache_clear()
     for k, text in enumerate(texts):
         assert f"Extra_{k}" in import_turtle(text).ontology.classes
-    kept = [k for key in turtle._memo for k in range(6) if f"t:Extra_{k} a" in key]
-    assert turtle._MEMO_SIZE == 4 and kept == [2, 3, 4, 5]
+    kept = []
+    for k in reversed(range(6)):  # newest first, so no probe's miss evicts a block not yet probed
+        misses = turtle._declarations.cache_info().misses
+        turtle._declarations(texts[k][:turtle._INSTANCES.search(texts[k]).end()])
+        if turtle._declarations.cache_info().misses == misses:
+            kept.append(k)
+    assert turtle._MEMO_SIZE == 4 and sorted(kept) == [2, 3, 4, 5]
 
 
 def test_changing_a_stores_ontology_leaves_the_next_import_as_it_was():
@@ -738,9 +744,9 @@ def test_concurrent_imports_equal_cold_reads():
     texts = [fixture_export(mode) for mode in ModelingMode] * 3
     cold = []
     for text in texts:
-        turtle._memo.clear()
+        turtle._declarations.cache_clear()
         cold.append(import_turtle(text))
-    turtle._memo.clear()
+    turtle._declarations.cache_clear()
     start = threading.Barrier(4)
     results: dict = {}
 
@@ -771,7 +777,7 @@ def test_declarations_that_do_not_read_alone_are_read_once(monkeypatch):
         calls[0] += 1
         return read(*args)
 
-    turtle._memo.clear()
+    turtle._declarations.cache_clear()
     turtle._declarations("")
     monkeypatch.setattr(turtle, "_read", counted)
     first, second = import_turtle(text), import_turtle(text)
@@ -817,7 +823,7 @@ def test_a_process_renders_and_resolves_each_schema_once(monkeypatch):
     monkeypatch.setattr(InstanceStore, "write", written)
     monkeypatch.setattr(Ontology, "prop", resolving(Ontology.prop))
     monkeypatch.setattr(Ontology, "cls", resolving(Ontology.cls))
-    turtle._memo.clear()
+    turtle._declarations.cache_clear()
     first = one_catalog()
     assert renders[0] <= 3 and resolved["chain"] > 0  # UCSSO, the imported and the merged
     for _ in range(9):

@@ -26,6 +26,7 @@ from satkg.errors import (
     UnparsableNumber,
 )
 from satkg.ingest import (
+    IngestWarning,
     RawRecord,
     missing_columns,
     parse_launch_date,
@@ -285,6 +286,12 @@ def test_users_split_on_slash():
     assert len(has_user) == 2
     typed = {a.object.name for a in got if a.predicate.name == "instance_of"}
     assert {"Military_User", "Commercial_User"} <= typed
+    notes = []  # a sector no class names is typed User, with a warning
+    row = "Meridian 3,,,,,Military/Hobbyist,,,,,,,,,,,,,,,,,,,,,,"
+    got = resolve_record(record_from(row), ModelingMode.DIRECT, ont, notes=notes)
+    typed = {a.object.name for a in got if a.predicate.name == "instance_of"}
+    assert {"Military_User", "User"} <= typed
+    assert notes == [IngestWarning(2, "Users", "unrecognized user sector 'Hobbyist'; typed as User")]
 
 
 def test_detailed_purpose_takes_precedence():
@@ -295,6 +302,12 @@ def test_detailed_purpose_takes_precedence():
     assert ("TerraWatch-2_Purpose", "Earth_Science_Purpose") in typings
     # function subclass still follows the broad Purpose column
     assert ("TerraWatch-2", "Earth_Observing_Satellite") in typings
+    notes = []  # a detailed purpose no class names leaves the broad one, with a warning
+    row = "TerraWatch-2,,,,,,Earth Observation,Stargazing,,,,,,,,,,,,,,,,,,,,"
+    got = resolve_record(record_from(row), ModelingMode.DIRECT, ont, notes=notes)
+    typings = {(a.subject.name, a.object.name) for a in got if a.predicate.name == "instance_of"}
+    assert ("TerraWatch-2_Purpose", "Earth_Observation_Purpose") in typings
+    assert notes == [IngestWarning(2, "Detailed Purpose", "unrecognized detailed purpose 'Stargazing'")]
 
 
 def test_registry_organization_branch():
@@ -418,6 +431,9 @@ def test_row_without_name_is_skipped():
     assert report.rows_read == 1
     assert report.rows_ingested == 0
     assert report.violations[0].code == "missing_name"
+    with pytest.raises(MalformedCsv) as err:  # resolved alone, the row raises a SatkgError
+        resolve_record(RawRecord(3, {"Name of Satellite": " n/a "}), ModelingMode.DIRECT, ont)
+    assert str(err.value) == "row 3: Name of Satellite is empty" and err.value.row == 3
 
 
 def recover_parameter_triples(store, mode):

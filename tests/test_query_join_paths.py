@@ -10,7 +10,8 @@ over, so its examples probe little more than typings with a variable class.  Her
 instances must get the same answers as the nested-loop reference, and across
 the examples every join path and every negation path must have run ten times
 at least.  Half the examples anchor the first pattern at one of the store's
-links, so that few rows meet many candidates and the probe paths run.
+links or stored literals, so that few rows meet many candidates and the probe
+paths run, some with a literal bound to the probed pattern's object.
 """
 
 from collections import Counter
@@ -55,11 +56,14 @@ def larger_stores(draw) -> InstanceStore:
 
 def sharing(draw, pattern: TriplePattern, seen: set) -> TriplePattern:
     """``pattern``, its subject replaced by a variable of ``seen`` (by ``?a``
-    while ``seen`` is empty) when it shares none with them."""
+    while ``seen`` is empty) when it shares none with them; the object instead,
+    when drawn, for a literal-valued predicate, so a literal may be bound there."""
     if pattern.variables() & seen or pattern.variables() and not seen:
         return pattern
-    subject = Variable(draw(st.sampled_from(sorted(seen or {"?a"}))))
-    return TriplePattern(subject, pattern.predicate, pattern.object)
+    shared = Variable(draw(st.sampled_from(sorted(seen or {"?a"}))))
+    if pattern.predicate.name in ("v", "w") and draw(st.booleans()):
+        return TriplePattern(pattern.subject, pattern.predicate, shared)
+    return TriplePattern(shared, pattern.predicate, pattern.object)
 
 
 @st.composite
@@ -89,11 +93,12 @@ def joined_queries(draw, first: Optional[TriplePattern] = None) -> QueryAst:
 
 @st.composite
 def anchored_cases(draw) -> tuple:
-    """A store and a query whose first pattern, such as ``i0 p ?a``, takes
-    one of the store's links from a constant subject: its few rows then meet
-    many candidates, so later patterns and negations take the probe path."""
+    """A store and a query whose first pattern, such as ``i0 p ?a`` or ``i0 v ?a``,
+    takes one of the store's links or literals from a constant subject: its few
+    rows then meet many candidates, so later patterns and negations take the probe
+    path, with a literal as the object of some."""
     store = draw(larger_stores())
-    links = [a for a in store.assertions() if a.predicate.name in ("p", "q")]
+    links = [a for a in store.assertions() if a.predicate.name != "instance_of"]
     assume(links)
     link = draw(st.sampled_from(links))
     first = TriplePattern(link.subject, link.predicate, draw(st.sampled_from(VARIABLES)))
@@ -128,7 +133,8 @@ def recorded_paths(paths: Counter):
     """Count ("join" or "negation", "probe" or "hash") in ``paths`` for each
     pattern joined with rows that bind one of its variables.  The probe path
     passes a row's value for such a variable to ``_pairs``; the hash path
-    reads the candidates with every variable free."""
+    reads the candidates with every variable free.  A probe that passes a
+    literal as the object also counts ("literal object", "probe")."""
     join, pairs = query._join, query._pairs
     calls: list = []
 
@@ -148,6 +154,8 @@ def recorded_paths(paths: Counter):
                 probed = any(value is not None and key
                              for call in made for value, key in zip(call, keyed))
                 paths["negation" if negated else "join", "probe" if probed else "hash"] += 1
+                if probed and keyed[1] and any(type(o) is Literal for _, o in made):
+                    paths["literal object", "probe"] += 1
 
     query._join, query._pairs = recording_join, recording_pairs
     try:
@@ -172,6 +180,6 @@ def test_both_join_paths_match_the_nested_loop_reference():
         assert set(got) == reference_evaluate(ast, store)
 
     check()
-    assert set(paths) == {("join", "probe"), ("join", "hash"),
-                          ("negation", "probe"), ("negation", "hash")}, paths
+    assert set(paths) == {("join", "probe"), ("join", "hash"), ("negation", "probe"),
+                          ("negation", "hash"), ("literal object", "probe")}, paths
     assert min(paths.values()) >= 10, paths

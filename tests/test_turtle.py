@@ -407,6 +407,8 @@ def _mangled_exports(draw):
 @example(_GOLDEN + "i:x t:instance_of i:AAUSat-4 .\n")
 @example(_GOLDEN + "i:x t:has_Orbit t:Orbit .\n")
 @example(_GOLDEN + "<https://satkg.example/inst#a%2fb> a owl:NamedIndividual .\n")
+@example(_GOLDEN + '"x" t:has_Orbit i:AAUSat-4 .\n')  # a literal as subject
+@example(_GOLDEN + 'i:AAUSat-4 t:has_COSPAR_number "1"^^xsd:float .\n')  # an unsupported datatype
 def test_any_text_imports_or_raises_a_satkg_error(text):
     # every error names a line, or the t: term whose declarations it builds
     try:
