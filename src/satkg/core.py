@@ -43,18 +43,17 @@ per file, ``classify_orbits`` one per store, and ``add`` one of one fact.  A
 batch resolves each distinct predicate and class once per ontology, finds a repeat
 (a typing too) by the table's unchanged size and keeps one index, ``_by_subject``, whose list
 a functional property's check scans and which ``types_of`` and ``export_turtle`` read.
-Every other read-built structure is a ``_view``, built whole from the table by its first
-read after a write and published in ``_views`` under its key (concurrent first reads may
-each build one, but all return the first published): ``_index``'s groupings of the facts
-by (canonical) predicate, the instances by class and the object-property facts by object
-(``facts_with_object``), each in write order, and two views over them, a predicate's term
-pairs (``predicate_pairs``) and the instances of a class or its subclasses, each once
-(``typed_instances``, keyed on the set ``subclasses_of`` returns, which every change to
-the class graph replaces; a class keeps one, as its view under an older set is dropped).
-Each write drops them all and ``copy()`` copies none: a store only written and exported
-builds none, and single ``add``s between such reads rebuild what each read reads.  The
-library reads the tuples (``facts`` and ``facts_*``); ``assertions`` and ``assertions_*``
-build ``Assertion`` values.
+Every other read-built structure is a ``_view``, built whole from the table by its first read
+after a write and published in ``_views`` under its key (concurrent first reads may each build
+one, but all return the first published): the groupings of the facts by (canonical) predicate,
+the instances by class and the object-property facts by object (``facts_with_object``), each
+in write order, and two views over them, a predicate's term pairs (``predicate_pairs``) and
+the instances of a class or its subclasses, each once (``typed_instances``, keyed on the set
+``subclasses_of`` returns, which every change to the class graph replaces; a class keeps one,
+as its view under an older set is dropped).  Each write drops them all and ``copy()`` copies
+none: a store only written and exported builds none, and single ``add``s between such reads
+rebuild what each read reads.  The library reads the tuples (``facts`` and ``facts_*``);
+``assertions`` and ``assertions_*`` build ``Assertion`` values.
 
 The five functions that build a store (``ingest``, ``import_turtle``,
 ``classify_orbits``, ``materialize`` and ``apply_mapping``) run under
@@ -585,7 +584,7 @@ class InstanceStore:
         self._facts: dict[Fact, None] = {}
         #: the one index kept by writes, read with ``get``, so no read adds a key
         self._by_subject: dict[str, list[Fact]] = defaultdict(list)
-        #: what ``_view`` built: ``_index``'s, keyed 1, 2 and None, and views keyed by a predicate's
+        #: what ``_view`` built: the indexes, keyed 1, 2 and None, and views keyed by a predicate's
         #: name and by a set of classes (a class's name in a 1-tuple keys the set its view is under)
         self._views: dict = {}
         #: Non-fatal messages produced while adding assertions (e.g. values
@@ -728,31 +727,36 @@ class InstanceStore:
         return self._by_subject.get(subject, [])
 
     def facts_with_predicate(self, name: str) -> list[Fact]:
-        return self._view(1, self._index, 1).get(self.ontology.canonical_name(name), [])
+        return (self._views.get(1) or self._view(1, self._by_predicate)).get(
+            self.ontology.canonical_name(name), [])
 
     def _view(self, key, build: Callable, *args):
         view = self._views.get(key)  # else built, then published: the first published is kept
         return view if view is not None else self._views.setdefault(key, build(*args))
 
-    def _index(self, position: Optional[int]) -> dict:
-        """Facts by predicate (``position`` 1) or by object instance (None), instances by class (2)."""
-        index, terms = defaultdict(list), self._instances
-        if position == 1:
-            for fact in self._facts:
-                index[fact[1]].append(fact)
-        elif position == 2:
-            for s, p, o in self._facts:
-                if p == _TYPING:
-                    index[o].append(terms[s])
-        else:
-            for fact in self._facts:
-                if type(fact[2]) is str and fact[1] != _TYPING:
-                    index[fact[2]].append(fact)
-        return index
+    def _by_predicate(self) -> dict[str, list[Fact]]:
+        by_predicate = defaultdict(list)
+        for fact in self._facts:
+            by_predicate[fact[1]].append(fact)
+        return by_predicate
+
+    def _by_class(self) -> dict[str, list[TermId]]:
+        by_class, terms = defaultdict(list), self._instances
+        for s, p, o in self._facts:
+            if p == _TYPING:
+                by_class[o].append(terms[s])
+        return by_class
+
+    def _object_index(self) -> dict[str, list[Fact]]:
+        by_object = defaultdict(list)
+        for fact in self._facts:
+            if type(fact[2]) is str and fact[1] != _TYPING:
+                by_object[fact[2]].append(fact)
+        return by_object
 
     def facts_with_object(self, name: str) -> list[Fact]:
         """Object-property facts whose object is the named instance."""
-        return self._view(None, self._index, None).get(name, [])
+        return self._view(None, self._object_index).get(name, [])
 
     def pairs(self, facts: list[Fact]) -> list[tuple[TermId, Union[TermId, Literal]]]:
         """The subject and object, as terms, of each fact of one property (not instance_of)."""
@@ -808,7 +812,8 @@ class InstanceStore:
 
     def instances_of(self, cls: str) -> list[TermId]:
         """Instances directly typed with the class (subclasses not included)."""
-        return self._view(2, self._index, 2).get(self.ontology.canonical_name(cls), [])
+        return (self._views.get(2) or self._view(2, self._by_class)).get(
+            self.ontology.canonical_name(cls), [])
 
     def types_of(self, name: str) -> list[str]:
         """Directly asserted classes of an instance."""

@@ -30,11 +30,10 @@ Output is deterministic: terms appear in lexicographic order.  The declarations
 are rendered once per ontology, kept in its ``_shared`` dict for its unchanged copies.
 
 A process reads a file's declarations, up to its first line opening with ``i:`` or
-``<`` (``export_turtle``'s first instance), once: ``_declarations`` is an
-``lru_cache`` of the ``_MEMO_SIZE`` most recently read distinct texts, which keeps
-the reader's state after them, their terms and ``Ontology`` (copied per store); any
-that do not read or build alone get the empty prefix's entry, so the whole file is
-read from its start.
+``<`` (``export_turtle``'s first instance), once: ``_declarations`` is an ``lru_cache``
+of the ``_MEMO_SIZE`` most recently read distinct texts, which keeps the reader's state
+after them, their terms and ``Ontology`` (copied per store); any that do not read or
+build alone get the empty prefix's entry, so the whole file is read from its start.
 """
 
 from __future__ import annotations

@@ -500,7 +500,7 @@ def views_built(monkeypatch, store: InstanceStore, ast) -> list:
 
     def counted(self, key, build, *args):
         def counting(*args):
-            if isinstance(key, (str, frozenset)):  # not ``_index``'s indexes, keyed 1, 2 and None
+            if isinstance(key, (str, frozenset)):  # not the indexes, keyed 1, 2 and None
                 built.append(key)
             return build(*args)
         return view(self, key, counting, *args)

@@ -10,7 +10,7 @@ index recomputed from ``facts()`` at that point.  Threads making the first
 read of both indexes of a fresh copy get the answers of one thread, and the
 same lists.
 
-Counts the indexes each store builds (``InstanceStore._index`` finding none):
+Counts the indexes each store builds (``InstanceStore._view`` finding none under 1 or 2):
 a store that is only exported builds neither, ingest's batches and an import
 build neither, and ``classify_orbits`` followed by ``validate`` builds each at
 most once per store.
@@ -173,15 +173,15 @@ def test_threads_making_the_first_read_of_the_indexes_get_the_same_lists():
 def builds(monkeypatch, run) -> Counter:
     """(store, 1 for by-predicate or 2 for by-class) -> how often ``run()`` built it."""
     built: Counter = Counter()
-    index = InstanceStore._index
+    view = InstanceStore._view
 
-    def counted(self, position):
-        if self._views.get(position) is None:
-            built[id(self), position] += 1
-        return index(self, position)
+    def counted(self, key, build, *args):
+        if key in (1, 2) and self._views.get(key) is None:
+            built[id(self), key] += 1
+        return view(self, key, build, *args)
 
     with monkeypatch.context() as patch:
-        patch.setattr(InstanceStore, "_index", counted)
+        patch.setattr(InstanceStore, "_view", counted)
         run()
     return built
 
